@@ -11,7 +11,6 @@ from .spectral import SpectralBasis
 
 _EIGENVALUE_SLACK = 1e-10
 _MASS_TOL = 1e-6
-_DROP_TOL = 1e-12
 
 
 @dataclass
@@ -53,6 +52,7 @@ class MarginalKernel:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     _dense: np.ndarray | None = field(default=None, repr=False)
+    _diag: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         mu = np.asarray(self.eigenvalues, dtype=float)
@@ -73,8 +73,11 @@ class MarginalKernel:
         return self._dense
 
     def diagonal(self) -> np.ndarray:
-        """Per-node inclusion probabilities."""
-        return (self.vectors**2) @ self.eigenvalues
+        """Per-node inclusion probabilities (cached, read-only)."""
+        if self._diag is None:
+            self._diag = (self.vectors**2) @ self.eigenvalues
+            self._diag.flags.writeable = False
+        return self._diag
 
     def restriction(self, nodes) -> np.ndarray:
         rows = self.vectors[np.asarray(nodes, dtype=np.int64), :]
@@ -98,39 +101,26 @@ def wilson_kernel_explicit(basis: SpectralBasis, q: float) -> MarginalKernel:
     return MarginalKernel(eigenvalues=mu, vectors=basis.vectors)
 
 
-def _orthonormalize_columns(v: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt, dropping directions shorter than the tolerance."""
-    cols = []
-    for idx in range(v.shape[1]):
-        c = v[:, idx].copy()
-        for b in cols:
-            c -= (b @ c) * b
-        norm = np.linalg.norm(c)
-        if norm > _DROP_TOL:
-            cols.append(c / norm)
-    if not cols:
-        return np.empty((v.shape[0], 0))
-    return np.column_stack(cols)
-
-
 def dpp_sample(kernel: MarginalKernel, rng=None) -> SamplingSet:
     """Draw one sample of the determinantal process with the given kernel.
 
     Two phases: a Bernoulli draw over the kernel's eigenvalues fixes the
-    sample size and selects a column subspace; then one node per remaining
-    dimension is drawn with probability proportional to the squared row
-    norms of the subspace basis, which is deflated against the selected
-    coordinate after every pick. Node selection is inverse-CDF in index
-    order, so draws are reproducible under a fixed seed.
+    sample size and selects a column subspace; then the projection process
+    on that subspace is sampled by the chain rule. Each node is drawn with
+    probability proportional to the squared row residuals of the subspace
+    basis, after the span of the rows already drawn is projected out, and
+    the residuals take one rank-one update per pick. Node selection is
+    inverse-CDF in index order, so draws are reproducible under a fixed
+    seed.
     """
     rng = np.random.default_rng(rng)
     mu = kernel.eigenvalues
     keep = rng.random(len(mu)) < mu
-    v = kernel.vectors[:, keep].copy()
+    res = kernel.vectors[:, keep].copy()
     nodes = []
-    while v.shape[1] > 0:
-        r = v.shape[1]
-        p = np.einsum("ij,ij->i", v, v) / r
+    for remaining in range(res.shape[1], 0, -1):
+        r2 = np.einsum("ij,ij->i", res, res)
+        p = r2 / remaining
         mass = p.sum()
         if abs(mass - 1.0) > _MASS_TOL:
             raise NumericalDegeneracy(f"selection mass {mass:.8f} drifted from 1")
@@ -138,13 +128,10 @@ def dpp_sample(kernel: MarginalKernel, rng=None) -> SamplingSet:
         i = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
         i = min(i, kernel.n - 1)
         nodes.append(i)
-        j = int(np.argmax(np.abs(v[i, :])))
-        pivot = v[:, j].copy()
-        v -= np.outer(pivot / pivot[i], v[i, :])
-        v = np.delete(v, j, axis=1)
-        v = _orthonormalize_columns(v)
+        q = res[i] / np.sqrt(r2[i])
+        res -= np.outer(res @ q, q)
     nodes = np.asarray(nodes, dtype=np.int64)
-    weights = kernel.diagonal()[nodes] if len(nodes) else None
+    weights = dpp_weight_matrix(kernel, nodes) if len(nodes) else None
     return SamplingSet(nodes=nodes, weights=weights, method="dpp")
 
 

@@ -65,15 +65,16 @@ def measure(x: np.ndarray, sampling: SamplingSet, noise_sigma: float = 0.0, rng=
 
 
 def _pinv_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares solve through the SVD with a relative singular cutoff."""
+    """Least-squares solve through the SVD with a relative singular cutoff;
+    warns when the cutoff drops a singular value."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if len(s) == 0 or s[-1] <= _SINGULAR_CUTOFF:
+    keep = s > _SINGULAR_CUTOFF * (s[0] if len(s) else 1.0)
+    if len(s) == 0 or not keep.all():
         warnings.warn(
             "restricted basis is numerically singular; recovery is a least-norm guess",
             IllConditionedWarning,
             stacklevel=3,
         )
-    keep = s > _SINGULAR_CUTOFF * (s[0] if len(s) else 1.0)
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return vt.T @ (inv * (u.T @ rhs))
 

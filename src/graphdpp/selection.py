@@ -10,6 +10,7 @@ from .dpp import SamplingSet
 from .errors import DegenerateBasis, InvalidDistribution, InvalidParams, NoConvergence
 
 _RANK_TOL = 1e-12
+_PRUNE_SLACK = 1e-9
 
 
 class ObjectiveKind(Enum):
@@ -30,64 +31,73 @@ def singular_values_restriction(u_k: np.ndarray, nodes) -> np.ndarray:
     return np.linalg.svd(sub, compute_uv=False)[::-1]
 
 
-def _score(kind: ObjectiveKind, gram_eigs: np.ndarray, rows: int, k: int) -> float:
-    """Objective value of one candidate restriction; larger is better.
+def _step_scores(kind: ObjectiveKind, u_k: np.ndarray, nodes, cand, r2) -> np.ndarray:
+    """Objective of each candidate row appended to the chosen rows; larger is better.
 
-    `gram_eigs` are the k eigenvalues of the restriction's Gram matrix,
-    i.e. the squared singular values padded with zeros. Until the set
-    reaches k rows the printed objectives are degenerate, so only the
-    nonzero singular values are scored; from k rows on, zeros count and
-    sink the candidate. Maximum volume is scored in the log domain.
+    `r2` holds the candidates' squared residuals against the span of the
+    chosen rows. With C the chosen-row Gram matrix and b = U_S u, maximum
+    volume grows by the factor r2 and mean square error by
+    (1 + |C^-1 b|^2) / r2 (a Schur complement); worst-case error takes the
+    smallest eigenvalue of the bordered Gram C' = [[C, b], [b', |u|^2]],
+    one batched eigvalsh. That eigenvalue is at most min(lambda_min(C), r2),
+    as C' interlaces C and the corner of C'^-1 is 1/r2. So only candidates
+    whose bound reaches the exact value of the best mean-square-error
+    candidate are scored; the others cannot win and score -inf.
     """
-    sq = np.sort(np.clip(gram_eigs, 0.0, None))
-    if rows < k:
-        sq = sq[k - rows :]
-        sq = sq[sq > _RANK_TOL]
-        if len(sq) == 0:
-            return -np.inf
-    if kind is ObjectiveKind.WCE:
-        return float(sq[0])
-    if sq[0] <= _RANK_TOL:
-        return -np.inf
+    if kind is ObjectiveKind.MV:
+        return r2
+    sub = u_k[nodes, :]
+    gram = sub @ sub.T
+    cross = sub @ u_k[cand, :].T
+    coef = np.linalg.solve(gram, cross)
+    mse = -(1.0 + np.einsum("ij,ij->j", coef, coef)) / r2
     if kind is ObjectiveKind.MSE:
-        return float(-np.sum(1.0 / sq))
-    return float(np.sum(np.log(sq)))
+        return mse
+    s = len(nodes)
+    sq_norms = np.einsum("ij,ij->i", u_k[cand, :], u_k[cand, :])
+    stack = np.empty((len(cand), s + 1, s + 1))
+    stack[:, :s, :s] = gram
+    stack[:, :s, s] = cross.T
+    stack[:, s, :s] = cross.T
+    stack[:, s, s] = sq_norms
+    bound = np.minimum(np.linalg.eigvalsh(gram).min(initial=np.inf), r2)
+    # slack far above eigvalsh round-off, which scales with |C'| <= trace C'
+    slack = _PRUNE_SLACK * (np.trace(gram) + sq_norms.max())
+    live = bound >= np.linalg.eigvalsh(stack[np.argmax(mse)])[0] - slack
+    scores = np.full(len(cand), -np.inf)
+    scores[live] = np.linalg.eigvalsh(stack[live])[:, 0]
+    return scores
 
 
 def greedy_select(u_k: np.ndarray, objective) -> SamplingSet:
     """Grow a size-k node set one node at a time, maximizing the objective.
 
-    At each step every unused node is scored by the singular values of the
-    restriction extended with it, evaluated on the k x k Gram matrix which
-    an added row updates by a rank-one term; ties break to the lowest node
-    index, so the output is deterministic.
+    The rows' residuals after projecting out the span of the chosen rows
+    are kept for all n rows and updated by one rank-one term per pick, so
+    every step scores all candidates at once. A row whose squared residual
+    is at most the rank tolerance adds no rank and is never picked; when no
+    unused row adds rank, DegenerateBasis is raised. Ties break to the
+    lowest node index, so the output is deterministic.
     """
     kind = objective if isinstance(objective, ObjectiveKind) else ObjectiveKind(objective)
     u_k = np.asarray(u_k, dtype=float)
     n, k = u_k.shape
     if k > n:
         raise InvalidParams("cannot select more nodes than the graph has")
-    gram = np.zeros((k, k))
+    res = u_k.copy()
     chosen = np.zeros(n, dtype=bool)
     nodes = []
-    for step in range(k):
-        best_node = -1
-        best_val = None
-        for cand in range(n):
-            if chosen[cand]:
-                continue
-            row = u_k[cand, :]
-            eigs = np.linalg.eigvalsh(gram + np.outer(row, row))
-            val = _score(kind, eigs, step + 1, k)
-            if best_val is None or val > best_val:
-                best_val = val
-                best_node = cand
-        chosen[best_node] = True
-        nodes.append(best_node)
-        row = u_k[best_node, :]
-        gram += np.outer(row, row)
-    final = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-    if np.sqrt(final[0]) <= _RANK_TOL:
+    for _ in range(k):
+        r2 = np.einsum("ij,ij->i", res, res)
+        cand = np.flatnonzero(~chosen & (r2 > _RANK_TOL))
+        if len(cand) == 0:
+            raise DegenerateBasis("no unused node adds rank to the greedy selection")
+        best = int(cand[np.argmax(_step_scores(kind, u_k, nodes, cand, r2[cand]))])
+        chosen[best] = True
+        nodes.append(best)
+        q = res[best] / np.sqrt(r2[best])
+        res -= np.outer(res @ q, q)
+    if singular_values_restriction(u_k, nodes)[0] <= _RANK_TOL:
         raise DegenerateBasis("greedy selection ended with a singular restriction")
     return SamplingSet(
         nodes=np.asarray(nodes, dtype=np.int64),

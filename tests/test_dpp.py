@@ -131,6 +131,12 @@ class TestWeightMatrix:
         with pytest.raises(ZeroMarginal):
             dpp_weight_matrix(kernel, [1])
 
+    def test_diagonal_is_cached_read_only(self, sbm_kernel):
+        diag = sbm_kernel.diagonal()
+        assert sbm_kernel.diagonal() is diag
+        with pytest.raises(ValueError):
+            diag[0] = 0.0
+
 
 class TestSamplerDegenerateKernels:
     def test_identity_kernel_returns_everything(self):

@@ -1,5 +1,7 @@
 """Measurement and the three recovery paths."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,25 @@ class TestKnownBasis:
         s = unit_weight_sampling([2, 3])  # zero rows
         with pytest.warns(IllConditionedWarning):
             recover_known_basis(u, Measurement(y=np.zeros(2), sampling=s))
+
+    @pytest.mark.parametrize(
+        "scales, dropped",
+        [
+            ((0.5, 8e-13), False),  # below 1e-12 absolute, above 1e-12 * s_max
+            ((10.0, 5e-12), True),  # above 1e-12 absolute, below 1e-12 * s_max
+        ],
+    )
+    def test_warns_exactly_when_cutoff_drops(self, scales, dropped):
+        u = np.diag(scales)
+        s = unit_weight_sampling([0, 1])
+        y = np.array([1.0, 1e-12])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x_rec = recover_known_basis(u, Measurement(y=y, sampling=s))
+        warned = any(issubclass(w.category, IllConditionedWarning) for w in caught)
+        assert warned == dropped
+        kept = y[1] / scales[1] if not dropped else 0.0
+        np.testing.assert_allclose(x_rec, u @ np.array([y[0] / scales[0], kept]), rtol=1e-12)
 
     def test_noise_floor_scales_linearly(self, instance):
         _, _, _, u_k, x = instance

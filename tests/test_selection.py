@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdpp import (
     ObjectiveKind,
     eigendecompose,
+    SbmParams,
     fourier_basis_k,
     greedy_select,
     iid_leverage_sample,
     laplacian,
     maxvol_select,
+    sbm_generate,
     singular_values_restriction,
 )
-from graphdpp.errors import InvalidDistribution, InvalidParams
+from graphdpp.errors import DegenerateBasis, InvalidDistribution, InvalidParams
 
 from conftest import exhaustive_best_volume
 
@@ -22,6 +26,54 @@ def random_orthonormal(n, k, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, k)))
     return q
+
+
+def duplicated_row_basis():
+    """Random (30, 5) orthonormal basis whose row 22 copies row 21, the
+    first maximum-volume pick."""
+    u = random_orthonormal(30, 5, 0)
+    u[22] = u[21]
+    return u
+
+
+_RANK_TOL = 1e-12
+
+
+def _reference_score(kind, gram_eigs, rows, k):
+    """Objective of one candidate from the k eigenvalues of its k x k Gram
+    matrix; until the set has k rows only the nonzero ones are scored."""
+    sq = np.sort(np.clip(gram_eigs, 0.0, None))
+    if rows < k:
+        sq = sq[k - rows :]
+        sq = sq[sq > _RANK_TOL]
+        if len(sq) == 0:
+            return -np.inf
+    if kind is ObjectiveKind.WCE:
+        return float(sq[0])
+    if sq[0] <= _RANK_TOL:
+        return -np.inf
+    if kind is ObjectiveKind.MSE:
+        return float(-np.sum(1.0 / sq))
+    return float(np.sum(np.log(sq)))
+
+
+def reference_greedy(u_k, kind):
+    """Greedy selection scoring every candidate by its own eigvalsh call."""
+    n, k = u_k.shape
+    gram = np.zeros((k, k))
+    nodes = []
+    for step in range(k):
+        best_node, best_val = -1, None
+        for cand in range(n):
+            if cand in nodes:
+                continue
+            row = u_k[cand, :]
+            val = _reference_score(kind, np.linalg.eigvalsh(gram + np.outer(row, row)), step + 1, k)
+            if best_val is None or val > best_val:
+                best_val, best_node = val, cand
+        nodes.append(best_node)
+        gram += np.outer(u_k[best_node, :], u_k[best_node, :])
+    return nodes
 
 
 class TestSingularValuesRestriction:
@@ -120,6 +172,52 @@ class TestGreedySelect:
     def test_rejects_wide_basis(self):
         with pytest.raises(InvalidParams):
             greedy_select(np.ones((2, 3)), "mv")
+
+    # Square bases (n == k) tie every row in exact arithmetic, and round-off
+    # orders them differently in the two scorers, so n exceeds k here.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        extra=st.integers(1, 34),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_scorer(self, k, extra, seed):
+        u = random_orthonormal(k + extra, k, seed)
+        for kind in ObjectiveKind:
+            assert greedy_select(u, kind).nodes.tolist() == reference_greedy(u, kind)
+
+    def test_matches_reference_scorer_on_sbm_basis(self):
+        # a graph basis large enough that WCE rules most candidates out by bound
+        g = sbm_generate(SbmParams(n=200, k_comm=8, c=16.0, eps=0.02), 3)
+        u = fourier_basis_k(eigendecompose(laplacian(g)), 8)
+        for kind in ObjectiveKind:
+            assert greedy_select(u, kind).nodes.tolist() == reference_greedy(u, kind)
+
+    def test_equal_norm_ties_go_to_lowest_index(self):
+        # rows 0 and 2 are e1 / sqrt(2), rows 1 and 3 are e2 / sqrt(2)
+        u = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]) / np.sqrt(2.0)
+        for kind in ObjectiveKind:
+            assert reference_greedy(u, kind) == [0, 1]
+            assert greedy_select(u, kind).nodes.tolist() == [0, 1]
+
+    def test_duplicate_row_adds_no_rank(self):
+        u = duplicated_row_basis()
+        for kind in ObjectiveKind:
+            nodes = greedy_select(u, kind).nodes.tolist()
+            assert nodes[0] == 21
+            assert 22 not in nodes
+
+    def test_duplicate_row_basis_gives_nonsingular_restriction(self):
+        u = duplicated_row_basis()
+        for kind in ObjectiveKind:
+            s = greedy_select(u, kind)
+            assert singular_values_restriction(u, s.nodes)[0] > 1e-6
+
+    def test_rank_deficient_basis_raises(self):
+        u = np.outer(np.arange(1.0, 7.0), [1.0, 2.0]) / 10.0
+        for kind in ObjectiveKind:
+            with pytest.raises(DegenerateBasis):
+                greedy_select(u, kind)
 
 
 class TestMaxvol:
