@@ -29,7 +29,6 @@ from .graphs import (
     LaplacianView,
     SbmParams,
     critical_epsilon,
-    degrees,
     laplacian,
     sbm_generate,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "sbm_generate",
     "critical_epsilon",
     "laplacian",
-    "degrees",
     "eigendecompose",
     "fourier_basis_k",
     "generate_bandlimited_signal",

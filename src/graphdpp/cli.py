@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .dpp import dpp_sample, ideal_lowpass_kernel, wilson_kernel_explicit
+from .dpp import dpp_sample, dpp_weight_matrix, ideal_lowpass_kernel, wilson_kernel_explicit
 from .errors import GraphDppError, InvalidParams
 from .estimation import estimate_pi, floor_zero_probabilities
 from .experiments import (
@@ -85,7 +86,7 @@ def _cmd_sample(args):
         sample = wilson_sample(g, q, rng)
         if args.weights == "exact":
             kernel = wilson_kernel_explicit(eigendecompose(laplacian(g)), q)
-            sample.weights = kernel.diagonal()[sample.nodes]
+            sample.weights = dpp_weight_matrix(kernel, sample.nodes)
         elif args.weights == "estimated":
             pi = estimate_pi(laplacian(g), q, rng=rng)
             sample.weights = floor_zero_probabilities(pi, sample.nodes)
@@ -170,11 +171,9 @@ def _cmd_experiment(args):
     else:
         cfg = ExperimentConfig(**_EXPERIMENT_PRESETS[args.protocol])
     if args.seed is not None:
-        cfg = ExperimentConfig(**{**_cfg_dict(cfg), "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     if args.full:
-        cfg = ExperimentConfig(
-            **{**_cfg_dict(cfg), "graphs_per_point": 100, "signals_per_graph": 100}
-        )
+        cfg = replace(cfg, graphs_per_point=100, signals_per_graph=100)
     if args.out is None:
         raise InvalidParams("--out is required for sweep protocols")
     if cfg.sweep == "epsilon":
@@ -183,12 +182,6 @@ def _cmd_experiment(args):
         table = run_experiment_unknown_basis(cfg)
     emit_csv(table, args.out)
     print(f"wrote {args.out}: {len(table)} rows")
-
-
-def _cfg_dict(cfg):
-    from dataclasses import fields
-
-    return {f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,21 +21,28 @@ class SamplingSet:
     (inclusion probabilities for determinantal samples, m * p for i.i.d.
     draws, ones for deterministic selections). The random-walk sampler
     leaves it None; callers fill it from an explicit kernel or from the
-    sketch-based estimator.
+    sketch-based estimator. Both fields are validated on every
+    assignment, at construction and after it alike.
     """
 
     nodes: np.ndarray
     weights: np.ndarray | None = None
     method: str = ""
 
-    def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=np.int64)
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != self.nodes.shape:
+    def __setattr__(self, name, value):
+        if name == "nodes":
+            value = np.asarray(value, dtype=np.int64)
+            if np.any(value < 0):
+                raise OutOfRange("node indices must be nonnegative")
+            if self.weights is not None and self.weights.shape != value.shape:
                 raise InvalidParams("weights and nodes must have equal length")
-            if np.any(self.weights <= 0):
+        elif name == "weights" and value is not None:
+            value = np.asarray(value, dtype=float)
+            if value.shape != self.nodes.shape:
+                raise InvalidParams("weights and nodes must have equal length")
+            if not np.all(value > 0):
                 raise InvalidParams("weights must be strictly positive")
+        object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.nodes)

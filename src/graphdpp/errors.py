@@ -17,10 +17,6 @@ class TooLarge(GraphDppError):
     """Problem size exceeds a dense-computation guard."""
 
 
-class ConvergenceFailure(GraphDppError):
-    """An iterative eigenvalue routine failed to converge."""
-
-
 class NumericalDegeneracy(GraphDppError):
     """A probability mass or basis lost consistency beyond tolerance."""
 
@@ -34,7 +30,7 @@ class DegenerateBasis(GraphDppError):
 
 
 class NoConvergence(GraphDppError):
-    """An iterative search exhausted its probe or swap budget."""
+    """An iterative routine failed to converge or exhausted its budget."""
 
 
 class InvalidDistribution(GraphDppError, ValueError):

@@ -15,7 +15,7 @@ from numpy.polynomial import chebyshev
 
 from .errors import InvalidParams, OutOfRange
 from .graphs import LaplacianView
-from .spectral import DENSE_EIGEN_GUARD, eigendecompose, largest_eigenvalue_estimate
+from .spectral import DENSE_EIGEN_GUARD, _vector_eval, eigendecompose, largest_eigenvalue_estimate
 
 ZERO_PROBABILITY_FLOOR = 1e-12
 
@@ -58,17 +58,6 @@ class PolynomialFilter:
         return c[0] * x + shifted(b1) - b2
 
 
-def _vector_eval(f, lam):
-    lam = np.asarray(lam, dtype=float)
-    try:
-        out = np.asarray(f(lam), dtype=float)
-        if out.shape != lam.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        out = np.array([float(f(v)) for v in lam.ravel()]).reshape(lam.shape)
-    return out
-
-
 def fit_sqrt_filter(f, d: int, lambda_max: float) -> PolynomialFilter:
     """Chebyshev interpolant of sqrt(f) on [0, lambda_max].
 
@@ -95,12 +84,9 @@ def fit_sqrt_filter(f, d: int, lambda_max: float) -> PolynomialFilter:
     def target(lam):
         return np.sqrt(np.clip(_vector_eval(f, lam), 0.0, None))
 
-    fit = chebyshev.Chebyshev.interpolate(target, d, domain=[0.0, lambda_max])
-    coeffs = fit.coef
-    filt = PolynomialFilter(
-        coefficients=coeffs, lambda_max=float(lambda_max), degree=d, fit_error=0.0
-    )
-    err = float(np.max(np.abs(filt(grid) - target(grid))))
+    coeffs = chebyshev.Chebyshev.interpolate(target, d, domain=[0.0, lambda_max]).coef
+    fitted = chebyshev.chebval(2.0 * grid / lambda_max - 1.0, coeffs)
+    err = float(np.max(np.abs(fitted - target(grid))))
     return PolynomialFilter(
         coefficients=coeffs, lambda_max=float(lambda_max), degree=d, fit_error=err
     )
@@ -117,6 +103,13 @@ def gaussian_sketch(n_nodes: int, width: int, rng=None) -> np.ndarray:
 def default_sketch_width(n_nodes: int) -> int:
     """The 20 * ceil(log n) sketch width used throughout the experiments."""
     return int(20 * np.ceil(np.log(max(n_nodes, 2))))
+
+
+def _sketched_diagonal(lap, f, d, n, rng, lmax):
+    """Estimated diagonal of f(L): squared row norms of a width-n Gaussian
+    sketch filtered by the degree-d fit of sqrt(f) on [0, lmax]."""
+    filtered = fit_sqrt_filter(f, d, lmax).apply(lap, gaussian_sketch(lap.n, n, rng))
+    return np.einsum("ij,ij->i", filtered, filtered)
 
 
 def estimate_pi(
@@ -141,10 +134,7 @@ def estimate_pi(
     if n is None:
         n = default_sketch_width(lap.n)
     lmax = largest_eigenvalue_estimate(lap, tol=power_tol)
-    filt = fit_sqrt_filter(lambda lam: q / (q + lam), d, lmax)
-    sketch = gaussian_sketch(lap.n, n, rng)
-    filtered = filt.apply(lap, sketch)
-    return np.einsum("ij,ij->i", filtered, filtered)
+    return _sketched_diagonal(lap, lambda lam: q / (q + lam), d, n, rng, lmax)
 
 
 def floor_zero_probabilities(pi: np.ndarray, nodes) -> np.ndarray:
@@ -168,13 +158,6 @@ def _smooth_step(cutoff: float, width: float):
         return 1.0 / (1.0 + np.exp(z))
 
     return h
-
-
-def _count_below(lap, cutoff, width, d, n, rng, lmax):
-    filt = fit_sqrt_filter(_smooth_step(cutoff, width), d, lmax)
-    sketch = gaussian_sketch(lap.n, n, rng)
-    filtered = filt.apply(lap, sketch)
-    return float(np.einsum("ij,ij->", filtered, filtered))
 
 
 def estimate_leverage_scores(
@@ -219,7 +202,8 @@ def estimate_leverage_scores(
         cutoff = lmax / 2.0
         for _ in range(25):
             cutoff = (lo + hi) / 2.0
-            count = _count_below(lap, cutoff, (hi - lo) / 16.0, d, n, rng, lmax)
+            step = _smooth_step(cutoff, (hi - lo) / 16.0)
+            count = _sketched_diagonal(lap, step, d, n, rng, lmax).sum()
             if abs(count - k) <= 0.25:
                 break
             if count < k:
@@ -228,10 +212,7 @@ def estimate_leverage_scores(
                 hi = cutoff
         width = max((hi - lo) / 9.2, lmax * 1e-4)
 
-    filt = fit_sqrt_filter(_smooth_step(cutoff, width), d, lmax)
-    sketch = gaussian_sketch(lap.n, n, rng)
-    filtered = filt.apply(lap, sketch)
-    scores = np.einsum("ij,ij->i", filtered, filtered)
+    scores = _sketched_diagonal(lap, _smooth_step(cutoff, width), d, n, rng, lmax)
     total = scores.sum()
     if total <= 0.0:
         raise InvalidParams("filtered sketch vanished; cannot normalize scores")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dpp import dpp_sample, ideal_lowpass_kernel, wilson_kernel_explicit
+from .dpp import dpp_sample, dpp_weight_matrix, ideal_lowpass_kernel, wilson_kernel_explicit
 from .errors import DegenerateCutoffWarning, InvalidParams, ParseError
 from .estimation import estimate_leverage_scores, estimate_pi, floor_zero_probabilities
 from .graphs import SbmParams, critical_epsilon, laplacian, sbm_generate
@@ -157,9 +157,6 @@ class ResultTable:
 
     def __len__(self):
         return len(self.rows)
-
-    def errors_for(self, sampler: str) -> dict:
-        return {r.sweep_value: r.mean_error for r in self.rows if r.sampler == sampler}
 
 
 def nearest_rank_percentile(values, pct: float) -> float:
@@ -307,7 +304,7 @@ def run_experiment_known_basis(cfg: ExperimentConfig) -> ResultTable:
 def _unknown_basis_weights(cfg, kernel, pi_hat, sample):
     if cfg.estimated_weights:
         return floor_zero_probabilities(pi_hat, sample.nodes)
-    return kernel.diagonal()[sample.nodes]
+    return dpp_weight_matrix(kernel, sample.nodes)
 
 
 def run_experiment_unknown_basis(cfg: ExperimentConfig) -> ResultTable:

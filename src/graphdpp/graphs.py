@@ -89,6 +89,7 @@ class Graph:
         return a.indices[lo:hi], a.data[lo:hi]
 
     def degrees(self) -> np.ndarray:
+        """Weighted degree of every node."""
         return np.asarray(self.adjacency().sum(axis=1)).ravel()
 
     def has_unit_weights(self) -> bool:
@@ -124,11 +125,6 @@ class LaplacianView:
         out = -self.graph.adjacency().toarray()
         np.fill_diagonal(out, self.degree_vector)
         return out
-
-
-def degrees(g: Graph) -> np.ndarray:
-    """Weighted degree of every node."""
-    return g.degrees()
 
 
 def laplacian(g: Graph) -> LaplacianView:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidParams, OutOfRange, TooLarge
+from .errors import InvalidParams, NoConvergence, OutOfRange, TooLarge
 from .graphs import LaplacianView
 
 DENSE_EIGEN_GUARD = 5000
@@ -39,7 +39,7 @@ def eigendecompose(L: LaplacianView, max_n: int = DENSE_EIGEN_GUARD) -> Spectral
     try:
         lam, vecs = np.linalg.eigh(L.dense())
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
     lam = np.clip(lam, 0.0, None)
     return SpectralBasis(eigenvalues=lam, vectors=vecs)
 
@@ -67,17 +67,23 @@ def generate_bandlimited_signal(u_k: np.ndarray, seed=None) -> np.ndarray:
     return u_k @ (alpha / norm)
 
 
-def apply_filter(basis: SpectralBasis, h, x: np.ndarray) -> np.ndarray:
-    """Apply the spectral filter with frequency response h to a signal."""
-    lam = basis.eigenvalues
+def _vector_eval(f, lam):
+    """Frequency response f at every entry of lam; scalar-only callables
+    are evaluated entry by entry."""
+    lam = np.asarray(lam, dtype=float)
     try:
-        hv = np.asarray(h(lam), dtype=float)
-        if hv.shape != lam.shape:
+        out = np.asarray(f(lam), dtype=float)
+        if out.shape != lam.shape:
             raise TypeError
     except (TypeError, ValueError):
-        hv = np.array([float(h(v)) for v in lam])
+        out = np.array([float(f(v)) for v in lam.ravel()]).reshape(lam.shape)
+    return out
+
+
+def apply_filter(basis: SpectralBasis, h, x: np.ndarray) -> np.ndarray:
+    """Apply the spectral filter with frequency response h to a signal."""
     u = basis.vectors
-    return u @ (hv * (u.T @ x))
+    return u @ (_vector_eval(h, basis.eigenvalues) * (u.T @ x))
 
 
 def largest_eigenvalue_estimate(L: LaplacianView, tol: float = 1e-3, max_iter: int = 10_000) -> float:
@@ -116,4 +122,4 @@ def largest_eigenvalue_estimate(L: LaplacianView, tol: float = 1e-3, max_iter: i
         else:
             settled = 0
         prev = rq
-    raise ConvergenceFailure(f"power iteration did not settle within {max_iter} iterations")
+    raise NoConvergence(f"power iteration did not settle within {max_iter} iterations")

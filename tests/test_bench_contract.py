@@ -1,0 +1,56 @@
+"""The package surface that the benchmark in perfbench/ relies on.
+
+The traced run wraps functions by name through perfbench/tracer.py; a
+renamed or deleted function would break it without failing any other
+test. The tracer is loaded from its file and never modified.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+import graphdpp
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    # compiled from source so that no bytecode cache is written next to it
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), module.__dict__)
+    return module
+
+
+def test_traced_functions_exist(tracer):
+    for layer, names in tracer.TRACED_FUNCTIONS.items():
+        module = importlib.import_module(f"graphdpp.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"graphdpp.{layer}.{name}"
+
+
+def test_laplacian_apply_is_defined(tracer):
+    cls_name, method = tracer.APPLY.split(".")
+    assert callable(getattr(graphdpp, cls_name).__dict__.get(method))
+
+
+def test_public_names_resolve():
+    for name in graphdpp.__all__:
+        assert hasattr(graphdpp, name), name
+
+
+def test_recorder_installs_and_restores(tracer):
+    originals = {
+        (layer, name): getattr(importlib.import_module(f"graphdpp.{layer}"), name)
+        for layer, names in tracer.TRACED_FUNCTIONS.items()
+        for name in names
+    }
+    apply = graphdpp.LaplacianView.apply
+    with tracer.Patcher() as patcher:
+        tracer.SpanRecorder().install(patcher, graphdpp, {})
+        assert graphdpp.LaplacianView.apply is not apply
+    assert graphdpp.LaplacianView.apply is apply
+    for (layer, name), orig in originals.items():
+        assert getattr(importlib.import_module(f"graphdpp.{layer}"), name) is orig

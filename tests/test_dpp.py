@@ -6,6 +6,7 @@ import pytest
 from graphdpp import (
     Graph,
     MarginalKernel,
+    SamplingSet,
     SbmParams,
     dpp_sample,
     dpp_weight_matrix,
@@ -13,9 +14,12 @@ from graphdpp import (
     ideal_lowpass_kernel,
     inclusion_probability,
     laplacian,
+    measure,
+    recover_unknown_basis,
     sample_size_moments,
     sbm_generate,
     wilson_kernel_explicit,
+    wilson_sample,
 )
 from graphdpp.errors import InvalidParams, OutOfRange, ZeroMarginal
 
@@ -136,6 +140,54 @@ class TestWeightMatrix:
         assert sbm_kernel.diagonal() is diag
         with pytest.raises(ValueError):
             diag[0] = 0.0
+
+
+class TestSamplingSetValidation:
+    def test_zero_weights_assigned_after_construction(self):
+        s = SamplingSet(nodes=[0, 2], method="t")
+        with pytest.raises(InvalidParams):
+            s.weights = np.array([0.5, 0.0])
+        assert s.weights is None
+
+    def test_wrong_length_weights_assigned(self):
+        s = SamplingSet(nodes=[0, 2], method="t")
+        with pytest.raises(InvalidParams):
+            s.weights = np.ones(3)
+
+    def test_nan_weights_rejected(self):
+        with pytest.raises(InvalidParams):
+            SamplingSet(nodes=[0, 1], weights=[0.5, np.nan])
+
+    def test_negative_node_rejected(self):
+        with pytest.raises(OutOfRange):
+            SamplingSet(nodes=[0, -1], weights=[0.5, 0.5])
+        s = SamplingSet(nodes=[0, 1])
+        with pytest.raises(OutOfRange):
+            s.nodes = [-3]
+
+    def test_nodes_reassigned_must_match_weights(self):
+        s = SamplingSet(nodes=[0, 1], weights=[0.5, 0.5])
+        with pytest.raises(InvalidParams):
+            s.nodes = [0, 1, 2]
+        s.weights = None
+        s.nodes = [0, 1, 2]
+        assert s.nodes.dtype == np.int64
+
+    def test_assigned_weights_are_coerced(self):
+        s = SamplingSet(nodes=[4, 1])
+        s.weights = [1, 2]
+        assert s.weights.dtype == float
+        np.testing.assert_array_equal(s.weights, [1.0, 2.0])
+
+    def test_zero_walk_weights_fail_before_the_solver(self):
+        g = sbm_generate(SbmParams(n=40, k_comm=2, c=6.0, eps=0.2), 3)
+        walk = wilson_sample(g, 0.3, 0)
+        with pytest.raises(InvalidParams):
+            walk.weights = np.zeros(len(walk))
+        walk.weights = np.ones(len(walk))
+        x = np.linspace(-1.0, 1.0, g.n)
+        rec = recover_unknown_basis(laplacian(g), measure(x, walk, 0.0, 1))
+        assert np.all(np.isfinite(rec))
 
 
 class TestSamplerDegenerateKernels:

@@ -7,7 +7,6 @@ from graphdpp import (
     Graph,
     SbmParams,
     critical_epsilon,
-    degrees,
     laplacian,
     sbm_generate,
 )
@@ -47,14 +46,14 @@ class TestGraph:
 class TestDegreesAndLaplacian:
     def test_single_weighted_edge(self):
         g = Graph(2, [(0, 1, 2.5)])
-        np.testing.assert_allclose(degrees(g), [2.5, 2.5])
+        np.testing.assert_allclose(g.degrees(), [2.5, 2.5])
 
     def test_isolated_node_degree_zero(self):
         g = Graph(3, [(0, 1, 1.0)])
-        assert degrees(g)[2] == 0.0
+        assert g.degrees()[2] == 0.0
 
     def test_triangle_degrees(self, triangle):
-        np.testing.assert_allclose(degrees(triangle), [2.0, 2.0, 2.0])
+        np.testing.assert_allclose(triangle.degrees(), [2.0, 2.0, 2.0])
 
     def test_single_edge_laplacian(self, k2):
         expected = np.array([[1.0, -1.0], [-1.0, 1.0]])

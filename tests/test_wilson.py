@@ -1,7 +1,12 @@
 """The absorbing loop-erased walk sampler against its determinantal laws."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from graphdpp import (
     Graph,
@@ -15,6 +20,7 @@ from graphdpp import (
     wilson_sample,
 )
 from graphdpp.errors import InvalidParams, NoConvergence, WatchdogExceeded
+from graphdpp.wilson import _component_count, _WalkTables
 
 from conftest import dpp_exact_law, empirical_tv
 
@@ -165,3 +171,143 @@ class TestTuneQ:
     def test_rejects_bad_target(self, k2):
         with pytest.raises(InvalidParams):
             tune_q(k2, 3, 0)
+
+    def test_fewer_targets_than_components_raises_at_once(self):
+        # three components keep at least three roots at any q; a search
+        # would keep halving q, doubling the walk cost of every probe
+        g = Graph(6, [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)])
+        t0 = time.perf_counter()
+        with pytest.raises(NoConvergence, match="3 connected components"):
+            tune_q(g, 1, 0, max_probes=12)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_target_equal_to_components_is_searched(self, edgeless5):
+        q = tune_q(edgeless5, 5, 0, runs_per_probe=4)
+        assert q > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60),
+            )
+        )
+    )
+    def test_component_count_matches_scipy(self, case):
+        n, pairs = case
+        edges = sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j})
+        g = Graph(n, [(i, j, 1.0) for i, j in edges])
+        assert _component_count(g) == connected_components(g.adjacency(), directed=False)[0]
+
+
+def reference_tune_q(
+    g, target_k, rng=None, runs_per_probe=64, tol=0.1, max_probes=30, probed=None
+):
+    """The earlier three-loop search (bracket up, bracket down, bisect),
+    kept to pin the single-loop tune_q to the same probes and the same q.
+    Appends every probed q to `probed` when given."""
+    if not 1 <= target_k <= g.n:
+        raise InvalidParams(f"target_k must lie in [1, {g.n}]")
+    if runs_per_probe < 1 or max_probes < 1:
+        raise InvalidParams("probe counts must be positive")
+    rng = np.random.default_rng(rng)
+    mean_degree = float(g.degrees().mean())
+    band = tol * target_k
+    probes = 0
+
+    def probe(q):
+        nonlocal probes
+        probes += 1
+        if probed is not None:
+            probed.append(q)
+        tables = _WalkTables(g, q)
+        total = 0
+        for _ in range(runs_per_probe):
+            total += len(wilson_sample(g, q, rng, _tables=tables))
+        return total / runs_per_probe
+
+    q = max(target_k * mean_degree / g.n, 1e-12)
+    mean = probe(q)
+    if abs(mean - target_k) <= band:
+        return q
+    lo = hi = None
+    if mean < target_k:
+        lo = (q, mean)
+        while probes < max_probes:
+            q *= 2.0
+            mean = probe(q)
+            if abs(mean - target_k) <= band:
+                return q
+            if mean > target_k:
+                hi = (q, mean)
+                break
+            lo = (q, mean)
+    else:
+        hi = (q, mean)
+        while probes < max_probes:
+            q /= 2.0
+            mean = probe(q)
+            if abs(mean - target_k) <= band:
+                return q
+            if mean < target_k:
+                lo = (q, mean)
+                break
+            hi = (q, mean)
+    while lo is not None and hi is not None and probes < max_probes:
+        q = float(np.sqrt(lo[0] * hi[0]))
+        mean = probe(q)
+        if abs(mean - target_k) <= band:
+            return q
+        if mean < target_k:
+            lo = (q, mean)
+        else:
+            hi = (q, mean)
+    raise NoConvergence(f"no q reached mean size {target_k} +/- {band:.3g} in {probes} probes")
+
+
+def _outcome(search, g, target, seed, tol, max_probes, **kw):
+    try:
+        return search(g, target, seed, runs_per_probe=16, tol=tol, max_probes=max_probes, **kw)
+    except NoConvergence as exc:
+        return str(exc)
+
+
+TUNE_GRAPHS = {
+    "two-blocks": SbmParams(n=40, k_comm=2, c=6.0, eps=0.3),
+    "three-blocks": SbmParams(n=60, k_comm=3, c=8.0, eps=0.1),
+    "sparse": SbmParams(n=48, k_comm=4, c=3.0, eps=0.5),
+}
+TUNE_GRID = [
+    (name, target, tol, max_probes)
+    for name in TUNE_GRAPHS
+    for target in (2, 5, 12, 30)
+    for tol in (0.1, 0.02)
+    for max_probes in (1, 3, 30)
+]
+
+
+@pytest.fixture(scope="module")
+def tune_graphs():
+    return {name: sbm_generate(params, 8) for name, params in TUNE_GRAPHS.items()}
+
+
+class TestTuneQMatchesReference:
+    @pytest.mark.parametrize("name,target,tol,max_probes", TUNE_GRID)
+    def test_same_q_or_same_failure(self, tune_graphs, name, target, tol, max_probes):
+        g = tune_graphs[name]
+        want = _outcome(reference_tune_q, g, target, 11, tol, max_probes)
+        assert _outcome(tune_q, g, target, 11, tol, max_probes) == want
+
+    def test_grid_covers_every_search_branch(self, tune_graphs):
+        moved_up = moved_down = bisected = exhausted = False
+        for name, target, tol, max_probes in TUNE_GRID:
+            probed = []
+            out = _outcome(
+                reference_tune_q, tune_graphs[name], target, 11, tol, max_probes, probed=probed
+            )
+            moved_up |= any(q > probed[0] for q in probed)
+            moved_down |= any(q < probed[0] for q in probed)
+            bisected |= any(b not in (2.0 * a, a / 2.0) for a, b in zip(probed, probed[1:]))
+            exhausted |= isinstance(out, str)
+        assert moved_up and moved_down and bisected and exhausted
