@@ -1,5 +1,6 @@
 """Signal recovery from node measurements: pseudo-inverse solvers for a
-known Fourier basis and a regularized conjugate-gradient solver without it."""
+known Fourier basis and a regularized solver without it (a dense direct
+solve on small graphs, matrix-free conjugate gradient otherwise)."""
 
 from __future__ import annotations
 
@@ -19,6 +20,11 @@ from .errors import (
 from .graphs import LaplacianView
 
 _SINGULAR_CUTOFF = 1e-12
+# Largest graph recovered by a dense direct solve. Median per solve on an
+# SBM with c = 16, r = 4 and 10 samples, one BLAS thread on a 2-core Xeon:
+# direct vs conjugate gradient 8 vs 24 ms at n = 300, 30 vs 31 ms at
+# n = 500, 43 vs 37 ms at n = 600 and 1.05 vs 0.16 s at n = 2000.
+_DIRECT_MAX_N = 500
 
 
 @dataclass
@@ -33,14 +39,17 @@ class Measurement:
         self.y = np.asarray(self.y, dtype=float)
         if self.y.shape != self.sampling.nodes.shape:
             raise ShapeMismatch("one measurement per sampled node required")
-        if self.noise_sigma < 0:
-            raise InvalidParams("noise_sigma must be nonnegative")
+        if not np.all(np.isfinite(self.y)):
+            raise InvalidParams("measurements must be finite")
+        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
+            raise InvalidParams("noise_sigma must be finite and nonnegative")
 
 
 @dataclass
 class RecoveryParams:
     """Regularized-recovery knobs: penalty strength, Laplacian power,
-    conjugate-gradient tolerance and iteration cap (default 10 n)."""
+    relative residual tolerance (binds the direct solve and conjugate
+    gradient alike) and the conjugate-gradient iteration cap (default 10 n)."""
 
     gamma: float = 1e-5
     r: int = 4
@@ -48,12 +57,12 @@ class RecoveryParams:
     max_iter: int | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise InvalidParams("gamma must be positive")
+        if not np.isfinite(self.gamma) or self.gamma <= 0:
+            raise InvalidParams("gamma must be positive and finite")
         if self.r < 1:
             raise InvalidParams("Laplacian power r must be at least 1")
-        if self.tolerance <= 0:
-            raise InvalidParams("tolerance must be positive")
+        if not np.isfinite(self.tolerance) or self.tolerance <= 0:
+            raise InvalidParams("tolerance must be positive and finite")
 
 
 def measure(x: np.ndarray, sampling: SamplingSet, noise_sigma: float = 0.0, rng=None) -> Measurement:
@@ -111,39 +120,55 @@ def recover_unknown_basis(
 ) -> np.ndarray:
     """Recovery without the Fourier basis: high-frequency-penalized least squares.
 
-    Solves the normal equations of the weighted data term plus
-    gamma * z' L^r z by conjugate gradient; the Laplacian power is applied
-    as r successive operator applications and never materialized. Raises
-    SolverDiverged when the residual does not reach the tolerance within
-    the iteration cap.
+    Solves the normal equations (gamma L^r + S' W^-1 S) z = S' W^-1 y of the
+    weighted data term plus gamma * z' L^r z. Graphs of up to
+    _DIRECT_MAX_N = 500 nodes are solved densely; the answer is returned
+    when its residual is within tolerance * |b|. Larger graphs, and small
+    ones whose dense solve fails that check (a component without samples
+    makes the matrix singular), go to conjugate gradient, which applies the
+    Laplacian power as r successive operator applications and never
+    materializes it.
+    The tolerance binds both paths; max_iter caps conjugate gradient only.
+    Raises SolverDiverged when its residual does not reach the tolerance
+    within the iteration cap.
     """
     params = params or RecoveryParams()
     w = meas.sampling.weights
     if w is None:
         raise MissingWeights("sampling set carries no weights")
     nodes = meas.sampling.nodes
-    if np.any(nodes >= lap.n):
+    n = lap.n
+    if np.any(nodes >= n):
         raise ShapeMismatch("sampled node index outside the graph")
     inv_w = 1.0 / w
     gamma, r = params.gamma, params.r
+    sampled = np.bincount(nodes, inv_w, minlength=n)
+    b = np.bincount(nodes, meas.y * inv_w, minlength=n)
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return np.zeros(n)
+    target = params.tolerance * b_norm
+
+    if n <= _DIRECT_MAX_N:
+        m = gamma * np.linalg.matrix_power(lap.dense(), r)
+        m.flat[:: n + 1] += sampled
+        try:
+            x = np.linalg.solve(m, b)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.linalg.norm(m @ x - b) <= target:
+                return x
 
     def operator(z):
         out = z
         for _ in range(r):
             out = lap.apply(out)
-        out = gamma * out
-        np.add.at(out, nodes, z[nodes] * inv_w)
-        return out
+        return gamma * out + sampled * z
 
-    b = np.zeros(lap.n)
-    np.add.at(b, nodes, meas.y * inv_w)
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return np.zeros(lap.n)
-    target = params.tolerance * b_norm
-    max_iter = params.max_iter if params.max_iter is not None else 10 * lap.n
+    max_iter = params.max_iter if params.max_iter is not None else 10 * n
 
-    x = np.zeros(lap.n)
+    x = np.zeros(n)
     res = b.copy()
     p = res.copy()
     rs = float(res @ res)

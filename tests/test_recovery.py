@@ -4,8 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from graphdpp import (
+    Graph,
+    LaplacianView,
     Measurement,
     RecoveryParams,
     SamplingSet,
@@ -22,8 +28,10 @@ from graphdpp import (
     relative_error,
     sbm_generate,
 )
+from graphdpp import recovery
 from graphdpp.errors import (
     IllConditionedWarning,
+    InvalidParams,
     MissingWeights,
     ShapeMismatch,
     SolverDiverged,
@@ -76,6 +84,28 @@ class TestMeasure:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):
             Measurement(y=np.zeros(3), sampling=unit_weight_sampling([1, 2]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(InvalidParams):
+            Measurement(y=np.array([0.5, bad]), sampling=unit_weight_sampling([1, 2]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_noise_sigma_rejected(self, bad):
+        with pytest.raises(InvalidParams):
+            Measurement(y=np.zeros(2), sampling=unit_weight_sampling([1, 2]), noise_sigma=bad)
+
+
+class TestRecoveryParams:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, bad):
+        with pytest.raises(InvalidParams):
+            RecoveryParams(gamma=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tolerance_rejected(self, bad):
+        with pytest.raises(InvalidParams):
+            RecoveryParams(tolerance=bad)
 
 
 class TestKnownBasis:
@@ -190,24 +220,61 @@ class TestKnownBasisWeighted:
 
 class TestUnknownBasis:
     def test_matches_dense_solve(self, instance):
-        g, lap, _, u_k, x = instance
-        nodes = np.array([3, 3, 20, 41, 77])  # duplicate row kept
-        weights = np.array([0.3, 0.3, 0.1, 0.25, 0.5])
-        s = SamplingSet(nodes=nodes, weights=weights, method="t")
-        rng = np.random.default_rng(9)
-        meas = Measurement(y=x[nodes] + 1e-4 * rng.standard_normal(5), sampling=s)
-        params = RecoveryParams(gamma=1e-4, r=4, tolerance=1e-10)
-        x_cg = recover_unknown_basis(lap, meas, params)
-        n = lap.n
-        dense_l = lap.dense()
-        lr = np.linalg.matrix_power(dense_l, 4)
-        mtm = np.zeros((n, n))
-        b = np.zeros(n)
-        for node, w, yv in zip(nodes, weights, meas.y):
-            mtm[node, node] += 1.0 / w
-            b[node] += yv / w
-        x_direct = np.linalg.solve(mtm + params.gamma * lr, b)
-        assert np.linalg.norm(x_cg - x_direct) <= 1e-6 * np.linalg.norm(x_direct)
+        # the n = 80 instance takes the direct solve; the n = 600 graph is
+        # above the direct-solve size, so conjugate gradient is checked
+        # against an independent dense solve too
+        _, small_lap, _, _, small_x = instance
+        big = sbm_generate(SbmParams(n=600, k_comm=2, c=10.0, eps=0.15), 4)
+        big_x = np.random.default_rng(11).standard_normal(600)
+        assert small_lap.n <= recovery._DIRECT_MAX_N < big.n
+        for lap, x in ((small_lap, small_x), (laplacian(big), big_x)):
+            nodes = np.array([3, 3, 20, 41, 77])  # duplicate row kept
+            weights = np.array([0.3, 0.3, 0.1, 0.25, 0.5])
+            s = SamplingSet(nodes=nodes, weights=weights, method="t")
+            rng = np.random.default_rng(9)
+            meas = Measurement(y=x[nodes] + 1e-4 * rng.standard_normal(5), sampling=s)
+            params = RecoveryParams(gamma=1e-4, r=4, tolerance=1e-10)
+            x_rec = recover_unknown_basis(lap, meas, params)
+            n = lap.n
+            dense_l = lap.dense()
+            lr = np.linalg.matrix_power(dense_l, 4)
+            mtm = np.zeros((n, n))
+            b = np.zeros(n)
+            for node, w, yv in zip(nodes, weights, meas.y):
+                mtm[node, node] += 1.0 / w
+                b[node] += yv / w
+            x_direct = np.linalg.solve(mtm + params.gamma * lr, b)
+            assert np.linalg.norm(x_rec - x_direct) <= 1e-6 * np.linalg.norm(x_direct)
+
+    def test_small_graph_needs_no_operator_applies(self, instance, monkeypatch):
+        _, lap, _, _, x = instance
+        nodes = np.array([2, 30, 66])
+        s = SamplingSet(nodes=nodes, weights=np.array([0.4, 0.1, 0.9]), method="t")
+
+        def refuse(self, z):
+            raise AssertionError("conjugate gradient ran on a desk-scale graph")
+
+        monkeypatch.setattr(LaplacianView, "apply", refuse)
+        x_rec = recover_unknown_basis(lap, Measurement(y=x[nodes], sampling=s))
+        assert np.all(np.isfinite(x_rec))
+
+    @pytest.mark.parametrize("failure", ["inaccurate", "singular"])
+    def test_direct_solve_failure_falls_back_to_cg(self, instance, monkeypatch, failure):
+        _, lap, _, _, x = instance
+        nodes = np.array([5, 18, 44, 70])
+        s = SamplingSet(nodes=nodes, weights=np.array([0.2, 0.3, 0.15, 0.4]), method="t")
+        meas = Measurement(y=x[nodes], sampling=s)
+        params = RecoveryParams(gamma=1e-5, r=4, tolerance=1e-10)
+        expected = recover_unknown_basis(lap, meas, params)
+
+        def broken_solve(a, b):
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return 1.001 * np.linalg.lstsq(a, b, rcond=None)[0]
+
+        monkeypatch.setattr(np.linalg, "solve", broken_solve)
+        x_rec = recover_unknown_basis(lap, meas, params)
+        assert np.linalg.norm(x_rec - expected) <= 1e-6 * np.linalg.norm(expected)
 
     def test_all_nodes_tiny_gamma_interpolates(self, p3):
         lap = laplacian(p3)
@@ -262,11 +329,16 @@ class TestUnknownBasis:
         np.testing.assert_allclose(x_rec[:2], 2.0, atol=1e-3)
         np.testing.assert_allclose(x_rec[2:], 0.0, atol=1e-8)
 
-    def test_iteration_cap_raises(self, instance):
-        g, lap, _, _, x = instance
+    def test_iteration_cap_raises(self):
+        # a path graph above the direct-solve size, so conjugate gradient
+        # runs and hits its two-iteration cap
+        n = 600
+        path = Graph.from_arrays(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+        lap = laplacian(path)
+        assert n > recovery._DIRECT_MAX_N
         nodes = np.array([0, 12])
         s = SamplingSet(nodes=nodes, weights=np.array([0.01, 0.02]), method="t")
-        meas = Measurement(y=x[nodes], sampling=s)
+        meas = Measurement(y=np.array([0.7, -0.4]), sampling=s)
         with pytest.raises(SolverDiverged):
             recover_unknown_basis(
                 lap, meas, RecoveryParams(gamma=1e-7, r=4, tolerance=1e-12, max_iter=2)
@@ -277,6 +349,46 @@ class TestUnknownBasis:
         s = SamplingSet(nodes=np.array([0, 1]), weights=None, method="t")
         with pytest.raises(MissingWeights):
             recover_unknown_basis(lap, measure(x, s, 0.0, 0))
+
+
+@st.composite
+def recovery_problems(draw):
+    """Small graphs with isolated nodes, several components and weighted
+    edges; repeated sampled nodes; gamma log-uniform over [1e-7, 1e2]."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    edge_w = draw(st.lists(st.floats(0.25, 4.0), min_size=len(chosen), max_size=len(chosen)))
+    graph = Graph(n, [(i, j, w) for (i, j), w in zip(chosen, edge_w)])
+    m = draw(st.integers(1, 2 * n))
+    nodes = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)))
+    gamma = 10.0 ** draw(st.floats(-7.0, 2.0))
+    r = draw(st.integers(1, 4))
+    return graph, nodes, weights, y, gamma, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(recovery_problems())
+def test_unknown_basis_solves_normal_equations(problem):
+    graph, nodes, weights, y, gamma, r = problem
+    n = graph.n
+    s = SamplingSet(nodes=nodes, weights=weights, method="t")
+    params = RecoveryParams(gamma=gamma, r=r)
+    x_rec = recover_unknown_basis(laplacian(graph), Measurement(y=y, sampling=s), params)
+
+    adj = graph.adjacency().toarray()
+    lap = np.diag(adj.sum(axis=1)) - adj
+    m = gamma * np.linalg.matrix_power(lap, r) + np.diag(np.bincount(nodes, 1.0 / weights, minlength=n))
+    b = np.bincount(nodes, y / weights, minlength=n)
+    # tolerance plus the round-off of forming m @ x_rec itself
+    slack = 4 * n * np.finfo(float).eps * np.linalg.norm(np.abs(m) @ np.abs(x_rec))
+    assert np.linalg.norm(m @ x_rec - b) <= params.tolerance * np.linalg.norm(b) + slack
+
+    _, labels = connected_components(sp.csr_matrix(adj), directed=False)
+    unsampled = ~np.isin(labels, labels[nodes])
+    np.testing.assert_array_equal(x_rec[unsampled], 0.0)
 
 
 class TestRelativeError:
