@@ -38,6 +38,7 @@ from .serialization import (
     save_probabilities,
     save_sampling,
     save_signal,
+    write_csv,
 )
 from .spectral import eigendecompose, fourier_basis_k, generate_bandlimited_signal
 from .wilson import tune_q, wilson_sample
@@ -159,9 +160,8 @@ def _cmd_experiment(args):
         print(f"n={args.n} q={args.q:g}: mean samples {mean_size:.2f}, "
               f"mean seconds per run {mean_seconds:.3f}")
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write("n,q,mean_samples,mean_seconds\n")
-                fh.write(f"{args.n},{args.q:.17g},{mean_size:.17g},{mean_seconds:.17g}\n")
+            write_csv(args.out, ["n", "q", "mean_samples", "mean_seconds"],
+                      [(args.n, args.q, mean_size, mean_seconds)])
         return
     if args.config:
         cfg = parse_config(args.config)

@@ -40,8 +40,8 @@ class SamplingSet:
             value = np.asarray(value, dtype=float)
             if value.shape != self.nodes.shape:
                 raise InvalidParams("weights and nodes must have equal length")
-            if not np.all(value > 0):
-                raise InvalidParams("weights must be strictly positive")
+            if not np.all((value > 0) & (value < np.inf)):
+                raise InvalidParams("weights must be strictly positive and finite")
         object.__setattr__(self, name, value)
 
     def __len__(self):

@@ -3,11 +3,10 @@ aggregation into CSV tables, and deterministic seed management."""
 
 from __future__ import annotations
 
-import csv
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .graphs import SbmParams, critical_epsilon, laplacian, sbm_generate
 from .recovery import RecoveryParams, measure, recover_known_basis, \
     recover_known_basis_weighted, recover_unknown_basis, relative_error
 from .selection import greedy_select, iid_leverage_sample, maxvol_select
-from .serialization import format_float
+from .serialization import format_float, read_csv, write_csv
 from .spectral import eigendecompose, fourier_basis_k, generate_bandlimited_signal
 from .wilson import tune_q, wilson_sample
 
@@ -80,7 +79,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise InvalidParams("seed must be nonnegative")
         if self.target_m == 0:
-            object.__setattr__(self, "target_m", self.bandlimit)
+            self.target_m = self.bandlimit
 
     def sbm_params(self, eps: float) -> SbmParams:
         return SbmParams(n=self.n, k_comm=self.k_comm, c=self.c, eps=eps)
@@ -106,7 +105,7 @@ def parse_config(path) -> ExperimentConfig:
     """Parse a flat `key = value` config file; unknown keys are rejected."""
     types = {f.name: type(f.default) for f in fields(ExperimentConfig)}
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -186,47 +185,14 @@ def _aggregate(table: ResultTable, sweep_value, sampler, errors, sizes):
 def emit_csv(table: ResultTable, path) -> None:
     """Write the result table; floats carry 17 significant digits so the
     file parses back bit-exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_HEADER)
-        for r in table:
-            writer.writerow(
-                [
-                    format_float(r.sweep_value),
-                    r.sampler,
-                    format_float(r.mean_error),
-                    format_float(r.p10),
-                    format_float(r.p90),
-                    format_float(r.mean_samples),
-                    r.trials,
-                ]
-            )
+    write_csv(path, RESULT_HEADER, map(astuple, table))
 
 
 def parse_result_csv(path) -> ResultTable:
+    kinds = [float, str, float, float, float, float, int]
     table = ResultTable()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESULT_HEADER:
-            raise ParseError(f"{path}: expected header {','.join(RESULT_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                table.add(
-                    ResultRow(
-                        sweep_value=float(row[0]),
-                        sampler=row[1],
-                        mean_error=float(row[2]),
-                        p10=float(row[3]),
-                        p90=float(row[4]),
-                        mean_samples=float(row[5]),
-                        trials=int(row[6]),
-                    )
-                )
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad row") from exc
+    for row in zip(*read_csv(path, RESULT_HEADER, kinds)):
+        table.add(ResultRow(*row))
     return table
 
 

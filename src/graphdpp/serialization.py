@@ -1,8 +1,12 @@
-"""On-disk formats: Matrix Market graphs, CSV signals and sampling sets.
+"""On-disk formats: Matrix Market graphs and CSV tables.
 
-All tabular files are UTF-8 CSV with a header row and LF line endings;
-floats are written with 17 significant digits so round trips are
-bit-exact.
+Graphs are symmetric coordinate Matrix Market files with an empty
+diagonal. Every other file is a table read and written by the one pair
+`read_csv`/`write_csv`: UTF-8, LF line endings, a header row, and floats
+with 17 significant digits so round trips are bit-exact. Node-indexed
+tables (community labels, inclusion probabilities) list every node
+exactly once. Malformed input raises `ParseError` naming the file and,
+for a bad field, its line.
 """
 
 from __future__ import annotations
@@ -22,6 +26,52 @@ def format_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header row and `rows`; float fields go through `format_float`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [format_float(v) if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
+def read_csv(path, header, kinds) -> list:
+    """Read a table written by `write_csv`, one list per column.
+
+    The first row must equal `header`, blank rows are skipped, and each
+    field is converted by the matching callable in `kinds`. A row of the
+    wrong width or a field its kind rejects raises `ParseError`.
+    """
+    columns = [[] for _ in header]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None or [h.strip() for h in found] != list(header):
+            raise ParseError(f"{path}: expected header {','.join(header)}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{reader.line_num}: expected {len(header)} fields")
+            for column, kind, name, value in zip(columns, kinds, header, row):
+                try:
+                    column.append(kind(value))
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{reader.line_num}: bad {name} {value!r}") from exc
+    return columns
+
+
+def _read_by_node(path, column, kind, n=None) -> np.ndarray:
+    """Values of a `node,<column>` table in node order; the node column
+    must list each of the n nodes (all rows when n is None) exactly once."""
+    nodes, values = read_csv(path, ["node", column], [int, kind])
+    n = len(nodes) if n is None else n
+    if sorted(nodes) != list(range(n)):
+        raise ParseError(f"{path}: node column must list each node 0..{n - 1} once")
+    return np.asarray(values)[np.argsort(nodes)]
+
+
 def save_graph(g: Graph, path, labels_path=None) -> None:
     """Write the adjacency in symmetric coordinate Matrix Market format,
     with community labels in an optional sidecar CSV."""
@@ -33,104 +83,57 @@ def save_graph(g: Graph, path, labels_path=None) -> None:
     if labels_path is not None:
         if g.communities is None:
             raise ParseError("graph carries no community labels to write")
-        with open(labels_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["node", "community"])
-            for node, comm in enumerate(g.communities):
-                writer.writerow([node, int(comm)])
+        write_csv(labels_path, ["node", "community"], enumerate(g.communities.tolist()))
 
 
 def load_graph(path, labels_path=None) -> Graph:
-    mat = scipy.io.mmread(str(path)).tocoo()
-    if mat.shape[0] != mat.shape[1]:
+    entries = sp.coo_matrix(scipy.io.mmread(str(path)))
+    n = entries.shape[0]
+    if entries.shape[1] != n:
         raise ParseError("adjacency matrix must be square")
-    upper = mat.row < mat.col
+    mat = entries.tocsr()
+    if mat.nnz != entries.nnz or (mat != mat.T).nnz or mat.diagonal().any():
+        raise ParseError(
+            f"{path}: adjacency must be symmetric, with an empty diagonal and no repeated entry"
+        )
+    upper = sp.triu(mat, k=1).tocoo()
     communities = None
     if labels_path is not None:
-        labels = _read_csv_columns(labels_path, ["node", "community"])
-        communities = np.zeros(mat.shape[0], dtype=np.int64)
-        communities[labels["node"].astype(np.int64)] = labels["community"].astype(np.int64)
-    return Graph.from_arrays(
-        mat.shape[0], mat.row[upper], mat.col[upper], mat.data[upper], communities=communities
-    )
-
-
-def save_kernel_matrix(kernel, path) -> None:
-    """Dense Matrix Market dump of a marginal kernel (debugging aid)."""
-    scipy.io.mmwrite(str(path), kernel.matrix(), precision=17)
+        communities = _read_by_node(labels_path, "community", int, n)
+    return Graph.from_arrays(n, upper.row, upper.col, upper.data, communities=communities)
 
 
 def save_signal(x: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["value"])
-        for v in np.asarray(x, dtype=float):
-            writer.writerow([format_float(v)])
+    write_csv(path, ["value"], ([v] for v in np.asarray(x, dtype=float).tolist()))
 
 
 def load_signal(path) -> np.ndarray:
-    cols = _read_csv_columns(path, ["value"])
-    return cols["value"]
+    (values,) = read_csv(path, ["value"], [float])
+    return np.array(values, dtype=float)
+
+
+def _optional_float(field: str):
+    return float(field) if field.strip() else None
 
 
 def save_sampling(s: SamplingSet, path) -> None:
     """Write `node,weight` rows; the weight field is empty when unfilled."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node", "weight"])
-        for idx, node in enumerate(s.nodes):
-            w = "" if s.weights is None else format_float(s.weights[idx])
-            writer.writerow([int(node), w])
+    weights = [""] * len(s) if s.weights is None else s.weights.tolist()
+    write_csv(path, ["node", "weight"], zip(s.nodes.tolist(), weights))
 
 
 def load_sampling(path, method: str = "file") -> SamplingSet:
-    nodes, weights = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["node", "weight"]:
-            raise ParseError(f"{path}: expected header node,weight")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                nodes.append(int(row[0]))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad node field") from exc
-            weights.append(row[1].strip() if len(row) > 1 else "")
-    filled = [w for w in weights if w]
-    if filled and len(filled) != len(weights):
+    nodes, weights = read_csv(path, ["node", "weight"], [int, _optional_float])
+    missing = weights.count(None)
+    if 0 < missing < len(weights):
         raise ParseError(f"{path}: weights must be all present or all empty")
-    w = np.array([float(v) for v in weights], dtype=float) if filled else None
-    return SamplingSet(nodes=np.asarray(nodes, dtype=np.int64), weights=w, method=method)
+    w = None if missing == len(weights) else np.array(weights, dtype=float)
+    return SamplingSet(nodes=np.array(nodes, dtype=np.int64), weights=w, method=method)
 
 
 def save_probabilities(values: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node", "value"])
-        for node, v in enumerate(np.asarray(values, dtype=float)):
-            writer.writerow([node, format_float(v)])
+    write_csv(path, ["node", "value"], enumerate(np.asarray(values, dtype=float).tolist()))
 
 
 def load_probabilities(path) -> np.ndarray:
-    cols = _read_csv_columns(path, ["node", "value"])
-    out = np.zeros(len(cols["node"]))
-    out[cols["node"].astype(np.int64)] = cols["value"]
-    return out
-
-
-def _read_csv_columns(path, expected_header):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected_header:
-            raise ParseError(f"{path}: expected header {','.join(expected_header)}")
-        rows = [row for row in reader if row]
-    out = {}
-    for j, name in enumerate(expected_header):
-        try:
-            out[name] = np.array([float(row[j]) for row in rows])
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: bad value in column {name}") from exc
-    return out
+    return _read_by_node(path, "value", float)

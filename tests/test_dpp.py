@@ -158,6 +158,14 @@ class TestSamplingSetValidation:
         with pytest.raises(InvalidParams):
             SamplingSet(nodes=[0, 1], weights=[0.5, np.nan])
 
+    def test_infinite_weights_rejected(self):
+        # recovery would drop an infinite-weight sample without a word
+        with pytest.raises(InvalidParams):
+            SamplingSet(nodes=[0, 1], weights=[np.inf, 1.0])
+        s = SamplingSet(nodes=[0, 1])
+        with pytest.raises(InvalidParams):
+            s.weights = [1.0, np.inf]
+
     def test_negative_node_rejected(self):
         with pytest.raises(OutOfRange):
             SamplingSet(nodes=[0, -1], weights=[0.5, 0.5])

@@ -1,0 +1,94 @@
+"""Byte-identical command-line outputs.
+
+A tiny end-to-end CLI chain writes every file kind the package produces;
+each file's sha256 must equal the constant below. A change that alters
+an output on purpose updates its constant and says why.
+"""
+
+import hashlib
+
+from graphdpp.cli import main
+
+FIG1A_CONFIG = (
+    "sweep = epsilon\ngrid = 0.1,0.5\nn = 40\nc = 6\nbandlimit = 2\n"
+    "graphs_per_point = 1\nsignals_per_graph = 2\nseed = 1\n"
+)
+FIG1B_CONFIG = (
+    "sweep = gamma\ngrid = 1e-5,1e-1\nn = 40\nc = 6\nbandlimit = 2\ntarget_m = 4\n"
+    "estimated_weights = true\ngraphs_per_point = 1\nsignals_per_graph = 2\n"
+    "tune_runs = 16\nseed = 2\n"
+)
+FIG1C_CONFIG = (
+    "sweep = m\ngrid = 3,5\nn = 40\nc = 6\nbandlimit = 2\n"
+    "graphs_per_point = 1\nsignals_per_graph = 2\ntune_runs = 16\nseed = 3\n"
+)
+
+GOLDEN = {
+    "fig1a.csv": "78b3fa77b17a841447f936a03eb9a01ab9bc300b4d7a8a9240c5bcf59b5e4b90",
+    "fig1b.csv": "922672e03c4d1a8c8d810cc57f60c5ec44276c45294f9147ecf02757ba9a4d22",
+    "fig1c.csv": "77b88d78c58158471980bd4c0808bf2dcb8b187a410afa89a09be98ae99b821d",
+    "g.mtx": "8e26abbcf3b55248581922948e2f6236325718b624a1a826153b53d4adacbb52",
+    "labels.csv": "218ea8d6ba0c2d3ccd92c2d12afc7b287e4ba5e629f0e9e77d51072d36a1da4a",
+    "pi.csv": "e69f9000f442b6f01a8518b0ddcaa4a8f97f6ff0f37ec964aa008cb304e535a8",
+    "rec_known.csv": "506e4f21bf1a5736711289b5ecdf5dfe17fc1441703b8a4b281ccfbb74c3de92",
+    "rec_wilson_exact.csv": "6e90e67e49db46aca57b05d1cb85935ef9d73ca56d283cdd5005faa062c137b2",
+    "rec_wilson_none.csv": "5e327cac9d68281c4a4ff46079f51de2d261b7c005ed0513be81c04aefb58fd0",
+    "s_dpp.csv": "2cd490d870733983eb0ee3bec8d442e9823011a0a30596057418cc4a69f77c48",
+    "s_greedy.csv": "fe36e1fac372cf1ed3aa9820a7bf3633b9498fa49bfe79c5de0cd274613be3fa",
+    "s_iid.csv": "f12ca356a6c25f4416fdd673cd9670a5e4606f4d68655102043b3043225122b6",
+    "s_wilson_estimated.csv": "f0419f383d4f36bbfd9d5c6eda9cf3eb76c5f832acd8a82caec4da3f8e4d67a7",
+    "s_wilson_exact.csv": "51de6de009d4b9566642328632d7dfe0204b6949541fea4249795a5ef8a3e43a",
+    "s_wilson_none.csv": "a65b6d12602e74ad1ebb44b0a553e535ffbcca6a61193129b0cd379c9c91a22e",
+    "x.csv": "7e0822ae1ca2140cfe0a9bd444b58370d511f35997b8ec9a365f96f0867ff635",
+    "y_dpp.csv": "f93625ce84d4a4576ee54efd00ed8ae95b6b98f6cecfe276083cf2377e04ba22",
+    "y_wilson_exact.csv": "b532ac037a04701b3e880184aa9ce9803d69271a5d115da0e0e55d66963a55e2",
+    "y_wilson_none.csv": "6529fb30ed320784b4beeb8172dc8e5887bf31ee3871d827bdac8648bff5eddf",
+}
+
+
+def run_chain(d):
+    """Run the chain in directory `d`; return {file name: sha256 hex}."""
+
+    def run(*args):
+        assert main([str(a) for a in args]) == 0
+
+    g = d / "g.mtx"
+    run("generate-graph", "--n", 40, "--k-comm", 2, "--c", 6, "--eps-frac", 0.2,
+        "--seed", 1, "--out", g, "--labels-out", d / "labels.csv")
+    run("generate-signal", "--graph", g, "--k", 2, "--seed", 2, "--out", d / "x.csv")
+    run("sample", "--graph", g, "--method", "wilson", "--target-k", 4, "--runs", 16,
+        "--weights", "exact", "--seed", 3, "--out", d / "s_wilson_exact.csv")
+    for weights in ("estimated", "none"):
+        run("sample", "--graph", g, "--method", "wilson", "--q", 1.5,
+            "--weights", weights, "--seed", 3, "--out", d / f"s_wilson_{weights}.csv")
+    run("sample", "--graph", g, "--method", "dpp-ideal", "--k", 3, "--seed", 4,
+        "--out", d / "s_dpp.csv")
+    run("sample", "--graph", g, "--method", "iid", "--k", 2, "--m", 5, "--seed", 5,
+        "--out", d / "s_iid.csv")
+    run("sample", "--graph", g, "--method", "greedy-wce", "--k", 3,
+        "--out", d / "s_greedy.csv")
+    for name in ("dpp", "wilson_exact", "wilson_none"):
+        run("measure", "--signal", d / "x.csv", "--sampling", d / f"s_{name}.csv",
+            "--noise-sigma", 1e-3, "--seed", 6, "--out", d / f"y_{name}.csv")
+    run("recover", "--graph", g, "--sampling", d / "s_dpp.csv",
+        "--measurement", d / "y_dpp.csv", "--known-basis", "--k", 2,
+        "--out", d / "rec_known.csv")
+    for name in ("wilson_exact", "wilson_none"):
+        run("recover", "--graph", g, "--sampling", d / f"s_{name}.csv",
+            "--measurement", d / f"y_{name}.csv", "--gamma", 1e-5, "--r", 4,
+            "--out", d / f"rec_{name}.csv")
+    run("estimate-pi", "--graph", g, "--q", 0.3, "--seed", 7, "--out", d / "pi.csv")
+    for protocol, text in (("fig1a", FIG1A_CONFIG), ("fig1b", FIG1B_CONFIG),
+                           ("fig1c", FIG1C_CONFIG)):
+        cfg = d / f"{protocol}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        run("experiment", protocol, "--config", cfg, "--out", d / f"{protocol}.csv")
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(d.iterdir())
+        if p.suffix != ".cfg"
+    }
+
+
+def test_cli_outputs_are_byte_identical(tmp_path):
+    assert run_chain(tmp_path) == GOLDEN

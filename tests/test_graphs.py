@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdpp import (
     Graph,
@@ -170,3 +172,51 @@ class TestSbmGenerate:
         g = sbm_generate(p, 3)
         assert time.perf_counter() - t0 < 10.0
         assert abs(2.0 * g.num_edges / g.n - 16.0) < 0.5
+
+
+@st.composite
+def edge_lists(draw):
+    """Graphs with isolated nodes, several components and weighted edges,
+    as (n, [(i, j, w)]) with i < j."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(i, j, w) for (i, j), w in zip(chosen, weights)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=edge_lists(), data=st.data())
+def test_edge_order_and_orientation_do_not_matter(graph, data):
+    n, edges = graph
+    shuffled = data.draw(st.permutations(edges))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    swapped = [(j, i, w) if flip else (i, j, w) for (i, j, w), flip in zip(shuffled, flips)]
+    a, b = Graph(n, edges), Graph(n, swapped)
+    for name in ("edge_i", "edge_j", "edge_w"):
+        np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
+    assert b.edge_tuples() == sorted(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=edge_lists(), cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_degrees_and_laplacian_apply_match_dense(graph, cols, seed):
+    n, edges = graph
+    g = Graph(n, edges)
+    adj = g.adjacency().toarray()
+    np.testing.assert_array_equal(adj, adj.T)
+    expected_degrees = np.zeros(n)
+    for i, j, w in edges:
+        expected_degrees[i] += w
+        expected_degrees[j] += w
+    np.testing.assert_allclose(g.degrees(), adj.sum(axis=1), rtol=1e-14)
+    np.testing.assert_allclose(g.degrees(), expected_degrees, rtol=1e-14)
+
+    lap = laplacian(g)
+    dense = lap.dense()
+    x = np.random.default_rng(seed).standard_normal((n, cols))
+    # summation order differs between the two products; bound the round-off
+    slack = 4 * n * np.finfo(float).eps * (np.abs(dense) @ np.abs(x))
+    vector = x[:, 0]
+    assert np.all(np.abs(lap.apply(vector) - dense @ vector) <= slack[:, 0])
+    assert np.all(np.abs(lap.apply(x) - dense @ x) <= slack)

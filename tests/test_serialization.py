@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdpp import Graph, SamplingSet, SbmParams, sbm_generate
 from graphdpp.errors import ParseError
+from graphdpp.experiments import ResultRow, ResultTable, emit_csv, parse_result_csv
 from graphdpp.serialization import (
     load_graph,
     load_probabilities,
@@ -87,15 +90,160 @@ class TestProbabilitiesRoundTrip:
         np.testing.assert_array_equal(load_probabilities(tmp_path / "pi.csv"), v)
 
 
-class TestKernelDump:
-    def test_dense_matrix_market(self, tmp_path):
-        import scipy.io
+class TestMalformedInput:
+    @pytest.fixture
+    def graph_path(self, tmp_path):
+        path = tmp_path / "g.mtx"
+        save_graph(Graph(3, [(0, 1, 1.0), (1, 2, 2.0)]), path)
+        return path
 
-        from graphdpp import eigendecompose, laplacian, wilson_kernel_explicit
-        from graphdpp.serialization import save_kernel_matrix
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "0,1\n1,0\n-1,1\n",  # would wrap around to the last node
+            "0,1\n1,0\n3,1\n",  # past the last node
+            "0,1\n1,0\n1,1\n",  # node 1 twice, node 2 never
+            "0,1\n2,1\n",  # node 1 missing
+            "0,1\n1.7,0\n2,1\n",  # would truncate to node 1
+        ],
+        ids=["negative", "past-end", "duplicate", "missing", "fractional"],
+    )
+    def test_node_column_lists_each_node_once(self, tmp_path, graph_path, rows):
+        (tmp_path / "labels.csv").write_text("node,community\n" + rows)
+        with pytest.raises(ParseError):
+            load_graph(graph_path, labels_path=tmp_path / "labels.csv")
+        (tmp_path / "pi.csv").write_text("node,value\n" + rows)
+        with pytest.raises(ParseError):
+            load_probabilities(tmp_path / "pi.csv")
 
-        g = sbm_generate(SbmParams(n=10, k_comm=2, c=3.0, eps=0.5), 4)
-        kernel = wilson_kernel_explicit(eigendecompose(laplacian(g)), 0.7)
-        save_kernel_matrix(kernel, tmp_path / "k.mtx")
-        back = scipy.io.mmread(tmp_path / "k.mtx")
-        np.testing.assert_allclose(back, kernel.matrix(), atol=1e-15)
+    def test_bad_field_names_its_line(self, tmp_path):
+        (tmp_path / "x.csv").write_text("value\n1.5\n\nabc\n")
+        with pytest.raises(ParseError, match=r"x\.csv:4:"):
+            load_signal(tmp_path / "x.csv")
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            "3 3 2\n2 1 1.0\n3 2 2.0\n",  # lower triangle only
+            "3 3 4\n1 2 1.0\n2 1 1.0\n2 3 2.0\n3 2 5.0\n",  # asymmetric weights
+            "3 3 3\n1 2 1.0\n2 1 1.0\n3 3 1.0\n",  # a self-loop on the diagonal
+        ],
+        ids=["lower-only", "asymmetric", "diagonal"],
+    )
+    def test_general_matrix_must_be_symmetric_and_hollow(self, tmp_path, entries):
+        path = tmp_path / "g.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n" + entries)
+        with pytest.raises(ParseError):
+            load_graph(path)
+
+    def test_general_symmetric_matrix_loads(self, tmp_path, graph_path):
+        path = tmp_path / "general.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 3 4\n1 2 1.0\n2 1 1.0\n2 3 2.0\n3 2 2.0\n"
+        )
+        assert load_graph(path).edge_tuples() == load_graph(graph_path).edge_tuples()
+
+
+# Every finite double, and the ones most likely to lose bits in text:
+# signed zero, subnormals and magnitudes near the exponent limits.
+finite_floats = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+positive_floats = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Graphs with isolated nodes and several components, and edge
+    weights anywhere from subnormal to the largest double."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n)) if pairs else []
+    weights = draw(st.lists(positive_floats, min_size=len(chosen), max_size=len(chosen)))
+    labels = draw(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n))
+    return Graph(n, [(i, j, w) for (i, j), w in zip(chosen, weights)], communities=labels)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=labelled_graphs())
+def test_graph_round_trip_is_bit_exact(tmp_path_factory, g):
+    d = tmp_path_factory.mktemp("graph")
+    save_graph(g, d / "g.mtx", labels_path=d / "labels.csv")
+    back = load_graph(d / "g.mtx", labels_path=d / "labels.csv")
+    assert back.n == g.n
+    for name in ("edge_i", "edge_j", "edge_w", "communities"):
+        assert same_bits(getattr(back, name), getattr(g, name))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.lists(finite_floats, max_size=30))
+def test_signal_round_trip_is_bit_exact(tmp_path_factory, x):
+    path = tmp_path_factory.mktemp("signal") / "x.csv"
+    save_signal(np.array(x, dtype=float), path)
+    assert same_bits(load_signal(path), np.array(x, dtype=float))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nodes=st.lists(st.integers(0, 8), min_size=1, max_size=12),
+    weighted=st.booleans(),
+    data=st.data(),
+)
+def test_sampling_round_trip_is_bit_exact(tmp_path_factory, nodes, weighted, data):
+    weights = None
+    if weighted:
+        weights = data.draw(st.lists(positive_floats, min_size=len(nodes), max_size=len(nodes)))
+    s = SamplingSet(nodes=nodes, weights=weights, method="t")
+    path = tmp_path_factory.mktemp("sampling") / "s.csv"
+    save_sampling(s, path)
+    back = load_sampling(path)
+    assert same_bits(back.nodes, s.nodes)
+    assert back.weights is None if weights is None else same_bits(back.weights, s.weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.floats(0.0, 1.0), max_size=30))
+def test_probabilities_round_trip_is_bit_exact(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("pi") / "pi.csv"
+    save_probabilities(np.array(values, dtype=float), path)
+    assert same_bits(load_probabilities(path), np.array(values, dtype=float))
+
+
+# A lone carriage return is left out: the csv module quotes only the
+# characters of its LF line terminator, so such a name would be split on
+# reading (and rejected as a row of the wrong width).
+sampler_names = st.one_of(
+    st.sampled_from(["wilson", "a,b", 'say "dpp"', "two\nlines", " padded ", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r")),
+)
+
+
+@st.composite
+def result_rows(draw):
+    p10, p90 = sorted(draw(st.lists(finite_floats, min_size=2, max_size=2)))
+    return ResultRow(
+        sweep_value=draw(finite_floats),
+        sampler=draw(sampler_names),
+        mean_error=draw(finite_floats),
+        p10=p10,
+        p90=p90,
+        mean_samples=draw(finite_floats),
+        trials=draw(st.integers(0, 2**62)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(result_rows(), max_size=5))
+def test_result_table_round_trip_is_bit_exact(tmp_path_factory, rows):
+    table = ResultTable(rows=rows)
+    path = tmp_path_factory.mktemp("results") / "out.csv"
+    emit_csv(table, path)
+    # repr of a float is exact and keeps the sign of zero
+    assert repr(parse_result_csv(path).rows) == repr(rows)
