@@ -21,8 +21,9 @@ class SamplingSet:
     (inclusion probabilities for determinantal samples, m * p for i.i.d.
     draws, ones for deterministic selections). The random-walk sampler
     leaves it None; callers fill it from an explicit kernel or from the
-    sketch-based estimator. Both fields are validated on every
-    assignment, at construction and after it alike.
+    sketch-based estimator. An empty node set always stores None, so
+    weighted and unweighted empty sets are the same set. Both fields are
+    validated on every assignment, at construction and after it alike.
     """
 
     nodes: np.ndarray
@@ -42,6 +43,8 @@ class SamplingSet:
                 raise InvalidParams("weights and nodes must have equal length")
             if not np.all((value > 0) & (value < np.inf)):
                 raise InvalidParams("weights must be strictly positive and finite")
+            if value.size == 0:
+                value = None
         object.__setattr__(self, name, value)
 
     def __len__(self):
@@ -138,8 +141,7 @@ def dpp_sample(kernel: MarginalKernel, rng=None) -> SamplingSet:
         q = res[i] / np.sqrt(r2[i])
         res -= np.outer(res @ q, q)
     nodes = np.asarray(nodes, dtype=np.int64)
-    weights = dpp_weight_matrix(kernel, nodes) if len(nodes) else None
-    return SamplingSet(nodes=nodes, weights=weights, method="dpp")
+    return SamplingSet(nodes=nodes, weights=dpp_weight_matrix(kernel, nodes), method="dpp")
 
 
 def inclusion_probability(kernel: MarginalKernel, nodes) -> float:

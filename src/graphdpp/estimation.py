@@ -18,6 +18,7 @@ from .graphs import LaplacianView
 from .spectral import DENSE_EIGEN_GUARD, _vector_eval, eigendecompose, largest_eigenvalue_estimate
 
 ZERO_PROBABILITY_FLOOR = 1e-12
+POWER_TOL = 1e-2  # relative tolerance of the lambda_max estimate behind every fit
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,6 @@ def estimate_pi(
     d: int = 30,
     n: int | None = None,
     rng=None,
-    *,
-    power_tol: float = 1e-2,
 ) -> np.ndarray:
     """Estimate every node's inclusion probability under the rate-q walk process.
 
@@ -133,7 +132,7 @@ def estimate_pi(
     rng = np.random.default_rng(rng)
     if n is None:
         n = default_sketch_width(lap.n)
-    lmax = largest_eigenvalue_estimate(lap, tol=power_tol)
+    lmax = largest_eigenvalue_estimate(lap, tol=POWER_TOL)
     return _sketched_diagonal(lap, lambda lam: q / (q + lam), d, n, rng, lmax)
 
 
@@ -168,7 +167,6 @@ def estimate_leverage_scores(
     rng=None,
     *,
     dense_guard: int = DENSE_EIGEN_GUARD,
-    power_tol: float = 1e-2,
 ) -> np.ndarray:
     """Estimate the i.i.d. sampling distribution over nodes for bandlimit k.
 
@@ -187,7 +185,7 @@ def estimate_leverage_scores(
     if k == lap.n:
         return np.full(lap.n, 1.0 / lap.n)
 
-    lmax = largest_eigenvalue_estimate(lap, tol=power_tol)
+    lmax = largest_eigenvalue_estimate(lap, tol=POWER_TOL)
     if lmax == 0.0:
         # no edges: every frequency is zero, any k rows carry equal mass
         return np.full(lap.n, 1.0 / lap.n)

@@ -82,22 +82,12 @@ class Graph:
             self._adj = sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
         return self._adj
 
-    def neighbors(self, i):
-        """Neighbor indices and weights of node i as two aligned arrays."""
-        a = self.adjacency()
-        lo, hi = a.indptr[i], a.indptr[i + 1]
-        return a.indices[lo:hi], a.data[lo:hi]
-
     def degrees(self) -> np.ndarray:
         """Weighted degree of every node."""
         return np.asarray(self.adjacency().sum(axis=1)).ravel()
 
     def has_unit_weights(self) -> bool:
         return bool(np.all(self.edge_w == 1.0))
-
-    def edge_tuples(self):
-        """Edges as (i, j, w) tuples with i < j."""
-        return list(zip(self.edge_i.tolist(), self.edge_j.tolist(), self.edge_w.tolist()))
 
 
 class LaplacianView:

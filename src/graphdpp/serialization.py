@@ -12,13 +12,14 @@ for a bad field, its line.
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
 from .dpp import SamplingSet
-from .errors import ParseError
+from .errors import InvalidParams, ParseError
 from .graphs import Graph
 
 
@@ -26,14 +27,28 @@ def format_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _field(v):
+    if isinstance(v, float):
+        return format_float(v)
+    if isinstance(v, str) and "\r" in v and "\n" not in v:
+        raise InvalidParams(f"text field {v!r} holds a carriage return without a line feed")
+    return v
+
+
 def write_csv(path, header, rows) -> None:
-    """Write a header row and `rows`; float fields go through `format_float`."""
+    """Write a header row and `rows`; float fields go through `format_float`.
+
+    The csv module quotes only the characters of the LF line terminator,
+    so a text field with a carriage return and no line feed would be
+    written bare and split on reading. Such a field raises InvalidParams;
+    the table is formatted in memory first, so the file is never opened.
+    """
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_field(v) for v in row] for row in rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(
-            [format_float(v) if isinstance(v, float) else v for v in row] for row in rows
-        )
+        fh.write(text.getvalue())
 
 
 def read_csv(path, header, kinds) -> list:

@@ -17,40 +17,28 @@ _RAND_BUFFER = 1 << 18
 
 
 class _WalkTables:
-    """Per-graph transition tables for the absorbed walk.
+    """Per-graph tables for the absorbed walk; none of them depends on q.
 
-    From node i the walk moves to neighbor j with probability
-    w_ij / (d_i + q) and is absorbed with probability q / (d_i + q).
-    Plain Python lists keep per-step cost flat; the unit-weight fast path
-    replaces the CDF bisection with one multiply.
+    Row u lists the neighbors of u with their running weight sums
+    c_1 <= ... <= c_d, the last equal to the degree d_u up to round-off.
+    One uniform draw x sets y = x (d_u + q): the walk moves to the first
+    neighbor whose c_j exceeds y, which has probability w_uv / (d_u + q),
+    and is absorbed when none does, with probability q / (d_u + q). On
+    unit weights c_j = j, so the neighbor index is int(y) with no search.
+    Plain Python lists keep the per-step cost flat.
     """
 
-    def __init__(self, g: Graph, q: float):
+    def __init__(self, g: Graph):
         adj = g.adjacency()
-        deg = g.degrees()
         self.n = g.n
         self.indptr = adj.indptr.tolist()
         self.indices = adj.indices.tolist()
-        self.degree_count = np.diff(adj.indptr).tolist()
-        absorb = q / (deg + q)
-        self.absorb = absorb.tolist()
-        self.unit = g.has_unit_weights()
-        if self.unit:
-            # neighbor index = floor(u / (1 - absorb) * deg) when not absorbed
-            with np.errstate(divide="ignore"):
-                scale = np.where(absorb < 1.0, 1.0 / (1.0 - absorb), 0.0)
-            self.scale = (scale * np.diff(adj.indptr)).tolist()
-            self.cdf = None
-        else:
-            # per-row neighbor CDF, the absorbing mass implicitly filling [1 - pa, 1)
-            rows = []
-            data = adj.data
-            for i in range(self.n):
-                lo, hi = adj.indptr[i], adj.indptr[i + 1]
-                rows.append(np.cumsum(data[lo:hi]) / (deg[i] + q))
-            flat = np.concatenate(rows) if rows else np.empty(0)
-            self.cdf = flat.tolist()
-            self.scale = None
+        self.degree = g.degrees().tolist()
+        self.cum = None  # unit weights need no running sums
+        if not g.has_unit_weights():
+            ptr = adj.indptr
+            rows = [np.cumsum(adj.data[ptr[i] : ptr[i + 1]]) for i in range(g.n)]
+            self.cum = np.concatenate(rows).tolist()
 
 
 def wilson_sample(
@@ -66,28 +54,28 @@ def wilson_sample(
 
     Walks start from the first unvisited node (in `order`, default
     ascending index) and run until they hit either the absorbing state or
-    an already-retained node. Loops are erased by the successor-pointer
-    (cycle popping) rule: each node remembers its latest outgoing step, so
-    revisits overwrite earlier loops in O(1). When a walk is absorbed, the
-    node it left from becomes part of the output. The output is
-    distributed as the determinantal process whose kernel has eigenvalues
-    q / (q + lambda) on the graph Fourier basis, for any scan order.
+    an already-retained node. Each step is one draw y = x (d_u + q) over
+    the node's running weight sums: the walk moves to the first neighbor
+    whose sum exceeds y and is absorbed when y passes the row end. Loops
+    are erased by the successor-pointer (cycle popping) rule: each node
+    remembers its latest outgoing step, so revisits overwrite earlier
+    loops in O(1). When a walk is absorbed, the node it left from becomes
+    part of the output. The output is distributed as the determinantal
+    process whose kernel has eigenvalues q / (q + lambda) on the graph
+    Fourier basis, for any scan order.
 
     Weights are left unfilled; recovery callers attach inclusion
     probabilities from an explicit kernel or from the sketch estimator.
     """
-    if q <= 0:
-        raise InvalidParams("q must be positive")
+    if not 0 < q < np.inf:
+        raise InvalidParams("q must be positive and finite")
     rng = np.random.default_rng(rng)
-    tables = _tables if _tables is not None else _WalkTables(g, q)
+    tables = _tables if _tables is not None else _WalkTables(g)
     n = tables.n
     indptr = tables.indptr
     indices = tables.indices
-    degree_count = tables.degree_count
-    absorb = tables.absorb
-    unit = tables.unit
-    scale = tables.scale
-    cdf = tables.cdf
+    degree = tables.degree
+    cum = tables.cum
 
     if order is None:
         scan = range(n)
@@ -112,26 +100,17 @@ def wilson_sample(
                 buf_size = min(buf_size * 4, _RAND_BUFFER)
                 buf = rng.random(buf_size).tolist()
                 pos = 0
-            x = buf[pos]
+            y = buf[pos] * (degree[u] + q)
             pos += 1
             steps += 1
             if steps > watchdog:
                 raise WatchdogExceeded(f"walk exceeded {watchdog} total steps")
-            pa = absorb[u]
-            if x >= 1.0 - pa:
+            end = indptr[u + 1]
+            j = indptr[u] + int(y) if cum is None else bisect_right(cum, y, indptr[u], end)
+            if j >= end:
                 nxt[u] = -2
                 break
-            if unit:
-                j = int(x * scale[u])
-                if j >= degree_count[u]:
-                    j = degree_count[u] - 1
-                v = indices[indptr[u] + j]
-            else:
-                lo = indptr[u]
-                j = bisect_right(cdf, x, lo, lo + degree_count[u]) - lo
-                if j >= degree_count[u]:
-                    j = degree_count[u] - 1
-                v = indices[lo + j]
+            v = indices[j]
             nxt[u] = v
             u = v
         u = start
@@ -205,8 +184,8 @@ def tune_q(
     rng = np.random.default_rng(rng)
     q = max(target_k * float(g.degrees().mean()) / g.n, 1e-12)
     lo = hi = None
+    tables = _WalkTables(g)
     for probes in range(1, max_probes + 1):
-        tables = _WalkTables(g, q)
         sizes = [len(wilson_sample(g, q, rng, _tables=tables)) for _ in range(runs_per_probe)]
         mean = sum(sizes) / runs_per_probe
         if abs(mean - target_k) <= band:

@@ -8,6 +8,13 @@ import pytest
 from graphdpp import Graph
 
 
+def assert_same_edges(a, b):
+    """The two graphs hold the same canonical edge arrays."""
+    assert a.n == b.n
+    for name in ("edge_i", "edge_j", "edge_w"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 @pytest.fixture
 def k2():
     return Graph(2, [(0, 1, 1.0)])

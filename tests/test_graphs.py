@@ -14,19 +14,18 @@ from graphdpp import (
 )
 from graphdpp.errors import InvalidParams
 
+from conftest import assert_same_edges
+
 
 class TestGraph:
     def test_edges_normalized_and_symmetric(self):
         g = Graph(3, [(2, 0, 1.5), (1, 2, 0.5)])
-        assert g.edge_tuples() == [(0, 2, 1.5), (1, 2, 0.5)]
+        assert g.edge_i.tolist() == [0, 1]
+        assert g.edge_j.tolist() == [2, 2]
+        assert g.edge_w.tolist() == [1.5, 0.5]
         a = g.adjacency().toarray()
         np.testing.assert_array_equal(a, a.T)
         assert a[0, 2] == 1.5
-
-    def test_neighbors(self, p3):
-        idx, w = p3.neighbors(1)
-        assert sorted(idx.tolist()) == [0, 2]
-        np.testing.assert_array_equal(w, [1.0, 1.0])
 
     def test_rejects_self_loop(self):
         with pytest.raises(InvalidParams):
@@ -141,7 +140,7 @@ class TestSbmGenerate:
     def test_deterministic_under_seed(self):
         p = SbmParams(n=50, k_comm=2, c=6.0, eps=0.3)
         g1, g2 = sbm_generate(p, 7), sbm_generate(p, 7)
-        assert g1.edge_tuples() == g2.edge_tuples()
+        assert_same_edges(g1, g2)
 
     def test_mean_degree_matches_target(self):
         # many seeds at the benchmark size: empirical mean degree within 3 SE
@@ -193,9 +192,8 @@ def test_edge_order_and_orientation_do_not_matter(graph, data):
     flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     swapped = [(j, i, w) if flip else (i, j, w) for (i, j, w), flip in zip(shuffled, flips)]
     a, b = Graph(n, edges), Graph(n, swapped)
-    for name in ("edge_i", "edge_j", "edge_w"):
-        np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
-    assert b.edge_tuples() == sorted(edges)
+    assert_same_edges(b, a)
+    assert list(zip(b.edge_i.tolist(), b.edge_j.tolist(), b.edge_w.tolist())) == sorted(edges)
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,6 +19,7 @@ from graphdpp import (
     wilson_kernel_explicit,
     wilson_sample,
 )
+from graphdpp import wilson as wilson_module
 from graphdpp.errors import InvalidParams, NoConvergence, WatchdogExceeded
 from graphdpp.wilson import _component_count, _WalkTables
 
@@ -29,6 +30,11 @@ class TestBasics:
     def test_rejects_nonpositive_q(self, k2):
         with pytest.raises(InvalidParams):
             wilson_sample(k2, 0.0, 0)
+
+    @pytest.mark.parametrize("q", [np.inf, np.nan])
+    def test_rejects_non_finite_q(self, k2, q):
+        with pytest.raises(InvalidParams):
+            wilson_sample(k2, q, 0)
 
     def test_edgeless_returns_all_nodes(self, edgeless5):
         for seed in range(5):
@@ -66,6 +72,38 @@ class TestBasics:
         np.testing.assert_array_equal(a, b)
 
 
+@st.composite
+def walk_graphs(draw):
+    """Small graphs with isolated nodes and several components, with unit
+    weights or weights spread over four orders of magnitude."""
+    n = draw(st.integers(1, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    if draw(st.booleans()):
+        weights = [1.0] * len(chosen)
+    else:
+        w = st.floats(1e-2, 1e2)
+        weights = draw(st.lists(w, min_size=len(chosen), max_size=len(chosen)))
+    return Graph(n, [(i, j, w) for (i, j), w in zip(chosen, weights)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=walk_graphs(),
+    q=st.floats(1e-2, 1e2),  # walks last about degree / q steps
+    seed=st.integers(0, 2**32 - 1),
+    scan=st.sampled_from([None, "random"]),
+)
+def test_roots_cover_every_component(g, q, seed, scan):
+    roots = wilson_sample(g, q, seed, order=scan).nodes
+    assert len(set(roots.tolist())) == len(roots)
+    assert np.all((roots >= 0) & (roots < g.n))
+    _, label = connected_components(g.adjacency(), directed=False)
+    assert set(label[roots].tolist()) == set(label.tolist())
+    isolated = np.flatnonzero(g.degrees() == 0)
+    assert set(isolated.tolist()) <= set(roots.tolist())
+
+
 class TestExpectedSampleSize:
     def test_k2_hand_value(self, k2):
         basis = eigendecompose(laplacian(k2))
@@ -82,7 +120,7 @@ class TestExpectedSampleSize:
 
 class TestMatchesKernel:
     def test_marginals_weighted_graph(self):
-        # weighted edges exercise the CDF-bisection transition path
+        # weighted edges exercise the bisection over running weight sums
         rng = np.random.default_rng(3)
         edges = [
             (i, j, float(rng.uniform(0.2, 3.0)))
@@ -181,6 +219,26 @@ class TestTuneQ:
             tune_q(g, 1, 0, max_probes=12)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_tables_built_once_per_search(self, monkeypatch):
+        built, probed = [], set()
+
+        class CountingTables(_WalkTables):
+            def __init__(self, g):
+                built.append(g)
+                super().__init__(g)
+
+        def counting_sample(g, q, rng=None, **kw):
+            probed.add(q)
+            return wilson_sample(g, q, rng, **kw)
+
+        monkeypatch.setattr(wilson_module, "_WalkTables", CountingTables)
+        monkeypatch.setattr(wilson_module, "wilson_sample", counting_sample)
+        g = sbm_generate(SbmParams(n=40, k_comm=2, c=6.0, eps=0.3), 8)
+        with pytest.raises(NoConvergence):
+            tune_q(g, 12, 0, runs_per_probe=4, tol=1e-9, max_probes=6)
+        assert len(probed) == 6
+        assert built == [g]
+
     def test_target_equal_to_components_is_searched(self, edgeless5):
         q = tune_q(edgeless5, 5, 0, runs_per_probe=4)
         assert q > 0
@@ -221,7 +279,7 @@ def reference_tune_q(
         probes += 1
         if probed is not None:
             probed.append(q)
-        tables = _WalkTables(g, q)
+        tables = _WalkTables(g)
         total = 0
         for _ in range(runs_per_probe):
             total += len(wilson_sample(g, q, rng, _tables=tables))
