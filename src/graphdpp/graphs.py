@@ -100,6 +100,7 @@ class LaplacianView:
     def __init__(self, graph: Graph):
         self.graph = graph
         self.degree_vector = graph.degrees()
+        self._powers = {}
 
     @property
     def n(self):
@@ -115,6 +116,13 @@ class LaplacianView:
         out = -self.graph.adjacency().toarray()
         np.fill_diagonal(out, self.degree_vector)
         return out
+
+    def dense_power(self, r: int) -> np.ndarray:
+        """Dense L^r (cached per power, read-only; desk scale only)."""
+        if r not in self._powers:
+            self._powers[r] = np.linalg.matrix_power(self.dense(), r)
+            self._powers[r].flags.writeable = False
+        return self._powers[r]
 
 
 def laplacian(g: Graph) -> LaplacianView:

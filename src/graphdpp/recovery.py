@@ -1,6 +1,7 @@
 """Signal recovery from node measurements: pseudo-inverse solvers for a
 known Fourier basis and a regularized solver without it (a dense direct
-solve on small graphs, matrix-free conjugate gradient otherwise)."""
+solve on small graphs, matrix-free Jacobi-preconditioned conjugate
+gradient otherwise)."""
 
 from __future__ import annotations
 
@@ -20,10 +21,13 @@ from .errors import (
 from .graphs import LaplacianView
 
 _SINGULAR_CUTOFF = 1e-12
-# Largest graph recovered by a dense direct solve. Median per solve on an
-# SBM with c = 16, r = 4 and 10 samples, one BLAS thread on a 2-core Xeon:
-# direct vs conjugate gradient 8 vs 24 ms at n = 300, 30 vs 31 ms at
-# n = 500, 43 vs 37 ms at n = 600 and 1.05 vs 0.16 s at n = 2000.
+# Largest graph recovered by a dense direct solve. Per solve on SBMs with
+# c = 16, r = 4, 10 samples and L^r cached, one BLAS thread on a 2-core
+# Xeon, direct vs preconditioned CG: 1-2 vs 4-6 ms at n = 300, 5-10 vs 8-9
+# ms at n = 500, 0.23-0.27 vs 0.04 s at n = 2000. The bound stays for
+# accuracy, not speed: CG stops on the residual and leaves ill-conditioned
+# systems up to 6.4e-3 off (n = 100, gamma = 1e-7), where the dense solve
+# is within 1e-10. Moving it would change the fig1b/fig1c CSVs.
 _DIRECT_MAX_N = 500
 
 
@@ -125,10 +129,12 @@ def recover_unknown_basis(
     _DIRECT_MAX_N = 500 nodes are solved densely; the answer is returned
     when its residual is within tolerance * |b|. Larger graphs, and small
     ones whose dense solve fails that check (a component without samples
-    makes the matrix singular), go to conjugate gradient, which applies the
-    Laplacian power as r successive operator applications and never
-    materializes it.
-    The tolerance binds both paths; max_iter caps conjugate gradient only.
+    makes the matrix singular), go to Jacobi-preconditioned conjugate
+    gradient, which applies the Laplacian power as r successive operator
+    applications and never materializes it. Its diagonal preconditioner is
+    gamma d^r + the sampled diagonal, d the degrees (a zero entry counts as
+    1). The tolerance binds the unpreconditioned residual on both paths;
+    max_iter caps conjugate gradient only.
     Raises SolverDiverged when its residual does not reach the tolerance
     within the iteration cap.
     """
@@ -150,7 +156,7 @@ def recover_unknown_basis(
     target = params.tolerance * b_norm
 
     if n <= _DIRECT_MAX_N:
-        m = gamma * np.linalg.matrix_power(lap.dense(), r)
+        m = gamma * lap.dense_power(r)
         m.flat[:: n + 1] += sampled
         try:
             x = np.linalg.solve(m, b)
@@ -168,27 +174,33 @@ def recover_unknown_basis(
 
     max_iter = params.max_iter if params.max_iter is not None else 10 * n
 
+    # Jacobi preconditioner from the degrees: d^r stands in for diag(L^r)
+    diag = gamma * lap.degree_vector**r + sampled
+    inv_diag = 1.0 / np.where(diag > 0.0, diag, 1.0)
+
     x = np.zeros(n)
     res = b.copy()
-    p = res.copy()
-    rs = float(res @ res)
+    p = z = inv_diag * res
+    rz = float(res @ z)
     for _ in range(max_iter):
-        if np.sqrt(rs) <= target:
+        if np.linalg.norm(res) <= target:
             return x
         ap = operator(p)
         p_ap = float(p @ ap)
         if p_ap <= 0.0:
             raise SolverDiverged("conjugate gradient broke down on a non-positive curvature")
-        alpha = rs / p_ap
+        alpha = rz / p_ap
         x += alpha * p
         res -= alpha * ap
-        rs_new = float(res @ res)
-        p = res + (rs_new / rs) * p
-        rs = rs_new
-    if np.sqrt(rs) <= target:
+        z = inv_diag * res
+        rz_new = float(res @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    if np.linalg.norm(res) <= target:
         return x
     raise SolverDiverged(
-        f"residual {np.sqrt(rs):.3e} above tolerance {target:.3e} after {max_iter} iterations"
+        f"residual {np.linalg.norm(res):.3e} above tolerance {target:.3e}"
+        f" after {max_iter} iterations"
     )
 
 

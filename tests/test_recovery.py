@@ -344,6 +344,24 @@ class TestUnknownBasis:
                 lap, meas, RecoveryParams(gamma=1e-7, r=4, tolerance=1e-12, max_iter=2)
             )
 
+    def test_preconditioned_cg_converges_within_cap(self):
+        # on this n = 600 instance the Jacobi-preconditioned loop needs
+        # under 300 iterations and the plain one nearly 1000, so a cap
+        # of 600 only passes with the preconditioner in use
+        lap = laplacian(sbm_generate(SbmParams(n=600, k_comm=2, c=10.0, eps=0.15), 4))
+        assert lap.n > recovery._DIRECT_MAX_N
+        x = np.random.default_rng(11).standard_normal(600)
+        nodes = np.array([9, 24, 44, 104, 160, 183, 303, 377, 487, 502])
+        weights = np.linspace(0.1, 0.5, 10)
+        s = SamplingSet(nodes=nodes, weights=weights, method="t")
+        meas = Measurement(y=x[nodes], sampling=s)
+        params = RecoveryParams(gamma=1e-5, r=4, tolerance=1e-10, max_iter=600)
+        x_rec = recover_unknown_basis(lap, meas, params)
+        m = params.gamma * np.linalg.matrix_power(lap.dense(), 4)
+        m[nodes, nodes] += 1.0 / weights
+        x_direct = np.linalg.solve(m, np.bincount(nodes, meas.y / weights, minlength=600))
+        assert np.linalg.norm(x_rec - x_direct) <= 1e-6 * np.linalg.norm(x_direct)
+
     def test_missing_weights(self, instance):
         g, lap, _, _, x = instance
         s = SamplingSet(nodes=np.array([0, 1]), weights=None, method="t")
@@ -389,6 +407,36 @@ def test_unknown_basis_solves_normal_equations(problem):
     _, labels = connected_components(sp.csr_matrix(adj), directed=False)
     unsampled = ~np.isin(labels, labels[nodes])
     np.testing.assert_array_equal(x_rec[unsampled], 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(recovery_problems())
+def test_preconditioned_cg_on_degenerate_graphs(problem):
+    # the dense solve always fails, so every draw runs conjugate gradient;
+    # the appended node is isolated and never sampled, a zero entry of
+    # the preconditioner's diagonal
+    graph, nodes, weights, y, gamma, r = problem
+    n = graph.n + 1
+    graph = Graph.from_arrays(n, graph.edge_i, graph.edge_j, graph.edge_w)
+    s = SamplingSet(nodes=nodes, weights=weights, method="t")
+    params = RecoveryParams(gamma=gamma, r=r)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(np.linalg, "solve", singular)
+        warnings.simplefilter("error")
+        x_rec = recover_unknown_basis(laplacian(graph), Measurement(y=y, sampling=s), params)
+
+    assert np.all(np.isfinite(x_rec))
+    assert x_rec[-1] == 0.0
+    adj = graph.adjacency().toarray()
+    lap = np.diag(adj.sum(axis=1)) - adj
+    m = gamma * np.linalg.matrix_power(lap, r) + np.diag(np.bincount(nodes, 1.0 / weights, minlength=n))
+    b = np.bincount(nodes, y / weights, minlength=n)
+    slack = 4 * n * np.finfo(float).eps * np.linalg.norm(np.abs(m) @ np.abs(x_rec))
+    assert np.linalg.norm(m @ x_rec - b) <= params.tolerance * np.linalg.norm(b) + slack
 
 
 class TestRelativeError:
