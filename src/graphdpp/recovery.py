@@ -1,7 +1,7 @@
 """Signal recovery from node measurements: pseudo-inverse solvers for a
-known Fourier basis and a regularized solver without it (a dense direct
-solve on small graphs, matrix-free Jacobi-preconditioned conjugate
-gradient otherwise)."""
+known Fourier basis and a regularized solver without it (a bordered kernel
+system from one cached eigendecomposition per graph on small graphs,
+matrix-free Jacobi-preconditioned conjugate gradient otherwise)."""
 
 from __future__ import annotations
 
@@ -18,16 +18,16 @@ from .errors import (
     ShapeMismatch,
     SolverDiverged,
 )
-from .graphs import LaplacianView
+from .graphs import LaplacianView, component_labels
 
 _SINGULAR_CUTOFF = 1e-12
-# Largest graph recovered by a dense direct solve. Per solve on SBMs with
-# c = 16, r = 4, 10 samples and L^r cached, one BLAS thread on a 2-core
-# Xeon, direct vs preconditioned CG: 1-2 vs 4-6 ms at n = 300, 5-10 vs 8-9
-# ms at n = 500, 0.23-0.27 vs 0.04 s at n = 2000. The bound stays for
-# accuracy, not speed: CG stops on the residual and leaves ill-conditioned
-# systems up to 6.4e-3 off (n = 100, gamma = 1e-7), where the dense solve
-# is within 1e-10. Moving it would change the fig1b/fig1c CSVs.
+# Largest graph recovered through the bordered kernel system. SBMs with
+# c = 16, r = 4, 10 samples, one BLAS thread on a 2-core Xeon: per graph,
+# eigh + (L^r)^+ + L^r take 12-17 + 1.7 + 3 ms at n = 300 and 41-45 + 6 +
+# 13 ms at n = 500; per solve, 0.12-0.2 and 0.2-0.3 ms against 5-9 and 5-12
+# ms for preconditioned CG. The bound stays for accuracy, not speed: CG
+# stops on the residual and leaves ill-conditioned systems up to 6.4e-3 off
+# (n = 100, gamma = 1e-7), where this path is within 1e-8.
 _DIRECT_MAX_N = 500
 
 
@@ -119,6 +119,17 @@ def recover_known_basis_weighted(u_k: np.ndarray, meas: Measurement) -> np.ndarr
     return u_k @ _pinv_solve(restricted, scale * meas.y)
 
 
+def _kernel_form(lap: LaplacianView, r: int):
+    """(L^r)^+ and N, the normalized indicators of the c0 components, which
+    span the kernel of L^r. That kernel is the first c0 eigenpairs, so the
+    pseudo-inverse sums the rest and needs no eigenvalue threshold."""
+    lam, vecs = lap.eigh()
+    _, comp, sizes = np.unique(component_labels(lap.graph), return_inverse=True, return_counts=True)
+    null = np.eye(len(sizes))[comp] / np.sqrt(sizes[comp])[:, None]
+    tail = vecs[:, len(sizes) :]
+    return (tail / lam[len(sizes) :] ** r) @ tail.T, null
+
+
 def recover_unknown_basis(
     lap: LaplacianView, meas: Measurement, params: RecoveryParams | None = None
 ) -> np.ndarray:
@@ -126,17 +137,19 @@ def recover_unknown_basis(
 
     Solves the normal equations (gamma L^r + S' W^-1 S) z = S' W^-1 y of the
     weighted data term plus gamma * z' L^r z. Graphs of up to
-    _DIRECT_MAX_N = 500 nodes are solved densely; the answer is returned
-    when its residual is within tolerance * |b|. Larger graphs, and small
-    ones whose dense solve fails that check (a component without samples
-    makes the matrix singular), go to Jacobi-preconditioned conjugate
-    gradient, which applies the Laplacian power as r successive operator
-    applications and never materializes it. Its diagonal preconditioner is
-    gamma d^r + the sampled diagonal, d the degrees (a zero entry counts as
-    1). The tolerance binds the unpreconditioned residual on both paths;
-    max_iter caps conjugate gradient only.
-    Raises SolverDiverged when its residual does not reach the tolerance
-    within the iteration cap.
+    _DIRECT_MAX_N = 500 nodes solve the bordered kernel system
+    [[G_SS + gamma W, N_S], [N_S', 0]] [a; c] = [y; 0] over the distinct
+    sampled nodes (merging repeats keeps a bounded as gamma -> 0), with
+    G = (L^r)^+ and N the normalized component indicators cached on the
+    view, and return z = G[:, S] a + N c when its residual is within
+    tolerance * |b|. Larger graphs, and small ones that fail (a component
+    without samples makes the system singular), go to Jacobi-preconditioned
+    conjugate gradient, which applies the Laplacian r times per iteration
+    and never materializes L^r. Its diagonal is gamma d^r + the sampled
+    diagonal, d the degrees (a zero entry counts as 1). The tolerance binds
+    the unpreconditioned residual on both paths; max_iter caps conjugate
+    gradient, which raises SolverDiverged when its residual does not reach
+    the tolerance within the cap.
     """
     params = params or RecoveryParams()
     w = meas.sampling.weights
@@ -156,14 +169,20 @@ def recover_unknown_basis(
     target = params.tolerance * b_norm
 
     if n <= _DIRECT_MAX_N:
-        m = gamma * lap.dense_power(r)
-        m.flat[:: n + 1] += sampled
         try:
-            x = np.linalg.solve(m, b)
+            pinv, null = lap.cached(("kernel", r), lambda: _kernel_form(lap, r))
+            s = np.flatnonzero(sampled)
+            m, c0 = len(s), null.shape[1]
+            border = np.zeros((m + c0, m + c0))
+            border[:m, :m] = pinv[np.ix_(s, s)] + np.diag(gamma / sampled[s])
+            border[:m, m:] = null[s]
+            border[m:, :m] = null[s].T
+            sol = np.linalg.solve(border, np.concatenate([b[s] / sampled[s], np.zeros(c0)]))
         except np.linalg.LinAlgError:
             pass
         else:
-            if np.linalg.norm(m @ x - b) <= target:
+            x = pinv[:, s] @ sol[:m] + null @ sol[m:]
+            if np.linalg.norm(gamma * (lap.dense_power(r) @ x) + sampled * x - b) <= target:
                 return x
 
     def operator(z):

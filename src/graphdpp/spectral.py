@@ -32,16 +32,15 @@ def eigendecompose(L: LaplacianView, max_n: int = DENSE_EIGEN_GUARD) -> Spectral
     """Full dense symmetric eigendecomposition of the Laplacian.
 
     Guarded by `max_n`: beyond desk scale the whole point of the
-    random-walk sampler is to avoid this call.
+    random-walk sampler is to avoid this call. Shares the view's cached eigh.
     """
     if L.n > max_n:
         raise TooLarge(f"dense eigendecomposition guarded at n <= {max_n}, got {L.n}")
     try:
-        lam, vecs = np.linalg.eigh(L.dense())
+        lam, vecs = L.eigh()
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
-    lam = np.clip(lam, 0.0, None)
-    return SpectralBasis(eigenvalues=lam, vectors=vecs)
+    return SpectralBasis(eigenvalues=np.clip(lam, 0.0, None), vectors=vecs)
 
 
 def fourier_basis_k(basis: SpectralBasis, k: int) -> np.ndarray:
@@ -96,12 +95,16 @@ def largest_eigenvalue_estimate(L: LaplacianView, tol: float = 1e-3, max_iter: i
     difference does not mean it has arrived, so the stop rule demands a
     margin well inside tol on several consecutive iterations. The
     converged quotient is inflated by (1 + tol) so that the interval
-    [0, estimate] covers the whole spectrum.
+    [0, estimate] covers the whole spectrum. Cached on the view per (tol, max_iter).
     """
     if L.n < 1:
         raise InvalidParams("graph must be nonempty")
     if tol <= 0:
         raise InvalidParams("tol must be positive")
+    return L.cached(("lambda_max", tol, max_iter), lambda: _power_iteration(L, tol, max_iter))
+
+
+def _power_iteration(L: LaplacianView, tol: float, max_iter: int) -> float:
     rng = np.random.default_rng(0x5EED)
     v = np.ones(L.n) + 1e-6 * rng.standard_normal(L.n)
     v /= np.linalg.norm(v)

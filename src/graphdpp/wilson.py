@@ -9,7 +9,7 @@ import numpy as np
 
 from .dpp import SamplingSet
 from .errors import InvalidParams, NoConvergence, WatchdogExceeded
-from .graphs import Graph
+from .graphs import Graph, component_labels
 from .spectral import SpectralBasis
 
 WATCHDOG_STEPS = 10**9
@@ -131,29 +131,6 @@ def expected_sample_size(basis: SpectralBasis, q: float) -> float:
     return float(np.sum(q / (q + basis.eigenvalues)))
 
 
-def _component_count(g: Graph) -> int:
-    """Number of connected components of g.
-
-    Min-label hooking with pointer jumping (Shiloach-Vishkin) over the
-    edge arrays: each round hooks every root to the smallest root across
-    its edges, then flattens the trees, until nothing moves. Kept in numpy
-    because importing scipy.sparse.csgraph also loads scipy.sparse.linalg,
-    which costs the process about 11 MB and 0.2 s of import time.
-    """
-    u = np.concatenate([g.edge_i, g.edge_j])
-    v = np.concatenate([g.edge_j, g.edge_i])
-    parent = np.arange(g.n)
-    while True:
-        hooked = parent.copy()
-        np.minimum.at(hooked, parent[u], parent[v])
-        jumped = hooked[hooked]
-        while not np.array_equal(jumped, hooked):
-            hooked, jumped = jumped, jumped[jumped]
-        if np.array_equal(hooked, parent):
-            return int(np.count_nonzero(parent == np.arange(g.n)))
-        parent = hooked
-
-
 def tune_q(
     g: Graph,
     target_k: int,
@@ -176,7 +153,7 @@ def tune_q(
     if runs_per_probe < 1 or max_probes < 1:
         raise InvalidParams("probe counts must be positive")
     band = tol * target_k
-    components = _component_count(g)
+    components = int(np.count_nonzero(component_labels(g) == np.arange(g.n)))
     if target_k + band < components:
         raise NoConvergence(
             f"mean size {target_k} +/- {band:.3g} is below the {components} connected components"

@@ -25,14 +25,14 @@ FIG1C_CONFIG = (
 
 GOLDEN = {
     "fig1a.csv": "78b3fa77b17a841447f936a03eb9a01ab9bc300b4d7a8a9240c5bcf59b5e4b90",
-    "fig1b.csv": "922672e03c4d1a8c8d810cc57f60c5ec44276c45294f9147ecf02757ba9a4d22",
-    "fig1c.csv": "77b88d78c58158471980bd4c0808bf2dcb8b187a410afa89a09be98ae99b821d",
+    "fig1b.csv": "79b20cef951721957c69f584f0d9e932c96da9d3d32491bddedb99a23590f6c0",
+    "fig1c.csv": "a942e31c7ef24ae09dd8e7d8029e7a5684321bfc46b5d8a86e95c8001de55b6e",
     "g.mtx": "8e26abbcf3b55248581922948e2f6236325718b624a1a826153b53d4adacbb52",
     "labels.csv": "218ea8d6ba0c2d3ccd92c2d12afc7b287e4ba5e629f0e9e77d51072d36a1da4a",
     "pi.csv": "e69f9000f442b6f01a8518b0ddcaa4a8f97f6ff0f37ec964aa008cb304e535a8",
     "rec_known.csv": "506e4f21bf1a5736711289b5ecdf5dfe17fc1441703b8a4b281ccfbb74c3de92",
-    "rec_wilson_exact.csv": "6e90e67e49db46aca57b05d1cb85935ef9d73ca56d283cdd5005faa062c137b2",
-    "rec_wilson_none.csv": "5e327cac9d68281c4a4ff46079f51de2d261b7c005ed0513be81c04aefb58fd0",
+    "rec_wilson_exact.csv": "26bccee0ff6e8493fba84cb9dfc0659c7634a8efb894bee7c370d2e26a2ca111",
+    "rec_wilson_none.csv": "aeee7b4cdf5b6da14970b7407512cbc2f9bcde52348f51ac7458ae7d655e67a8",
     "s_dpp.csv": "2cd490d870733983eb0ee3bec8d442e9823011a0a30596057418cc4a69f77c48",
     "s_greedy.csv": "fe36e1fac372cf1ed3aa9820a7bf3633b9498fa49bfe79c5de0cd274613be3fa",
     "s_iid.csv": "f12ca356a6c25f4416fdd673cd9670a5e4606f4d68655102043b3043225122b6",

@@ -137,6 +137,14 @@ class TestSbmGenerate:
         comm = g.communities
         assert np.all(comm[g.edge_i] == comm[g.edge_j])
 
+    @pytest.mark.parametrize("eps", [1e-19, 1e-300, 5e-324])
+    def test_vanishing_eps_terminates(self, eps):
+        # numpy draws int64-max gaps at such rates; their sum used to wrap
+        # negative, giving negative endpoints or a loop that never ended
+        g = sbm_generate(SbmParams(n=40, k_comm=2, c=5.0, eps=eps), 1)
+        comm = g.communities
+        assert np.all(comm[g.edge_i] == comm[g.edge_j])
+
     def test_deterministic_under_seed(self):
         p = SbmParams(n=50, k_comm=2, c=6.0, eps=0.3)
         g1, g2 = sbm_generate(p, 7), sbm_generate(p, 7)

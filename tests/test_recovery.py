@@ -29,6 +29,7 @@ from graphdpp import (
     sbm_generate,
 )
 from graphdpp import recovery
+from graphdpp.graphs import component_labels
 from graphdpp.errors import (
     IllConditionedWarning,
     InvalidParams,
@@ -437,6 +438,76 @@ def test_preconditioned_cg_on_degenerate_graphs(problem):
     b = np.bincount(nodes, y / weights, minlength=n)
     slack = 4 * n * np.finfo(float).eps * np.linalg.norm(np.abs(m) @ np.abs(x_rec))
     assert np.linalg.norm(m @ x_rec - b) <= params.tolerance * np.linalg.norm(b) + slack
+
+
+def dense_normal_solve(lap, nodes, weights, y, gamma, r):
+    """The earlier desk-scale path, kept as the reference for the bordered
+    kernel system: gamma L^r plus the sampled diagonal, factored densely,
+    with one step of iterative refinement."""
+    n = lap.n
+    m = gamma * np.linalg.matrix_power(lap.dense(), r)
+    m.flat[:: n + 1] += np.bincount(nodes, 1.0 / weights, minlength=n)
+    b = np.bincount(nodes, y / weights, minlength=n)
+    x = np.linalg.solve(m, b)
+    return x + np.linalg.solve(m, b - m @ x)
+
+
+@st.composite
+def sbm_recovery_problems(draw):
+    """SBMs of up to 300 nodes, r in 1..4, gamma log-uniform over
+    [1e-7, 1e2], sampled nodes with repeats. Each component's smallest
+    node is sampled too, so the bordered system is nonsingular."""
+    k_comm = draw(st.integers(1, 4))
+    n = k_comm * draw(st.integers(10, 300 // k_comm))
+    params = SbmParams(n=n, k_comm=k_comm, c=draw(st.floats(2.0, 9.0)), eps=draw(st.floats(0.0, 1.0)))
+    graph = sbm_generate(params, draw(st.integers(0, 2**32 - 1)))
+    drawn = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20))
+    labels = component_labels(graph)
+    nodes = np.concatenate([drawn, np.flatnonzero(labels == np.arange(n))]).astype(np.int64)
+    m = len(nodes)
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)))
+    gamma = 10.0 ** draw(st.floats(-7.0, 2.0))
+    return laplacian(graph), nodes, weights, y, gamma, draw(st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sbm_recovery_problems())
+def test_bordered_kernel_system_matches_dense_solve(problem):
+    lap, nodes, weights, y, gamma, r = problem
+    s = SamplingSet(nodes=nodes, weights=weights, method="t")
+
+    def refuse(self, z):
+        raise AssertionError("conjugate gradient ran instead of the bordered system")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LaplacianView, "apply", refuse)
+        x_rec = recover_unknown_basis(
+            lap, Measurement(y=y, sampling=s), RecoveryParams(gamma=gamma, r=r)
+        )
+    x_ref = dense_normal_solve(lap, nodes, weights, y, gamma, r)
+    assert np.linalg.norm(x_rec - x_ref) <= 1e-7 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_repeated_node_with_two_readings_stays_on_the_bordered_path(r, monkeypatch):
+    # one row per draw would force a ~ (y1 - y2) / gamma at the repeated
+    # node, and the system would miss its residual check; merged repeats
+    # keep it on the bordered path, where CG would be far off at gamma = 1e-7
+    n = 30
+    lap = laplacian(Graph.from_arrays(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1)))
+    nodes = np.array([0, 10, 10, 29])
+    weights = np.array([0.5, 0.2, 0.4, 0.5])
+    y = np.array([1.0, -0.5, 0.5, 2.0])
+    s = SamplingSet(nodes=nodes, weights=weights, method="t")
+
+    def refuse(self, z):
+        raise AssertionError("conjugate gradient ran instead of the bordered system")
+
+    monkeypatch.setattr(LaplacianView, "apply", refuse)
+    x_rec = recover_unknown_basis(lap, Measurement(y=y, sampling=s), RecoveryParams(gamma=1e-7, r=r))
+    x_ref = dense_normal_solve(lap, nodes, weights, y, 1e-7, r)
+    assert np.linalg.norm(x_rec - x_ref) <= 1e-7 * np.linalg.norm(x_ref)
 
 
 class TestRelativeError:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphdpp import (
+    LaplacianView,
     SbmParams,
     apply_filter,
     eigendecompose,
@@ -32,6 +33,14 @@ class TestEigendecompose:
     def test_p3(self, p3):
         basis = eigendecompose(laplacian(p3))
         np.testing.assert_allclose(basis.eigenvalues, [0.0, 1.0, 3.0], atol=1e-10)
+
+    def test_one_read_only_factorization_per_view(self, sbm_basis):
+        lap, basis = sbm_basis
+        again = eigendecompose(lap)
+        assert again.vectors is basis.vectors and not basis.vectors.flags.writeable
+        fresh = eigendecompose(laplacian(lap.graph))
+        np.testing.assert_array_equal(fresh.vectors, basis.vectors)
+        np.testing.assert_array_equal(fresh.eigenvalues, basis.eigenvalues)
 
     def test_disconnected_kernel_multiplicity(self, two_k2):
         basis = eigendecompose(laplacian(two_k2))
@@ -155,6 +164,20 @@ class TestLargestEigenvalue:
     def test_p3(self, p3):
         est = largest_eigenvalue_estimate(laplacian(p3), tol=1e-3)
         assert est == pytest.approx(3.0, rel=2e-3)
+
+    def test_cached_per_view_and_tolerance(self, monkeypatch):
+        g = sbm_generate(SbmParams(n=60, k_comm=2, c=8.0, eps=0.2), 5)
+        lap = laplacian(g)
+        loose, tight = (largest_eigenvalue_estimate(lap, tol=t) for t in (1e-1, 1e-3))
+        assert loose == largest_eigenvalue_estimate(laplacian(g), tol=1e-1)
+        assert tight == largest_eigenvalue_estimate(laplacian(g), tol=1e-3)
+
+        def refuse(self, x):
+            raise AssertionError("power iteration ran again on a cached view")
+
+        monkeypatch.setattr(LaplacianView, "apply", refuse)
+        assert largest_eigenvalue_estimate(lap, tol=1e-1) == loose
+        assert largest_eigenvalue_estimate(lap, tol=1e-3) == tight
 
     def test_upper_bias_covers_spectrum(self):
         for seed in range(5):

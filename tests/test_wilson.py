@@ -21,7 +21,8 @@ from graphdpp import (
 )
 from graphdpp import wilson as wilson_module
 from graphdpp.errors import InvalidParams, NoConvergence, WatchdogExceeded
-from graphdpp.wilson import _component_count, _WalkTables
+from graphdpp.graphs import component_labels
+from graphdpp.wilson import _WalkTables
 
 from conftest import dpp_exact_law, empirical_tv
 
@@ -256,7 +257,14 @@ class TestTuneQ:
         n, pairs = case
         edges = sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j})
         g = Graph(n, [(i, j, 1.0) for i, j in edges])
-        assert _component_count(g) == connected_components(g.adjacency(), directed=False)[0]
+        labels = component_labels(g)
+        count, expected = connected_components(g.adjacency(), directed=False)
+        # the same partition: each label maps to exactly one scipy label and back
+        joint = np.unique(np.stack([labels, expected]), axis=1)
+        assert joint.shape[1] == count == len(np.unique(labels))
+        # each label is the smallest node index in its component
+        np.testing.assert_array_equal(labels[labels], labels)
+        assert np.all(labels <= np.arange(n))
 
 
 def reference_tune_q(
