@@ -99,7 +99,7 @@ def _cmd_sample(args):
         basis = eigendecompose(laplacian(g))
         u_k = fourier_basis_k(basis, k)
         p_star = np.einsum("ij,ij->i", u_k, u_k) / k
-        sample = iid_leverage_sample(p_star, args.m or k, rng)
+        sample = iid_leverage_sample(p_star, k if args.m is None else args.m, rng)
     elif method == "maxvol":
         u_k = fourier_basis_k(eigendecompose(laplacian(g)), _require_k(args))
         sample = maxvol_select(u_k)
@@ -129,7 +129,7 @@ def _cmd_recover(args):
     g = load_graph(args.graph)
     sampling = load_sampling(args.sampling)
     y = load_signal(args.measurement)
-    meas = Measurement(y=y, sampling=sampling, noise_sigma=0.0)
+    meas = Measurement(y=y, sampling=sampling)
     if args.known_basis:
         if args.k is None:
             raise InvalidParams("--k is required with --known-basis")

@@ -61,8 +61,8 @@ class MarginalKernel:
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    _dense: np.ndarray | None = field(default=None, repr=False)
-    _diag: np.ndarray | None = field(default=None, repr=False)
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False)
+    _diag: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mu = np.asarray(self.eigenvalues, dtype=float)

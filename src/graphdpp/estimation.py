@@ -19,6 +19,7 @@ from .spectral import DENSE_EIGEN_GUARD, _vector_eval, eigendecompose, largest_e
 
 ZERO_PROBABILITY_FLOOR = 1e-12
 POWER_TOL = 1e-2  # relative tolerance of the lambda_max estimate behind every fit
+FILTER_DEGREE = 30  # default Chebyshev degree of the fitted filters
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def _sketched_diagonal(lap, f, d, n, rng, lmax):
 def estimate_pi(
     lap: LaplacianView,
     q: float,
-    d: int = 30,
+    d: int = FILTER_DEGREE,
     n: int | None = None,
     rng=None,
 ) -> np.ndarray:
@@ -159,29 +160,21 @@ def _smooth_step(cutoff: float, width: float):
     return h
 
 
-def estimate_leverage_scores(
-    lap: LaplacianView,
-    k: int,
-    d: int = 30,
-    n: int | None = None,
-    rng=None,
-    *,
-    dense_guard: int = DENSE_EIGEN_GUARD,
-) -> np.ndarray:
+def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray:
     """Estimate the i.i.d. sampling distribution over nodes for bandlimit k.
 
     The exact distribution is the squared row norms of the first k Fourier
     basis columns, normalized by k. Here the rank-k projector is
-    approximated by a smoothed low-pass polynomial: below the dense guard
-    the cutoff between the k-th and (k+1)-th eigenvalue is exact, above it
-    the cutoff is located by bisection on sketched eigenvalue counts.
-    Returns a probability vector (nonnegative, summing to one).
+    approximated by a smoothed low-pass polynomial of degree FILTER_DEGREE,
+    applied to a sketch of the default width: up to DENSE_EIGEN_GUARD
+    nodes the cutoff between the k-th and (k+1)-th eigenvalue is exact,
+    above it the cutoff is located by bisection on sketched eigenvalue
+    counts. Returns a probability vector (nonnegative, summing to one).
     """
     if not 1 <= k <= lap.n:
         raise OutOfRange(f"k must lie in [1, {lap.n}], got {k}")
     rng = np.random.default_rng(rng)
-    if n is None:
-        n = default_sketch_width(lap.n)
+    d, n = FILTER_DEGREE, default_sketch_width(lap.n)
     if k == lap.n:
         return np.full(lap.n, 1.0 / lap.n)
 
@@ -190,8 +183,8 @@ def estimate_leverage_scores(
         # no edges: every frequency is zero, any k rows carry equal mass
         return np.full(lap.n, 1.0 / lap.n)
 
-    if lap.n <= dense_guard:
-        lam = eigendecompose(lap, max_n=dense_guard).eigenvalues
+    if lap.n <= DENSE_EIGEN_GUARD:
+        lam = eigendecompose(lap).eigenvalues
         gap = lam[k] - lam[k - 1]
         cutoff = (lam[k] + lam[k - 1]) / 2.0
         width = gap / 9.2 if gap > 1e-12 * lmax else lmax * 1e-4

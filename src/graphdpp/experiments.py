@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .graphs import SbmParams, critical_epsilon, laplacian, sbm_generate
 from .recovery import RecoveryParams, measure, recover_known_basis, \
     recover_known_basis_weighted, recover_unknown_basis, relative_error
 from .selection import greedy_select, iid_leverage_sample, maxvol_select
-from .serialization import format_float, read_csv, write_csv
+from .serialization import read_csv, write_csv
 from .spectral import eigendecompose, fourier_basis_k, generate_bandlimited_signal
 from .wilson import tune_q, wilson_sample
 
@@ -119,20 +119,10 @@ def parse_config(path) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def format_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    for f in fields(ExperimentConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(format_float(g) for g in v)
-        elif isinstance(v, float):
-            v = format_float(v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class ResultRow:
+    """One sweep point and sampler of a results table; p10 <= p90."""
+
     sweep_value: float
     sampler: str
     mean_error: float
@@ -141,59 +131,38 @@ class ResultRow:
     mean_samples: float
     trials: int
 
-
-@dataclass
-class ResultTable:
-    rows: list = field(default_factory=list)
-
-    def add(self, row: ResultRow):
-        if row.p10 > row.p90:
+    def __post_init__(self):
+        if self.p10 > self.p90:
             raise InvalidParams("percentiles out of order")
-        self.rows.append(row)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
 
 
-def nearest_rank_percentile(values, pct: float) -> float:
-    """Nearest-rank percentile: the ceil(p/100 * n)-th smallest value."""
-    ordered = np.sort(np.asarray(values, dtype=float))
-    if len(ordered) == 0:
-        raise InvalidParams("no values to take a percentile of")
-    rank = int(np.ceil(pct / 100.0 * len(ordered)))
-    return float(ordered[max(rank, 1) - 1])
-
-
-def _aggregate(table: ResultTable, sweep_value, sampler, errors, sizes):
+def _aggregate(rows: list[ResultRow], sweep_value, sampler, errors, sizes):
+    """Append the row of one sweep point and sampler. The percentiles are
+    nearest-rank: the ceil(p n / 100)-th smallest error."""
     errors = np.asarray(errors, dtype=float)
-    table.add(
+    p10, p90 = np.percentile(errors, [10, 90], method="inverted_cdf")
+    rows.append(
         ResultRow(
             sweep_value=float(sweep_value),
             sampler=sampler,
             mean_error=float(errors.mean()),
-            p10=nearest_rank_percentile(errors, 10),
-            p90=nearest_rank_percentile(errors, 90),
+            p10=float(p10),
+            p90=float(p90),
             mean_samples=float(np.mean(sizes)),
             trials=len(errors),
         )
     )
 
 
-def emit_csv(table: ResultTable, path) -> None:
-    """Write the result table; floats carry 17 significant digits so the
+def emit_csv(rows: list[ResultRow], path) -> None:
+    """Write the result rows; floats carry 17 significant digits so the
     file parses back bit-exactly."""
-    write_csv(path, RESULT_HEADER, map(astuple, table))
+    write_csv(path, RESULT_HEADER, map(astuple, rows))
 
 
-def parse_result_csv(path) -> ResultTable:
+def parse_result_csv(path) -> list[ResultRow]:
     kinds = [float, str, float, float, float, float, int]
-    table = ResultTable()
-    for row in zip(*read_csv(path, RESULT_HEADER, kinds)):
-        table.add(ResultRow(*row))
-    return table
+    return [ResultRow(*row) for row in zip(*read_csv(path, RESULT_HEADER, kinds))]
 
 
 def _check_bandlimit_gap(basis, k, n):
@@ -209,7 +178,7 @@ def _check_bandlimit_gap(basis, k, n):
     log.debug("graph connectivity flag: %d zero eigenvalue(s)", components)
 
 
-def run_experiment_known_basis(cfg: ExperimentConfig) -> ResultTable:
+def run_experiment_known_basis(cfg: ExperimentConfig) -> list[ResultRow]:
     """Epsilon sweep comparing the projector-kernel determinantal sampler
     against the deterministic selections, with the Fourier basis known.
 
@@ -220,7 +189,7 @@ def run_experiment_known_basis(cfg: ExperimentConfig) -> ResultTable:
         raise InvalidParams("known-basis experiment sweeps epsilon")
     eps_c = critical_epsilon(cfg.c, cfg.k_comm)
     k = cfg.bandlimit
-    table = ResultTable()
+    rows = []
     for point, frac in enumerate(cfg.grid):
         errors = {name: [] for name in KNOWN_BASIS_SAMPLERS}
         sizes = {name: [] for name in KNOWN_BASIS_SAMPLERS}
@@ -263,8 +232,8 @@ def run_experiment_known_basis(cfg: ExperimentConfig) -> ResultTable:
                     errors[name].append(relative_error(x, x_rec))
                     sizes[name].append(len(sample))
         for name in KNOWN_BASIS_SAMPLERS:
-            _aggregate(table, frac, name, errors[name], sizes[name])
-    return table
+            _aggregate(rows, frac, name, errors[name], sizes[name])
+    return rows
 
 
 def _unknown_basis_weights(cfg, kernel, pi_hat, sample):
@@ -273,7 +242,7 @@ def _unknown_basis_weights(cfg, kernel, pi_hat, sample):
     return dpp_weight_matrix(kernel, sample.nodes)
 
 
-def run_experiment_unknown_basis(cfg: ExperimentConfig) -> ResultTable:
+def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
     """Sweep over the sample-size target m or over the penalty gamma,
     comparing walk-based determinantal draws against matched i.i.d. draws.
 
@@ -286,7 +255,7 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> ResultTable:
     eps_c = critical_epsilon(cfg.c, cfg.k_comm)
     eps = cfg.eps_frac * eps_c
     k = cfg.bandlimit
-    table = ResultTable()
+    rows = []
 
     if cfg.sweep == "m":
         targets = [int(round(v)) for v in cfg.grid]
@@ -359,25 +328,16 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> ResultTable:
                         sizes[(value, name)].append(m_t)
     for value in cfg.grid:
         for name in UNKNOWN_BASIS_SAMPLERS:
-            _aggregate(table, value, name, results[(value, name)], sizes[(value, name)])
-    return table
+            _aggregate(rows, value, name, results[(value, name)], sizes[(value, name)])
+    return rows
 
 
-def run_scalability_check(
-    n: int,
-    q: float,
-    runs: int = 10,
-    seed: int = 0,
-    c: float = 16.0,
-    k_comm: int = 2,
-    eps_frac: float = 0.2,
-):
+def run_scalability_check(n: int, q: float, runs: int = 10, seed: int = 0):
     """Mean walk-sampler output size and mean per-run wall time on one
-    large SBM realisation; generation is excluded from the timing."""
-    eps = eps_frac * critical_epsilon(c, k_comm)
-    graph = sbm_generate(
-        SbmParams(n=n, k_comm=k_comm, c=c, eps=eps), stream(seed, 0, _TAG_GRAPH)
-    )
+    large SBM realisation (two communities, c = 16, eps at 0.2 of the
+    detectability threshold); generation is excluded from the timing."""
+    eps = 0.2 * critical_epsilon(16.0, 2)
+    graph = sbm_generate(SbmParams(n=n, k_comm=2, c=16.0, eps=eps), stream(seed, 0, _TAG_GRAPH))
     sizes = []
     elapsed = []
     for run in range(runs):

@@ -24,6 +24,8 @@ class Graph:
             edges = edges.reshape(0, 3)
         if edges.ndim != 2 or edges.shape[1] != 3:
             raise InvalidParams("edges must be an (m, 3) array of (i, j, w)")
+        if np.any(edges[:, :2] != np.floor(edges[:, :2])):
+            raise InvalidParams("edge endpoints must be integers")
         i = edges[:, 0].astype(np.int64)
         j = edges[:, 1].astype(np.int64)
         w = edges[:, 2].copy()

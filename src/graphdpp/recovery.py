@@ -37,7 +37,6 @@ class Measurement:
 
     y: np.ndarray
     sampling: SamplingSet
-    noise_sigma: float = 0.0
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -45,8 +44,6 @@ class Measurement:
             raise ShapeMismatch("one measurement per sampled node required")
         if not np.all(np.isfinite(self.y)):
             raise InvalidParams("measurements must be finite")
-        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
-            raise InvalidParams("noise_sigma must be finite and nonnegative")
 
 
 @dataclass
@@ -71,10 +68,14 @@ class RecoveryParams:
 
 def measure(x: np.ndarray, sampling: SamplingSet, noise_sigma: float = 0.0, rng=None) -> Measurement:
     """Read the signal at the sampled nodes, plus i.i.d. Gaussian noise."""
-    rng = np.random.default_rng(rng)
+    if not np.isfinite(noise_sigma) or noise_sigma < 0:
+        raise InvalidParams("noise_sigma must be finite and nonnegative")
     x = np.asarray(x, dtype=float)
+    if np.any(sampling.nodes >= len(x)):
+        raise ShapeMismatch("sampled node index outside the signal")
+    rng = np.random.default_rng(rng)
     y = x[sampling.nodes] + noise_sigma * rng.standard_normal(len(sampling.nodes))
-    return Measurement(y=y, sampling=sampling, noise_sigma=noise_sigma)
+    return Measurement(y=y, sampling=sampling)
 
 
 def _pinv_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from .errors import InvalidParams, NoConvergence, OutOfRange, TooLarge
 from .graphs import LaplacianView
 
 DENSE_EIGEN_GUARD = 5000
+POWER_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -28,14 +29,15 @@ class SpectralBasis:
         return len(self.eigenvalues)
 
 
-def eigendecompose(L: LaplacianView, max_n: int = DENSE_EIGEN_GUARD) -> SpectralBasis:
+def eigendecompose(L: LaplacianView) -> SpectralBasis:
     """Full dense symmetric eigendecomposition of the Laplacian.
 
-    Guarded by `max_n`: beyond desk scale the whole point of the
-    random-walk sampler is to avoid this call. Shares the view's cached eigh.
+    Guarded at DENSE_EIGEN_GUARD nodes: beyond desk scale the whole point
+    of the random-walk sampler is to avoid this call. Shares the view's
+    cached eigh.
     """
-    if L.n > max_n:
-        raise TooLarge(f"dense eigendecomposition guarded at n <= {max_n}, got {L.n}")
+    if L.n > DENSE_EIGEN_GUARD:
+        raise TooLarge(f"dense eigendecomposition guarded at n <= {DENSE_EIGEN_GUARD}, got {L.n}")
     try:
         lam, vecs = L.eigh()
     except np.linalg.LinAlgError as exc:
@@ -85,7 +87,7 @@ def apply_filter(basis: SpectralBasis, h, x: np.ndarray) -> np.ndarray:
     return u @ (_vector_eval(h, basis.eigenvalues) * (u.T @ x))
 
 
-def largest_eigenvalue_estimate(L: LaplacianView, tol: float = 1e-3, max_iter: int = 10_000) -> float:
+def largest_eigenvalue_estimate(L: LaplacianView, tol: float = 1e-3) -> float:
     """Upper-biased estimate of the largest Laplacian eigenvalue.
 
     Power iteration on the Laplacian operator; the all-ones start vector
@@ -95,23 +97,24 @@ def largest_eigenvalue_estimate(L: LaplacianView, tol: float = 1e-3, max_iter: i
     difference does not mean it has arrived, so the stop rule demands a
     margin well inside tol on several consecutive iterations. The
     converged quotient is inflated by (1 + tol) so that the interval
-    [0, estimate] covers the whole spectrum. Cached on the view per (tol, max_iter).
+    [0, estimate] covers the whole spectrum. Gives up with NoConvergence
+    after POWER_MAX_ITER iterations. Cached on the view per tol.
     """
     if L.n < 1:
         raise InvalidParams("graph must be nonempty")
     if tol <= 0:
         raise InvalidParams("tol must be positive")
-    return L.cached(("lambda_max", tol, max_iter), lambda: _power_iteration(L, tol, max_iter))
+    return L.cached(("lambda_max", tol), lambda: _power_iteration(L, tol))
 
 
-def _power_iteration(L: LaplacianView, tol: float, max_iter: int) -> float:
+def _power_iteration(L: LaplacianView, tol: float) -> float:
     rng = np.random.default_rng(0x5EED)
     v = np.ones(L.n) + 1e-6 * rng.standard_normal(L.n)
     v /= np.linalg.norm(v)
     inner = tol * 1e-2
     settled = 0
     prev = None
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = L.apply(v)
         rq = float(v @ w)
         nw = np.linalg.norm(w)
@@ -125,4 +128,4 @@ def _power_iteration(L: LaplacianView, tol: float, max_iter: int) -> float:
         else:
             settled = 0
         prev = rq
-    raise NoConvergence(f"power iteration did not settle within {max_iter} iterations")
+    raise NoConvergence(f"power iteration did not settle within {POWER_MAX_ITER} iterations")

@@ -41,28 +41,21 @@ class _WalkTables:
             self.cum = np.concatenate(rows).tolist()
 
 
-def wilson_sample(
-    g: Graph,
-    q: float,
-    rng=None,
-    *,
-    order=None,
-    watchdog: int = WATCHDOG_STEPS,
-    _tables: _WalkTables | None = None,
-) -> SamplingSet:
+def wilson_sample(g: Graph, q: float, rng=None, *, _tables: _WalkTables | None = None) -> SamplingSet:
     """Sample nodes by loop-erased random walks absorbed at rate q.
 
-    Walks start from the first unvisited node (in `order`, default
-    ascending index) and run until they hit either the absorbing state or
-    an already-retained node. Each step is one draw y = x (d_u + q) over
-    the node's running weight sums: the walk moves to the first neighbor
-    whose sum exceeds y and is absorbed when y passes the row end. Loops
-    are erased by the successor-pointer (cycle popping) rule: each node
-    remembers its latest outgoing step, so revisits overwrite earlier
-    loops in O(1). When a walk is absorbed, the node it left from becomes
-    part of the output. The output is distributed as the determinantal
-    process whose kernel has eigenvalues q / (q + lambda) on the graph
-    Fourier basis, for any scan order.
+    Walks start from the first unvisited node in ascending index order and
+    run until they hit either the absorbing state or an already-retained
+    node. Each step is one draw y = x (d_u + q) over the node's running
+    weight sums: the walk moves to the first neighbor whose sum exceeds y
+    and is absorbed when y passes the row end. Loops are erased by the
+    successor-pointer (cycle popping) rule: each node remembers its latest
+    outgoing step, so revisits overwrite earlier loops in O(1). When a
+    walk is absorbed, the node it left from becomes part of the output.
+    The output is distributed as the determinantal process whose kernel
+    has eigenvalues q / (q + lambda) on the graph Fourier basis, whatever
+    the scan order. A call that takes more than WATCHDOG_STEPS steps
+    raises WatchdogExceeded.
 
     Weights are left unfilled; recovery callers attach inclusion
     probabilities from an explicit kernel or from the sketch estimator.
@@ -76,13 +69,7 @@ def wilson_sample(
     indices = tables.indices
     degree = tables.degree
     cum = tables.cum
-
-    if order is None:
-        scan = range(n)
-    elif isinstance(order, str) and order == "random":
-        scan = rng.permutation(n).tolist()
-    else:
-        scan = list(order)
+    watchdog = WATCHDOG_STEPS
 
     nxt = [-1] * n
     retained = bytearray(n)
@@ -93,7 +80,7 @@ def wilson_sample(
     pos = 0
     steps = 0
 
-    for start in scan:
+    for start in range(n):
         u = start
         while not retained[u]:
             if pos == buf_size:

@@ -249,8 +249,8 @@ def _paired_walk_vs_iid(eps_frac, graphs, signals, gammas, master):
             walk.weights = diag[walk.nodes]
             iid = iid_leverage_sample(p_star, len(walk), stream(master, g_idx, s_idx, 7, 2))
             noise = stream(master, g_idx, s_idx, 0, 3).standard_normal(len(walk)) * 1e-4
-            m_w = Measurement(y=x[walk.nodes] + noise, sampling=walk, noise_sigma=1e-4)
-            m_i = Measurement(y=x[iid.nodes] + noise, sampling=iid, noise_sigma=1e-4)
+            m_w = Measurement(y=x[walk.nodes] + noise, sampling=walk)
+            m_i = Measurement(y=x[iid.nodes] + noise, sampling=iid)
             for gamma in gammas:
                 params = RecoveryParams(gamma=gamma, r=4)
                 errors[gamma][0].append(relative_error(x, recover_unknown_basis(lap, m_w, params)))

@@ -6,6 +6,7 @@ test. The tracer is loaded from its file and never modified.
 """
 
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -29,6 +30,21 @@ def test_traced_functions_exist(tracer):
         module = importlib.import_module(f"graphdpp.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"graphdpp.{layer}.{name}"
+
+
+@pytest.mark.parametrize(
+    "layer, name, arg",
+    [
+        ("wilson", "wilson_sample", "q"),
+        ("estimation", "estimate_pi", "q"),
+        ("wilson", "tune_q", "runs_per_probe"),
+        ("recovery", "recover_unknown_basis", "params"),
+    ],
+)
+def test_traced_arguments_exist(layer, name, arg):
+    # the tracer reads these arguments by name through _arg_getter
+    func = getattr(importlib.import_module(f"graphdpp.{layer}"), name)
+    assert arg in inspect.signature(func).parameters, f"{name}({arg})"
 
 
 def test_laplacian_apply_is_defined(tracer):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from graphdpp import SamplingSet
 from graphdpp.cli import main
 from graphdpp.experiments import parse_result_csv
 from graphdpp.serialization import (
@@ -10,6 +11,8 @@ from graphdpp.serialization import (
     load_probabilities,
     load_sampling,
     load_signal,
+    save_sampling,
+    save_signal,
 )
 
 
@@ -83,6 +86,25 @@ class TestUnknownBasisPipeline:
             "--seed", 2, "--out", s)
         sampling = load_sampling(s)
         assert len(sampling) == 6
+
+    def test_iid_zero_draws_rejected(self, tmp_path, capsys):
+        g = tmp_path / "g.mtx"
+        run("generate-graph", "--n", 30, "--c", 5, "--eps-frac", 0.3, "--seed", 1, "--out", g)
+        code = main(["sample", "--graph", str(g), "--method", "iid", "--k", "2", "--m", "0",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
+class TestMeasureCommand:
+    def test_node_outside_signal_rejected(self, tmp_path, capsys):
+        x, s = tmp_path / "x.csv", tmp_path / "s.csv"
+        save_signal(np.zeros(3), x)
+        save_sampling(SamplingSet(nodes=np.array([0, 5]), method="t"), s)
+        code = main(["measure", "--signal", str(x), "--sampling", str(s),
+                     "--out", str(tmp_path / "y.csv")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestEstimatePi:

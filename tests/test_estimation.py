@@ -17,6 +17,7 @@ from graphdpp import (
     sbm_generate,
     wilson_kernel_explicit,
 )
+from graphdpp import estimation
 from graphdpp.errors import InvalidParams, OutOfRange, TooLarge
 from graphdpp.estimation import default_sketch_width
 
@@ -165,14 +166,15 @@ class TestLeverageScores:
         est = estimate_leverage_scores(lap, 2, rng=9)
         assert 0.5 * np.abs(est - exact).sum() < 0.1
 
-    def test_bisected_cutoff_path(self):
+    def test_bisected_cutoff_path(self, monkeypatch):
         # force the large-scale path on a desk-size graph
         eps = critical_epsilon(16.0, 2) / 5.0
         g = sbm_generate(SbmParams(n=100, k_comm=2, c=16.0, eps=eps), 8)
         lap = laplacian(g)
         u_k = fourier_basis_k(eigendecompose(lap), 2)
         exact = np.einsum("ij,ij->i", u_k, u_k) / 2.0
-        est = estimate_leverage_scores(lap, 2, rng=10, dense_guard=10)
+        monkeypatch.setattr(estimation, "DENSE_EIGEN_GUARD", 10)
+        est = estimate_leverage_scores(lap, 2, rng=10)
         assert np.all(est >= 0.0)
         assert est.sum() == pytest.approx(1.0, abs=1e-12)
         assert 0.5 * np.abs(est - exact).sum() < 0.25

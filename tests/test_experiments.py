@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphdpp.errors import InvalidParams, ParseError
 from graphdpp.experiments import (
     ExperimentConfig,
     ResultRow,
-    ResultTable,
+    _aggregate,
     emit_csv,
-    format_config,
-    nearest_rank_percentile,
     parse_config,
     parse_result_csv,
     run_experiment_known_basis,
@@ -43,10 +43,13 @@ class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = ExperimentConfig(
             n=60, sweep="gamma", grid=(1e-7, 1e-5, 1e2), eps_frac=0.1,
-            graphs_per_point=2, signals_per_graph=3, seed=11,
+            graphs_per_point=2, signals_per_graph=3, estimated_weights=True, seed=11,
         )
         path = tmp_path / "cfg.txt"
-        path.write_text(format_config(cfg))
+        path.write_text(
+            "n = 60\nsweep = gamma\ngrid = 1e-7, 1e-5, 100\neps_frac = 0.1\n"
+            "graphs_per_point = 2\nsignals_per_graph = 3\nestimated_weights = yes\nseed = 11\n"
+        )
         assert parse_config(path) == cfg
 
     def test_comments_and_blanks(self, tmp_path):
@@ -65,11 +68,11 @@ class TestConfig:
 
 class TestResultTable:
     def test_emit_parse_bit_exact(self, tmp_path):
-        table = ResultTable()
+        table = []
         rng = np.random.default_rng(0)
         for i in range(4):
             e = sorted(rng.random(3))
-            table.add(
+            table.append(
                 ResultRow(
                     sweep_value=float(rng.random()),
                     sampler=f"s{i}",
@@ -83,19 +86,36 @@ class TestResultTable:
         path = tmp_path / "out.csv"
         emit_csv(table, path)
         back = parse_result_csv(path)
-        assert back.rows == table.rows
+        assert back == table
 
-    def test_percentile_order_enforced(self):
-        table = ResultTable()
+    def test_percentile_order_enforced(self, tmp_path):
         with pytest.raises(InvalidParams):
-            table.add(ResultRow(0.0, "x", 0.5, p10=0.9, p90=0.1, mean_samples=1, trials=1))
+            ResultRow(0.0, "x", 0.5, p10=0.9, p90=0.1, mean_samples=1, trials=1)
+        path = tmp_path / "out.csv"
+        path.write_text(
+            "sweep_value,sampler,mean_error,p10,p90,mean_samples,trials\n"
+            "0.0,x,0.5,0.9,0.1,1.0,1\n"
+        )
+        with pytest.raises(InvalidParams):
+            parse_result_csv(path)
 
-    def test_nearest_rank(self):
-        values = list(range(1, 11))
-        assert nearest_rank_percentile(values, 10) == 1
-        assert nearest_rank_percentile(values, 90) == 9
-        assert nearest_rank_percentile(values, 100) == 10
-        assert nearest_rank_percentile([7.0], 10) == 7.0
+
+@settings(max_examples=200, deadline=None)
+@given(
+    errors=st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]) | st.floats(0.0, 10.0), min_size=1, max_size=300
+    )
+)
+@example(errors=[7.0])
+@example(errors=[0.5, 0.25, 0.5, 0.5, 1.0, 0.25, 0.5, 3.0, 0.5, 0.5])
+def test_percentiles_are_nearest_rank(errors):
+    # p10 and p90 are the ceil(p n / 100)-th smallest errors
+    rows = []
+    _aggregate(rows, 0.1, "s", errors, [1] * len(errors))
+    ordered = sorted(errors)
+    n = len(errors)
+    assert rows[0].p10 == ordered[-(-10 * n // 100) - 1]
+    assert rows[0].p90 == ordered[-(-90 * n // 100) - 1]
 
 
 class TestSeedStreams:
@@ -183,7 +203,7 @@ class TestUnknownBasisExperiment:
         cfg = tiny_unknown_cfg()
         t1 = run_experiment_unknown_basis(cfg)
         t2 = run_experiment_unknown_basis(cfg)
-        assert t1.rows == t2.rows
+        assert t1 == t2
 
 
 class TestDegenerateCutoff:

@@ -39,6 +39,11 @@ class TestGraph:
         with pytest.raises(InvalidParams):
             Graph(2, [(0, 2, 1.0)])
 
+    @pytest.mark.parametrize("endpoint", [1.5, np.nan])
+    def test_rejects_non_integral_endpoint(self, endpoint):
+        with pytest.raises(InvalidParams):
+            Graph(3, [(0, endpoint, 1.0)])
+
     def test_rejects_duplicate_edge(self):
         with pytest.raises(InvalidParams):
             Graph(3, [(0, 1, 1.0), (1, 0, 2.0)])

@@ -94,7 +94,11 @@ class TestMeasure:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_bad_noise_sigma_rejected(self, bad):
         with pytest.raises(InvalidParams):
-            Measurement(y=np.zeros(2), sampling=unit_weight_sampling([1, 2]), noise_sigma=bad)
+            measure(np.zeros(3), unit_weight_sampling([1, 2]), noise_sigma=bad)
+
+    def test_node_outside_signal_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            measure(np.zeros(3), unit_weight_sampling([1, 3]), 0.0, 0)
 
 
 class TestRecoveryParams:

@@ -14,6 +14,7 @@ from graphdpp import (
     largest_eigenvalue_estimate,
     sbm_generate,
 )
+from graphdpp import spectral
 from graphdpp.errors import InvalidParams, OutOfRange, TooLarge
 
 
@@ -56,9 +57,10 @@ class TestEigendecompose:
         assert np.max(np.abs(recon - lap.dense())) <= 1e-6 * lam[-1]
         assert lam[-1] <= 2.0 * lap.degree_vector.max() + 1e-9
 
-    def test_guard(self, k2):
+    def test_guard(self, k2, monkeypatch):
+        monkeypatch.setattr(spectral, "DENSE_EIGEN_GUARD", 1)
         with pytest.raises(TooLarge):
-            eigendecompose(laplacian(k2), max_n=1)
+            eigendecompose(laplacian(k2))
 
 
 class TestFourierBasis:
