@@ -91,22 +91,19 @@ def _cmd_sample(args):
         elif args.weights == "estimated":
             pi = estimate_pi(laplacian(g), q, rng=rng)
             sample.weights = floor_zero_probabilities(pi, sample.nodes)
-    elif method == "dpp-ideal":
-        kernel = ideal_lowpass_kernel(eigendecompose(laplacian(g)), _require_k(args))
-        sample = dpp_sample(kernel, rng)
-    elif method == "iid":
+    else:
         k = _require_k(args)
         basis = eigendecompose(laplacian(g))
         u_k = fourier_basis_k(basis, k)
-        p_star = np.einsum("ij,ij->i", u_k, u_k) / k
-        sample = iid_leverage_sample(p_star, k if args.m is None else args.m, rng)
-    elif method == "maxvol":
-        u_k = fourier_basis_k(eigendecompose(laplacian(g)), _require_k(args))
-        sample = maxvol_select(u_k)
-    else:
-        objective = method.removeprefix("greedy-")
-        u_k = fourier_basis_k(eigendecompose(laplacian(g)), _require_k(args))
-        sample = greedy_select(u_k, objective)
+        if method == "dpp-ideal":
+            sample = dpp_sample(ideal_lowpass_kernel(basis, k), rng)
+        elif method == "iid":
+            p_star = np.einsum("ij,ij->i", u_k, u_k) / k
+            sample = iid_leverage_sample(p_star, k if args.m is None else args.m, rng)
+        elif method == "maxvol":
+            sample = maxvol_select(u_k)
+        else:
+            sample = greedy_select(u_k, method.removeprefix("greedy-"))
     save_sampling(sample, args.out)
     print(f"wrote {args.out}: method={sample.method} m={len(sample)}")
 

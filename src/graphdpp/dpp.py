@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, NumericalDegeneracy, OutOfRange, ZeroMarginal
+from .graphs import index_array
 from .spectral import SpectralBasis
 
 _EIGENVALUE_SLACK = 1e-10
@@ -32,7 +33,7 @@ class SamplingSet:
 
     def __setattr__(self, name, value):
         if name == "nodes":
-            value = np.asarray(value, dtype=np.int64)
+            value = index_array(value, "node indices")
             if np.any(value < 0):
                 raise OutOfRange("node indices must be nonnegative")
             if self.weights is not None and self.weights.shape != value.shape:
@@ -105,8 +106,8 @@ def ideal_lowpass_kernel(basis: SpectralBasis, k: int) -> MarginalKernel:
 
 def wilson_kernel_explicit(basis: SpectralBasis, q: float) -> MarginalKernel:
     """Kernel of the absorbing-walk process: eigenvalues q / (q + lambda)."""
-    if q <= 0:
-        raise InvalidParams("q must be positive")
+    if not 0 < q < np.inf:
+        raise InvalidParams("q must be positive and finite")
     mu = q / (q + basis.eigenvalues)
     return MarginalKernel(eigenvalues=mu, vectors=basis.vectors)
 

@@ -128,8 +128,8 @@ def estimate_pi(
     squared row norms. Estimates are nonnegative by construction and
     concentrate around the true values at sketch widths of order log n.
     """
-    if q <= 0:
-        raise InvalidParams("q must be positive")
+    if not 0 < q < np.inf:
+        raise InvalidParams("q must be positive and finite")
     rng = np.random.default_rng(rng)
     if n is None:
         n = default_sketch_width(lap.n)

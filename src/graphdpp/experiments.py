@@ -14,8 +14,8 @@ from .dpp import dpp_sample, dpp_weight_matrix, ideal_lowpass_kernel, wilson_ker
 from .errors import DegenerateCutoffWarning, InvalidParams, ParseError
 from .estimation import estimate_leverage_scores, estimate_pi, floor_zero_probabilities
 from .graphs import SbmParams, critical_epsilon, laplacian, sbm_generate
-from .recovery import RecoveryParams, measure, recover_known_basis, \
-    recover_known_basis_weighted, recover_unknown_basis, relative_error
+from .recovery import RecoveryParams, measure, recover_known_basis_weighted, \
+    recover_unknown_basis, relative_error
 from .selection import greedy_select, iid_leverage_sample, maxvol_select
 from .serialization import read_csv, write_csv
 from .spectral import eigendecompose, fourier_basis_k, generate_bandlimited_signal
@@ -225,10 +225,7 @@ def run_experiment_known_basis(cfg: ExperimentConfig) -> list[ResultRow]:
                         cfg.noise_sigma,
                         stream(cfg.seed, point, g_idx, s_idx, sid, _TAG_NOISE),
                     )
-                    if name == "dpp-ideal":
-                        x_rec = recover_known_basis_weighted(u_k, meas)
-                    else:
-                        x_rec = recover_known_basis(u_k, meas)
+                    x_rec = recover_known_basis_weighted(u_k, meas)
                     errors[name].append(relative_error(x, x_rec))
                     sizes[name].append(len(sample))
         for name in KNOWN_BASIS_SAMPLERS:

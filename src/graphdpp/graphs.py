@@ -10,6 +10,14 @@ import scipy.sparse as sp
 from .errors import InvalidParams
 
 
+def index_array(values, what: str) -> np.ndarray:
+    """values as int64 (integer input is not copied); others must be finite whole numbers."""
+    v = np.asarray(values)
+    if v.dtype.kind not in "biu" and not np.all(np.isfinite(v) & (v == np.floor(v))):
+        raise InvalidParams(f"{what} must be integers")
+    return v.astype(np.int64, copy=False)
+
+
 class Graph:
     """Immutable undirected weighted graph without self-loops.
 
@@ -24,31 +32,23 @@ class Graph:
             edges = edges.reshape(0, 3)
         if edges.ndim != 2 or edges.shape[1] != 3:
             raise InvalidParams("edges must be an (m, 3) array of (i, j, w)")
-        if np.any(edges[:, :2] != np.floor(edges[:, :2])):
-            raise InvalidParams("edge endpoints must be integers")
-        i = edges[:, 0].astype(np.int64)
-        j = edges[:, 1].astype(np.int64)
-        w = edges[:, 2].copy()
-        self._init_from_arrays(int(n), i, j, w, communities)
+        self._init_from_arrays(int(n), edges[:, 0], edges[:, 1], edges[:, 2], communities)
 
     @classmethod
     def from_arrays(cls, n, edge_i, edge_j, edge_w, communities=None):
         """Build a graph from parallel index/weight arrays (no tuple overhead)."""
         g = cls.__new__(cls)
-        g._init_from_arrays(
-            int(n),
-            np.asarray(edge_i, dtype=np.int64).copy(),
-            np.asarray(edge_j, dtype=np.int64).copy(),
-            np.asarray(edge_w, dtype=float).copy(),
-            communities,
-        )
+        g._init_from_arrays(int(n), edge_i, edge_j, edge_w, communities)
         return g
 
     def _init_from_arrays(self, n, i, j, w, communities):
         if n < 1:
             raise InvalidParams("graph needs at least one node")
-        swap = i > j
-        i[swap], j[swap] = j[swap], i[swap]
+        i, j = index_array(i, "edge endpoints"), index_array(j, "edge endpoints")
+        w = np.asarray(w, dtype=float)
+        if i.ndim != 1 or not i.shape == j.shape == w.shape:
+            raise InvalidParams("edge arrays must be one-dimensional and of equal length")
+        i, j = np.minimum(i, j), np.maximum(i, j)
         if np.any(i == j):
             raise InvalidParams("self-loops are not allowed")
         if np.any((i < 0) | (j >= n)):
@@ -65,7 +65,7 @@ class Graph:
         self.edge_j = j[order]
         self.edge_w = w[order]
         if communities is not None:
-            communities = np.asarray(communities, dtype=np.int64)
+            communities = index_array(communities, "community labels")
             if communities.shape != (n,):
                 raise InvalidParams("communities must have one label per node")
         self.communities = communities
@@ -96,8 +96,8 @@ class LaplacianView:
     """Combinatorial Laplacian of a graph, applied as an operator.
 
     Never materializes the dense matrix unless asked; `apply` works on
-    vectors and on (n, m) column batches alike. Derived quantities that
-    several stages share (L^r, eigh, lambda_max) are `cached` per view.
+    vectors and on (n, m) column batches alike. The modules that derive
+    quantities from L keep them in the view's `cached` store, one per key.
     """
 
     def __init__(self, graph: Graph):
@@ -129,14 +129,6 @@ class LaplacianView:
                     part.flags.writeable = False
             self._cache[key] = value
         return self._cache[key]
-
-    def dense_power(self, r: int) -> np.ndarray:
-        """Dense L^r (cached per power, read-only; desk scale only)."""
-        return self.cached(("power", r), lambda: np.linalg.matrix_power(self.dense(), r))
-
-    def eigh(self):
-        """Dense eigh of L, eigenvalues ascending (cached, read-only; desk scale only)."""
-        return self.cached("eigh", lambda: tuple(np.linalg.eigh(self.dense())))
 
 
 def laplacian(g: Graph) -> LaplacianView:
@@ -245,19 +237,12 @@ def _bernoulli_pair_indices(p: float, num_pairs: int, rng) -> np.ndarray:
 
 def _decode_triangular(t: np.ndarray, s: int):
     """Map linear indices over the strictly-upper-triangular pairs of an
-    s x s block back to (row, col) with row < col."""
-    tf = t.astype(np.float64)
-    i = np.floor((2 * s - 1 - np.sqrt((2 * s - 1.0) ** 2 - 8.0 * tf)) / 2.0).astype(np.int64)
-    i = np.clip(i, 0, s - 2)
-    # float sqrt can land one row off near block boundaries
-    for _ in range(2):
-        start = i * (2 * s - i - 1) // 2
-        i = np.where(start > t, i - 1, i)
-        nxt = (i + 1) * (2 * s - i - 2) // 2
-        i = np.where(t >= nxt, i + 1, i)
-    start = i * (2 * s - i - 1) // 2
-    j = t - start + i + 1
-    return i, j
+    s x s block back to (row, col) with row < col, by binary search over
+    the exact integer row starts i (2s - i - 1) / 2."""
+    rows = np.arange(s - 1)
+    starts = rows * (2 * s - rows - 1) // 2
+    i = np.searchsorted(starts, t, side="right") - 1
+    return i, t - starts[i] + i + 1
 
 
 def sbm_generate(params: SbmParams, seed=None) -> Graph:

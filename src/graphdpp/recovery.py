@@ -19,6 +19,7 @@ from .errors import (
     SolverDiverged,
 )
 from .graphs import LaplacianView, component_labels
+from .spectral import eigendecompose
 
 _SINGULAR_CUTOFF = 1e-12
 # Largest graph recovered through the bordered kernel system. SBMs with
@@ -87,19 +88,24 @@ def _pinv_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         warnings.warn(
             "restricted basis is numerically singular; recovery is a least-norm guess",
             IllConditionedWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return vt.T @ (inv * (u.T @ rhs))
 
 
-def recover_known_basis(u_k: np.ndarray, meas: Measurement) -> np.ndarray:
-    """Least-squares recovery in the span of the given basis columns."""
+def _known_basis_solve(u_k, meas: Measurement, scale: np.ndarray) -> np.ndarray:
+    """Least squares in the span of the basis columns, measurement row i scaled by scale[i]."""
     u_k = np.asarray(u_k, dtype=float)
     if np.any(meas.sampling.nodes >= u_k.shape[0]):
         raise ShapeMismatch("sampled node index outside the basis rows")
-    restricted = u_k[meas.sampling.nodes, :]
-    return u_k @ _pinv_solve(restricted, meas.y)
+    restricted = scale[:, None] * u_k[meas.sampling.nodes, :]
+    return u_k @ _pinv_solve(restricted, scale * meas.y)
+
+
+def recover_known_basis(u_k: np.ndarray, meas: Measurement) -> np.ndarray:
+    """Least-squares recovery in the span of the basis columns: the weighted solve, unit weights."""
+    return _known_basis_solve(u_k, meas, np.ones(len(meas.y)))
 
 
 def recover_known_basis_weighted(u_k: np.ndarray, meas: Measurement) -> np.ndarray:
@@ -109,26 +115,20 @@ def recover_known_basis_weighted(u_k: np.ndarray, meas: Measurement) -> np.ndarr
     weight, which makes random sampling sets behave like unbiased designs.
     Equal weights reduce exactly to the unweighted recovery.
     """
-    w = meas.sampling.weights
-    if w is None:
+    if meas.sampling.weights is None:
         raise MissingWeights("sampling set carries no weights")
-    u_k = np.asarray(u_k, dtype=float)
-    if np.any(meas.sampling.nodes >= u_k.shape[0]):
-        raise ShapeMismatch("sampled node index outside the basis rows")
-    scale = 1.0 / np.sqrt(w)
-    restricted = scale[:, None] * u_k[meas.sampling.nodes, :]
-    return u_k @ _pinv_solve(restricted, scale * meas.y)
+    return _known_basis_solve(u_k, meas, 1.0 / np.sqrt(meas.sampling.weights))
 
 
 def _kernel_form(lap: LaplacianView, r: int):
     """(L^r)^+ and N, the normalized indicators of the c0 components, which
     span the kernel of L^r. That kernel is the first c0 eigenpairs, so the
     pseudo-inverse sums the rest and needs no eigenvalue threshold."""
-    lam, vecs = lap.eigh()
+    basis = eigendecompose(lap)
     _, comp, sizes = np.unique(component_labels(lap.graph), return_inverse=True, return_counts=True)
     null = np.eye(len(sizes))[comp] / np.sqrt(sizes[comp])[:, None]
-    tail = vecs[:, len(sizes) :]
-    return (tail / lam[len(sizes) :] ** r) @ tail.T, null
+    tail = basis.vectors[:, len(sizes) :]
+    return (tail / basis.eigenvalues[len(sizes) :] ** r) @ tail.T, null
 
 
 def recover_unknown_basis(
@@ -145,7 +145,10 @@ def recover_unknown_basis(
     view, and return z = G[:, S] a + N c when its residual is within
     tolerance * |b|. Larger graphs, and small ones that fail (a component
     without samples makes the system singular), go to Jacobi-preconditioned
-    conjugate gradient, which applies the Laplacian r times per iteration
+    conjugate gradient. The fall-through also serves tight tolerances: at
+    gamma = 1e8, r = 2 and tolerance 1e-12 on an 80-node SBM the bordered
+    answer's relative residual is about 1.6e-6, and conjugate gradient
+    meets the tolerance. It applies the Laplacian r times per iteration
     and never materializes L^r. Its diagonal is gamma d^r + the sampled
     diagonal, d the degrees (a zero entry counts as 1). The tolerance binds
     the unpreconditioned residual on both paths; max_iter caps conjugate
@@ -183,7 +186,8 @@ def recover_unknown_basis(
             pass
         else:
             x = pinv[:, s] @ sol[:m] + null @ sol[m:]
-            if np.linalg.norm(gamma * (lap.dense_power(r) @ x) + sampled * x - b) <= target:
+            power = lap.cached(("power", r), lambda: np.linalg.matrix_power(lap.dense(), r))
+            if np.linalg.norm(gamma * (power @ x) + sampled * x - b) <= target:
                 return x
 
     def operator(z):

@@ -33,13 +33,13 @@ def eigendecompose(L: LaplacianView) -> SpectralBasis:
     """Full dense symmetric eigendecomposition of the Laplacian.
 
     Guarded at DENSE_EIGEN_GUARD nodes: beyond desk scale the whole point
-    of the random-walk sampler is to avoid this call. Shares the view's
-    cached eigh.
+    of the random-walk sampler is to avoid this call. Computed once per
+    view and cached on it read-only, for every later caller.
     """
     if L.n > DENSE_EIGEN_GUARD:
         raise TooLarge(f"dense eigendecomposition guarded at n <= {DENSE_EIGEN_GUARD}, got {L.n}")
     try:
-        lam, vecs = L.eigh()
+        lam, vecs = L.cached("eigh", lambda: tuple(np.linalg.eigh(L.dense())))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
     return SpectralBasis(eigenvalues=np.clip(lam, 0.0, None), vectors=vecs)

@@ -7,7 +7,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .dpp import SamplingSet
+from .dpp import SamplingSet, wilson_kernel_explicit
 from .errors import InvalidParams, NoConvergence, WatchdogExceeded
 from .graphs import Graph, component_labels
 from .spectral import SpectralBasis
@@ -112,10 +112,8 @@ def wilson_sample(g: Graph, q: float, rng=None, *, _tables: _WalkTables | None =
 
 
 def expected_sample_size(basis: SpectralBasis, q: float) -> float:
-    """Exact expected output size from the Laplacian spectrum (desk-scale oracle)."""
-    if q <= 0:
-        raise InvalidParams("q must be positive")
-    return float(np.sum(q / (q + basis.eigenvalues)))
+    """Exact expected output size, the trace of the rate-q walk kernel (desk-scale oracle)."""
+    return float(np.sum(wilson_kernel_explicit(basis, q).eigenvalues))
 
 
 def tune_q(

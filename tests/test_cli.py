@@ -117,6 +117,15 @@ class TestEstimatePi:
         assert np.all(vals >= 0)
 
 
+    @pytest.mark.parametrize("q", ["nan", "inf"])
+    def test_non_finite_q_rejected(self, tmp_path, capsys, q):
+        g = tmp_path / "g.mtx"
+        run("generate-graph", "--n", 20, "--c", 4, "--eps-frac", 0.2, "--seed", 3, "--out", g)
+        code = main(["estimate-pi", "--graph", str(g), "--q", q, "--out", str(tmp_path / "pi.csv")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestExperimentCommand:
     def test_epsilon_sweep_with_config(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

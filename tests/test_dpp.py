@@ -78,8 +78,9 @@ class TestKernels:
         np.testing.assert_allclose(k, np.eye(2), atol=1e-10)
 
     def test_wilson_kernel_rejects_nonpositive_q(self, k2_basis):
-        with pytest.raises(InvalidParams):
-            wilson_kernel_explicit(k2_basis, 0.0)
+        for q in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidParams):
+                wilson_kernel_explicit(k2_basis, q)
 
     def test_eigenvalue_clamp(self):
         v = np.eye(2)
@@ -172,6 +173,16 @@ class TestSamplingSetValidation:
         s = SamplingSet(nodes=[0, 1])
         with pytest.raises(OutOfRange):
             s.nodes = [-3]
+
+    def test_fractional_node_rejected(self):
+        with pytest.raises(InvalidParams):
+            SamplingSet(nodes=[0.5, 2.7])
+        s = SamplingSet(nodes=[0.0, 2.0])
+        assert s.nodes.tolist() == [0, 2]
+        with pytest.raises(InvalidParams):
+            s.nodes = [1.0, np.nan]
+        nodes = np.array([3, 1])
+        assert SamplingSet(nodes=nodes).nodes is nodes
 
     def test_nodes_reassigned_must_match_weights(self):
         s = SamplingSet(nodes=[0, 1], weights=[0.5, 0.5])

@@ -141,8 +141,9 @@ class TestEstimatePi:
         assert np.all(pi >= 0.0)
 
     def test_rejects_nonpositive_q(self, k2):
-        with pytest.raises(InvalidParams):
-            estimate_pi(laplacian(k2), q=0.0)
+        for q in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidParams):
+                estimate_pi(laplacian(k2), q=q)
 
 
 class TestLeverageScores:

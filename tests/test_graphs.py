@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphdpp import (
@@ -13,6 +13,7 @@ from graphdpp import (
     sbm_generate,
 )
 from graphdpp.errors import InvalidParams
+from graphdpp.graphs import _decode_triangular
 
 from conftest import assert_same_edges
 
@@ -41,8 +42,11 @@ class TestGraph:
 
     @pytest.mark.parametrize("endpoint", [1.5, np.nan])
     def test_rejects_non_integral_endpoint(self, endpoint):
+        # both constructors share one validation; from_arrays used to truncate
         with pytest.raises(InvalidParams):
             Graph(3, [(0, endpoint, 1.0)])
+        with pytest.raises(InvalidParams):
+            Graph.from_arrays(3, [0], [endpoint], [1.0])
 
     def test_rejects_duplicate_edge(self):
         with pytest.raises(InvalidParams):
@@ -231,3 +235,22 @@ def test_degrees_and_laplacian_apply_match_dense(graph, cols, seed):
     vector = x[:, 0]
     assert np.all(np.abs(lap.apply(vector) - dense @ vector) <= slack[:, 0])
     assert np.all(np.abs(lap.apply(x) - dense @ x) <= slack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(2, 300))
+@example(s=500_000)
+def test_decode_triangular_inverts_row_major_pair_index(s):
+    if s <= 300:
+        # every pair, so every row start and row end
+        t = np.arange(s * (s - 1) // 2)
+        rows, cols = np.triu_indices(s, 1)
+    else:
+        row_len = np.arange(s - 1, 0, -1)
+        first = np.cumsum(row_len) - row_len
+        t = np.concatenate([first, first + row_len - 1])
+        rows = np.tile(np.arange(s - 1), 2)
+        cols = np.concatenate([np.arange(1, s), np.full(s - 1, s - 1)])
+    i, j = _decode_triangular(t, s)
+    np.testing.assert_array_equal(i, rows)
+    np.testing.assert_array_equal(j, cols)

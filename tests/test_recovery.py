@@ -222,6 +222,24 @@ class TestKnownBasisWeighted:
         with pytest.raises(MissingWeights):
             recover_known_basis_weighted(u_k, measure(x, s, 0.0, 0))
 
+    def test_unit_weights_are_bit_identical_to_plain(self, instance):
+        # the fig1a sweep recovers deterministic selections through the weighted solve
+        _, _, _, u_k, x = instance
+        s = greedy_select(u_k, "mse")
+        meas = measure(x, s, 1e-3, 9)
+        np.testing.assert_array_equal(
+            recover_known_basis_weighted(u_k, meas), recover_known_basis(u_k, meas)
+        )
+
+    @pytest.mark.parametrize("solve", [recover_known_basis, recover_known_basis_weighted])
+    def test_singular_warning_points_at_caller(self, solve):
+        u = np.zeros((4, 2))
+        u[0, 0] = 1.0
+        meas = Measurement(y=np.zeros(2), sampling=unit_weight_sampling([2, 3]))
+        with pytest.warns(IllConditionedWarning) as record:
+            solve(u, meas)
+        assert record[0].filename == __file__
+
 
 class TestUnknownBasis:
     def test_matches_dense_solve(self, instance):
@@ -447,13 +465,19 @@ def test_preconditioned_cg_on_degenerate_graphs(problem):
 def dense_normal_solve(lap, nodes, weights, y, gamma, r):
     """The earlier desk-scale path, kept as the reference for the bordered
     kernel system: gamma L^r plus the sampled diagonal, factored densely,
-    with one step of iterative refinement."""
+    with iterative refinement. The system and its residuals are formed in
+    extended precision: at a condition number near 1e11 (gamma = 1, r = 4,
+    lambda_2 ~ 0.02) a float64 residual leaves the reference ~1e-7 off
+    along the Fiedler vector, where refinement cannot mend it."""
     n = lap.n
-    m = gamma * np.linalg.matrix_power(lap.dense(), r)
+    m = gamma * np.linalg.matrix_power(lap.dense().astype(np.longdouble), r)
     m.flat[:: n + 1] += np.bincount(nodes, 1.0 / weights, minlength=n)
-    b = np.bincount(nodes, y / weights, minlength=n)
-    x = np.linalg.solve(m, b)
-    return x + np.linalg.solve(m, b - m @ x)
+    b = np.bincount(nodes, y / weights, minlength=n).astype(np.longdouble)
+    m64 = m.astype(float)
+    x = np.linalg.solve(m64, b.astype(float)).astype(np.longdouble)
+    for _ in range(3):
+        x += np.linalg.solve(m64, (b - m @ x).astype(float))
+    return x.astype(float)
 
 
 @st.composite

@@ -118,6 +118,11 @@ class TestExpectedSampleSize:
         basis = eigendecompose(laplacian(triangle))
         assert expected_sample_size(basis, 1e12) == pytest.approx(3.0, rel=1e-9)
 
+    @pytest.mark.parametrize("q", [0.0, np.nan, np.inf])
+    def test_rejects_nonpositive_or_non_finite_q(self, k2, q):
+        with pytest.raises(InvalidParams):
+            expected_sample_size(eigendecompose(laplacian(k2)), q)
+
 
 class TestMatchesKernel:
     def test_marginals_weighted_graph(self):
