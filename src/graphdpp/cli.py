@@ -126,6 +126,8 @@ def _cmd_recover(args):
     g = load_graph(args.graph)
     sampling = load_sampling(args.sampling)
     y = load_signal(args.measurement)
+    if len(sampling) == 0:
+        raise InvalidParams(f"{args.sampling}: sampling set is empty, nothing to recover from")
     meas = Measurement(y=y, sampling=sampling)
     if args.known_basis:
         if args.k is None:

@@ -91,7 +91,7 @@ class MarginalKernel:
         return self._diag
 
     def restriction(self, nodes) -> np.ndarray:
-        rows = self.vectors[np.asarray(nodes, dtype=np.int64), :]
+        rows = self.vectors[index_array(nodes, "node indices"), :]
         return (rows * self.eigenvalues) @ rows.T
 
 
@@ -147,7 +147,7 @@ def dpp_sample(kernel: MarginalKernel, rng=None) -> SamplingSet:
 
 def inclusion_probability(kernel: MarginalKernel, nodes) -> float:
     """Probability that all the given (distinct) nodes appear in a sample."""
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = index_array(nodes, "node indices")
     if len(nodes) == 0:
         return 1.0
     det = np.linalg.det(kernel.restriction(nodes))
@@ -162,7 +162,7 @@ def sample_size_moments(kernel: MarginalKernel):
 
 def dpp_weight_matrix(kernel: MarginalKernel, nodes) -> np.ndarray:
     """Diagonal recovery weights: the inclusion probability of each sampled node."""
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = index_array(nodes, "node indices")
     pi = kernel.diagonal()[nodes]
     if np.any(pi <= 0.0):
         raise ZeroMarginal("a sampled node has zero inclusion probability")

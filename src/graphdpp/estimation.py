@@ -14,12 +14,13 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import InvalidParams, OutOfRange
-from .graphs import LaplacianView
+from .graphs import LaplacianView, index_array
 from .spectral import DENSE_EIGEN_GUARD, _vector_eval, eigendecompose, largest_eigenvalue_estimate
 
 ZERO_PROBABILITY_FLOOR = 1e-12
 POWER_TOL = 1e-2  # relative tolerance of the lambda_max estimate behind every fit
 FILTER_DEGREE = 30  # default Chebyshev degree of the fitted filters
+_PANEL_ENTRIES = 32768  # sketch entries filtered per panel: 256 KiB of float64
 
 
 @dataclass(frozen=True)
@@ -45,19 +46,32 @@ class PolynomialFilter:
         return chebyshev.chebval(t, self.coefficients)
 
     def apply(self, lap: LaplacianView, x: np.ndarray) -> np.ndarray:
-        """Evaluate the polynomial of the Laplacian against a vector batch."""
+        """Evaluate the polynomial of the Laplacian against a vector or batch.
+
+        Clenshaw on A = (2 / lambda_max) L - I, started at b1 = c_d x, so a
+        degree-d filter costs exactly d calls of `lap.apply`. Each step is
+        that one sparse product plus in-place updates of its result; A is
+        never formed. Up to five blocks of x's size are live at once, so
+        the caller bounds the batch width.
+        """
         c = self.coefficients
         if self.lambda_max <= 0:
             return float(self(0.0)) * x
-
-        def shifted(y):
-            return (2.0 / self.lambda_max) * lap.apply(y) - y
-
-        b1 = np.zeros_like(x)
-        b2 = np.zeros_like(x)
-        for k in range(len(c) - 1, 0, -1):
-            b1, b2 = c[k] * x + 2.0 * shifted(b1) - b2, b1
-        return c[0] * x + shifted(b1) - b2
+        b1, b2 = c[-1] * x, 0.0
+        for k in range(len(c) - 2, 0, -1):
+            t = lap.apply(b1)
+            t *= 4.0 / self.lambda_max
+            t -= b1
+            t -= b1
+            t -= b2
+            t += c[k] * x
+            b1, b2 = t, b1
+        t = lap.apply(b1)
+        t *= 2.0 / self.lambda_max
+        t -= b1
+        t -= b2
+        t += c[0] * x
+        return t
 
 
 def fit_sqrt_filter(f, d: int, lambda_max: float) -> PolynomialFilter:
@@ -99,7 +113,9 @@ def gaussian_sketch(n_nodes: int, width: int, rng=None) -> np.ndarray:
     if width < 1:
         raise InvalidParams("sketch width must be at least 1")
     rng = np.random.default_rng(rng)
-    return rng.standard_normal((n_nodes, width)) / np.sqrt(width)
+    x = rng.standard_normal((n_nodes, width))
+    x /= np.sqrt(width)
+    return x
 
 
 def default_sketch_width(n_nodes: int) -> int:
@@ -109,9 +125,21 @@ def default_sketch_width(n_nodes: int) -> int:
 
 def _sketched_diagonal(lap, f, d, n, rng, lmax):
     """Estimated diagonal of f(L): squared row norms of a width-n Gaussian
-    sketch filtered by the degree-d fit of sqrt(f) on [0, lmax]."""
-    filtered = fit_sqrt_filter(f, d, lmax).apply(lap, gaussian_sketch(lap.n, n, rng))
-    return np.einsum("ij,ij->i", filtered, filtered)
+    sketch filtered by the degree-d fit of sqrt(f) on [0, lmax].
+
+    The whole sketch is drawn first, so the values do not depend on the
+    panel width; it is then filtered in contiguous panels of about
+    _PANEL_ENTRIES entries, which keeps the Clenshaw blocks cache-sized
+    and their memory a few panels rather than a few sketches.
+    """
+    filt = fit_sqrt_filter(f, d, lmax)
+    sketch = gaussian_sketch(lap.n, n, rng)
+    step = max(8, _PANEL_ENTRIES // lap.n)
+    out = np.zeros(lap.n)
+    for j in range(0, n, step):
+        panel = filt.apply(lap, np.ascontiguousarray(sketch[:, j : j + step]))
+        out += np.einsum("ij,ij->i", panel, panel)
+    return out
 
 
 def estimate_pi(
@@ -127,6 +155,9 @@ def estimate_pi(
     polynomial, pushes a width-n Gaussian sketch through it, and reads the
     squared row norms. Estimates are nonnegative by construction and
     concentrate around the true values at sketch widths of order log n.
+    The cost is d sparse products per sketch column; the sketch is
+    filtered in cache-sized column panels, so beyond the sketch itself
+    the memory is a few panels.
     """
     if not 0 < q < np.inf:
         raise InvalidParams("q must be positive and finite")
@@ -139,7 +170,7 @@ def estimate_pi(
 
 def floor_zero_probabilities(pi: np.ndarray, nodes) -> np.ndarray:
     """Weights for sampled nodes, flooring exact zeros that would break reweighting."""
-    w = np.asarray(pi, dtype=float)[np.asarray(nodes, dtype=np.int64)]
+    w = np.asarray(pi, dtype=float)[index_array(nodes, "node indices")]
     if np.any(w <= 0.0):
         warnings.warn(
             "estimated inclusion probability is zero for a sampled node; flooring",

@@ -95,14 +95,19 @@ class Graph:
 class LaplacianView:
     """Combinatorial Laplacian of a graph, applied as an operator.
 
-    Never materializes the dense matrix unless asked; `apply` works on
-    vectors and on (n, m) column batches alike. The modules that derive
+    `L = D - W` is built once as a CSR matrix, so `apply` is one sparse
+    product for vectors and (n, m) column batches alike. The dense matrix
+    is made only when asked for, from the negated adjacency rather than
+    the CSR matrix: its off-diagonal zeros are then -0.0, and LAPACK's
+    `eigh` picks eigenvector signs by that sign, so the recorded outputs
+    downstream of the eigenvectors depend on it. The modules that derive
     quantities from L keep them in the view's `cached` store, one per key.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.degree_vector = graph.degrees()
+        self.matrix = (sp.diags(self.degree_vector) - graph.adjacency()).tocsr()
         self._cache = {}
 
     @property
@@ -110,10 +115,7 @@ class LaplacianView:
         return self.graph.n
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        w = self.graph.adjacency()
-        if x.ndim == 1:
-            return self.degree_vector * x - w @ x
-        return self.degree_vector[:, None] * x - w @ x
+        return self.matrix @ x
 
     def dense(self) -> np.ndarray:
         out = -self.graph.adjacency().toarray()

@@ -12,6 +12,9 @@ from .errors import InvalidParams, NoConvergence, WatchdogExceeded
 from .graphs import Graph, component_labels
 from .spectral import SpectralBasis
 
+# Caps the walk steps of one wilson_sample call, not its running time: the
+# expected step count grows like n (d_max + q) / q, so a graph with
+# degree / q near 1e10 walks for minutes before the cap raises.
 WATCHDOG_STEPS = 10**9
 _RAND_BUFFER = 1 << 18
 
@@ -55,7 +58,8 @@ def wilson_sample(g: Graph, q: float, rng=None, *, _tables: _WalkTables | None =
     The output is distributed as the determinantal process whose kernel
     has eigenvalues q / (q + lambda) on the graph Fourier basis, whatever
     the scan order. A call that takes more than WATCHDOG_STEPS steps
-    raises WatchdogExceeded.
+    raises WatchdogExceeded. The watchdog counts steps, not time: with
+    degree / q near 1e10 a call runs for minutes before it raises.
 
     Weights are left unfilled; recovery callers attach inclusion
     probabilities from an explicit kernel or from the sketch estimator.

@@ -107,6 +107,22 @@ class TestMeasureCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestRecoverCommand:
+    @pytest.mark.parametrize("basis_args", [["--known-basis", "--k", "2"], []])
+    def test_empty_sampling_rejected(self, tmp_path, capsys, basis_args):
+        g, s, y = tmp_path / "g.mtx", tmp_path / "s.csv", tmp_path / "y.csv"
+        run("generate-graph", "--n", 20, "--c", 4, "--eps-frac", 0.2, "--seed", 3, "--out", g)
+        save_sampling(SamplingSet(nodes=np.array([], dtype=np.int64), method="t"), s)
+        save_signal(np.zeros(0), y)
+        rec = tmp_path / "rec.csv"
+        code = main(["recover", "--graph", str(g), "--sampling", str(s), "--measurement", str(y),
+                     *basis_args, "--out", str(rec)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "sampling set is empty" in err
+        assert not rec.exists()
+
+
 class TestEstimatePi:
     def test_writes_probabilities(self, tmp_path):
         g, pi = tmp_path / "g.mtx", tmp_path / "pi.csv"

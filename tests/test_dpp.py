@@ -105,6 +105,14 @@ class TestInclusionProbability:
         # det [[3/4, 1/4], [1/4, 3/4]] = 1/2
         assert inclusion_probability(kernel, [0, 1]) == pytest.approx(0.5, abs=1e-12)
 
+    def test_fractional_node_rejected(self, sbm_kernel):
+        with pytest.raises(InvalidParams):
+            inclusion_probability(sbm_kernel, [0.5])
+
+    def test_restriction_rejects_fractional_node(self, sbm_kernel):
+        with pytest.raises(InvalidParams):
+            sbm_kernel.restriction([0.5])
+
 
 class TestSizeMoments:
     def test_projector(self, sbm_kernel):
@@ -130,6 +138,11 @@ class TestWeightMatrix:
     def test_rank_one_projector(self, k2_basis):
         kernel = ideal_lowpass_kernel(k2_basis, 1)
         np.testing.assert_allclose(dpp_weight_matrix(kernel, [1]), [0.5], atol=1e-12)
+
+    def test_fractional_node_rejected(self, sbm_kernel):
+        # a truncating cast would return node 0's weight
+        with pytest.raises(InvalidParams):
+            dpp_weight_matrix(sbm_kernel, [0.5])
 
     def test_zero_marginal_raises(self):
         kernel = MarginalKernel(eigenvalues=np.array([1.0, 0.0]), vectors=np.eye(2))

@@ -17,7 +17,7 @@ from graphdpp import (
     sbm_generate,
     wilson_kernel_explicit,
 )
-from graphdpp import estimation
+from graphdpp import LaplacianView, estimation
 from graphdpp.errors import InvalidParams, OutOfRange, TooLarge
 from graphdpp.estimation import default_sketch_width
 
@@ -65,6 +65,35 @@ class TestFitSqrtFilter:
         x = np.random.default_rng(1).standard_normal((40, 7))
         np.testing.assert_allclose(filt.apply(lap, x), dense @ x, atol=1e-10)
 
+    def test_operator_apply_on_vector_matches_dense(self):
+        g = sbm_generate(SbmParams(n=40, k_comm=2, c=6.0, eps=0.3), 0)
+        lap = laplacian(g)
+        basis = eigendecompose(lap)
+        filt = fit_sqrt_filter(lambda lam: 0.5 / (0.5 + lam), 20, basis.eigenvalues[-1] * 1.01)
+        dense = (basis.vectors * filt(basis.eigenvalues)) @ basis.vectors.T
+        v = np.random.default_rng(1).standard_normal(40)
+        out = filt.apply(lap, v)
+        assert out.shape == (40,)
+        np.testing.assert_allclose(out, dense @ v, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 30])
+    def test_degree_d_filter_applies_laplacian_d_times(self, monkeypatch, d):
+        # the bench tracer counts estimator work as LaplacianView.apply calls
+        g = sbm_generate(SbmParams(n=40, k_comm=2, c=6.0, eps=0.3), 0)
+        lap = laplacian(g)
+        filt = fit_sqrt_filter(lambda lam: 0.5 / (0.5 + lam), d, 2 * lap.degree_vector.max())
+        x = np.random.default_rng(2).standard_normal((40, 3))
+        calls = []
+        apply = LaplacianView.apply
+
+        def counting(self, y):
+            calls.append(y.shape)
+            return apply(self, y)
+
+        monkeypatch.setattr(LaplacianView, "apply", counting)
+        filt.apply(lap, x)
+        assert calls == [(40, 3)] * d
+
 
 class TestSketch:
     def test_shape_and_scale(self):
@@ -76,6 +105,41 @@ class TestSketch:
 
     def test_default_width(self):
         assert default_sketch_width(100) == 100  # 20 * ceil(log 100)
+
+    def test_scaled_in_place_bit_identical(self):
+        raw = np.random.default_rng(5).standard_normal((30, 12))
+        np.testing.assert_array_equal(gaussian_sketch(30, 12, 5), raw / np.sqrt(12))
+
+
+def _weighted_with_isolated_node(n, seed):
+    """Weighted SBM whose node 0 has no edges."""
+    g = sbm_generate(SbmParams(n=n, k_comm=2, c=8.0, eps=0.2), seed)
+    keep = (g.edge_i != 0) & (g.edge_j != 0)
+    w = np.random.default_rng(seed).uniform(0.1, 3.0, keep.sum())
+    return Graph.from_arrays(n, g.edge_i[keep], g.edge_j[keep], w)
+
+
+class TestSketchPanels:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_paneled_matches_single_pass(self, weighted):
+        n = 5000  # width 180 is no multiple of the 8-column panels
+        if weighted:
+            g = _weighted_with_isolated_node(n, 3)
+            assert g.degrees()[0] == 0.0
+        else:
+            g = sbm_generate(SbmParams(n=n, k_comm=2, c=8.0, eps=0.2), 3)
+        lap = laplacian(g)
+        width = default_sketch_width(n)
+        assert width == 180 and max(8, estimation._PANEL_ENTRIES // n) == 8
+        lmax = 2 * lap.degree_vector.max()
+
+        def f(lam):
+            return 0.1 / (0.1 + lam)
+
+        filtered = fit_sqrt_filter(f, 30, lmax).apply(lap, gaussian_sketch(n, width, 4))
+        single = np.einsum("ij,ij->i", filtered, filtered)
+        paneled = estimation._sketched_diagonal(lap, f, 30, width, np.random.default_rng(4), lmax)
+        np.testing.assert_allclose(paneled, single, rtol=1e-12, atol=0)
 
 
 class TestEstimatePi:

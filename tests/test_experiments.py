@@ -228,6 +228,12 @@ class TestEstimationFloor:
         assert w[0] == 0.5
         assert w[1] == ZERO_PROBABILITY_FLOOR
 
+    def test_fractional_node_rejected(self):
+        from graphdpp.estimation import floor_zero_probabilities
+
+        with pytest.raises(InvalidParams):
+            floor_zero_probabilities(np.array([0.5, 0.2]), [0.5])
+
 
 class TestScalability:
     def test_desk_scale_run(self):

@@ -25,18 +25,18 @@ FIG1C_CONFIG = (
 
 GOLDEN = {
     "fig1a.csv": "78b3fa77b17a841447f936a03eb9a01ab9bc300b4d7a8a9240c5bcf59b5e4b90",
-    "fig1b.csv": "79b20cef951721957c69f584f0d9e932c96da9d3d32491bddedb99a23590f6c0",
+    "fig1b.csv": "23b641ba393949a26379de22d14832d15bdcb9ac5d98943c65fd0349c8993b22",
     "fig1c.csv": "a942e31c7ef24ae09dd8e7d8029e7a5684321bfc46b5d8a86e95c8001de55b6e",
     "g.mtx": "8e26abbcf3b55248581922948e2f6236325718b624a1a826153b53d4adacbb52",
     "labels.csv": "218ea8d6ba0c2d3ccd92c2d12afc7b287e4ba5e629f0e9e77d51072d36a1da4a",
-    "pi.csv": "e69f9000f442b6f01a8518b0ddcaa4a8f97f6ff0f37ec964aa008cb304e535a8",
+    "pi.csv": "750b73f5d63568f52b78c9915fbe8322d63683b66d152cc38bab8487ca3cab17",
     "rec_known.csv": "506e4f21bf1a5736711289b5ecdf5dfe17fc1441703b8a4b281ccfbb74c3de92",
     "rec_wilson_exact.csv": "26bccee0ff6e8493fba84cb9dfc0659c7634a8efb894bee7c370d2e26a2ca111",
     "rec_wilson_none.csv": "aeee7b4cdf5b6da14970b7407512cbc2f9bcde52348f51ac7458ae7d655e67a8",
     "s_dpp.csv": "2cd490d870733983eb0ee3bec8d442e9823011a0a30596057418cc4a69f77c48",
     "s_greedy.csv": "fe36e1fac372cf1ed3aa9820a7bf3633b9498fa49bfe79c5de0cd274613be3fa",
     "s_iid.csv": "f12ca356a6c25f4416fdd673cd9670a5e4606f4d68655102043b3043225122b6",
-    "s_wilson_estimated.csv": "f0419f383d4f36bbfd9d5c6eda9cf3eb76c5f832acd8a82caec4da3f8e4d67a7",
+    "s_wilson_estimated.csv": "7e8f8fdc5f037f1f98a3103cfc32f7ff12a90ce9c0497aa6de26411b9bcda362",
     "s_wilson_exact.csv": "51de6de009d4b9566642328632d7dfe0204b6949541fea4249795a5ef8a3e43a",
     "s_wilson_none.csv": "a65b6d12602e74ad1ebb44b0a553e535ffbcca6a61193129b0cd379c9c91a22e",
     "x.csv": "7e0822ae1ca2140cfe0a9bd444b58370d511f35997b8ec9a365f96f0867ff635",

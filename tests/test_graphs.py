@@ -83,6 +83,14 @@ class TestDegreesAndLaplacian:
         out = lap.apply(np.ones(n))
         assert np.max(np.abs(out)) <= 1e-12 * max(lap.degree_vector.max(), 1.0)
 
+    def test_dense_keeps_negative_zeros(self):
+        # eigh's eigenvector signs depend on the sign of the zeros
+        g = Graph(4, [(0, 1, 1.0), (1, 2, 2.0)])
+        dense = laplacian(g).dense()
+        zero = (dense == 0.0) & ~np.eye(4, dtype=bool)
+        assert np.all(np.signbit(dense[zero]))
+        np.testing.assert_array_equal(laplacian(g).matrix.toarray(), dense)
+
     def test_path_laplacian_spectrum(self, p3):
         lap = laplacian(p3)
         np.testing.assert_allclose(np.diag(lap.dense()), [1.0, 2.0, 1.0])
