@@ -32,16 +32,17 @@ class Graph:
             edges = edges.reshape(0, 3)
         if edges.ndim != 2 or edges.shape[1] != 3:
             raise InvalidParams("edges must be an (m, 3) array of (i, j, w)")
-        self._init_from_arrays(int(n), edges[:, 0], edges[:, 1], edges[:, 2], communities)
+        self._init_from_arrays(n, edges[:, 0], edges[:, 1], edges[:, 2], communities)
 
     @classmethod
     def from_arrays(cls, n, edge_i, edge_j, edge_w, communities=None):
         """Build a graph from parallel index/weight arrays (no tuple overhead)."""
         g = cls.__new__(cls)
-        g._init_from_arrays(int(n), edge_i, edge_j, edge_w, communities)
+        g._init_from_arrays(n, edge_i, edge_j, edge_w, communities)
         return g
 
     def _init_from_arrays(self, n, i, j, w, communities):
+        n = int(index_array(n, "node count"))
         if n < 1:
             raise InvalidParams("graph needs at least one node")
         i, j = index_array(i, "edge endpoints"), index_array(j, "edge endpoints")
@@ -69,7 +70,8 @@ class Graph:
             if communities.shape != (n,):
                 raise InvalidParams("communities must have one label per node")
         self.communities = communities
-        self._adj = None
+        self._unit_weights = bool(np.all(self.edge_w == 1.0))
+        self._adj = self._degrees = None
 
     @property
     def num_edges(self):
@@ -85,11 +87,14 @@ class Graph:
         return self._adj
 
     def degrees(self) -> np.ndarray:
-        """Weighted degree of every node."""
-        return np.asarray(self.adjacency().sum(axis=1)).ravel()
+        """Weighted degree of every node (cached, read-only)."""
+        if self._degrees is None:
+            self._degrees = np.asarray(self.adjacency().sum(axis=1)).ravel()
+            self._degrees.flags.writeable = False
+        return self._degrees
 
     def has_unit_weights(self) -> bool:
-        return bool(np.all(self.edge_w == 1.0))
+        return self._unit_weights
 
 
 class LaplacianView:

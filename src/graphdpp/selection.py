@@ -7,7 +7,8 @@ from enum import Enum
 import numpy as np
 
 from .dpp import SamplingSet
-from .errors import DegenerateBasis, InvalidDistribution, InvalidParams, NoConvergence
+from .errors import DegenerateBasis, InvalidDistribution, InvalidParams, NoConvergence, OutOfRange
+from .graphs import index_array
 
 _RANK_TOL = 1e-12
 _PRUNE_SLACK = 1e-9
@@ -26,7 +27,9 @@ class ObjectiveKind(Enum):
 
 def singular_values_restriction(u_k: np.ndarray, nodes) -> np.ndarray:
     """Ascending singular values of the rows of u_k indexed by the node list."""
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = index_array(nodes, "node indices")
+    if np.any((nodes < 0) | (nodes >= len(u_k))):
+        raise OutOfRange(f"node indices must lie in [0, {len(u_k)})")
     sub = u_k[nodes, :]
     return np.linalg.svd(sub, compute_uv=False)[::-1]
 

@@ -48,6 +48,16 @@ class TestGraph:
         with pytest.raises(InvalidParams):
             Graph.from_arrays(3, [0], [endpoint], [1.0])
 
+    @pytest.mark.parametrize("n", [2.5, 3.9, np.nan])
+    def test_rejects_non_integral_node_count(self, n):
+        with pytest.raises(InvalidParams):
+            Graph(n, [(0, 1, 1.0)])
+        with pytest.raises(InvalidParams):
+            Graph.from_arrays(n, [0], [1], [1.0])
+
+    def test_whole_float_node_count_accepted(self):
+        assert Graph(3.0, [(0, 2, 1.0)]).n == 3
+
     def test_rejects_duplicate_edge(self):
         with pytest.raises(InvalidParams):
             Graph(3, [(0, 1, 1.0), (1, 0, 2.0)])
@@ -64,6 +74,13 @@ class TestDegreesAndLaplacian:
 
     def test_triangle_degrees(self, triangle):
         np.testing.assert_allclose(triangle.degrees(), [2.0, 2.0, 2.0])
+
+    def test_degrees_cached_read_only(self, triangle):
+        d = triangle.degrees()
+        assert triangle.degrees() is d
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0] = 5.0
 
     def test_single_edge_laplacian(self, k2):
         expected = np.array([[1.0, -1.0], [-1.0, 1.0]])

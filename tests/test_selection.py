@@ -17,7 +17,7 @@ from graphdpp import (
     sbm_generate,
     singular_values_restriction,
 )
-from graphdpp.errors import DegenerateBasis, InvalidDistribution, InvalidParams
+from graphdpp.errors import DegenerateBasis, InvalidDistribution, InvalidParams, OutOfRange
 
 from conftest import exhaustive_best_volume
 
@@ -99,6 +99,17 @@ class TestSingularValuesRestriction:
         got = singular_values_restriction(u, [0, 3, 7])
         assert got.shape == (3,)
         assert np.all(np.diff(got) >= 0)
+
+    def test_rejects_fractional_index(self):
+        u = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
+        with pytest.raises(InvalidParams):
+            singular_values_restriction(u, [0.5])
+
+    @pytest.mark.parametrize("node", [-1, 3])
+    def test_rejects_index_outside_rows(self, node):
+        u = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
+        with pytest.raises(OutOfRange):
+            singular_values_restriction(u, [node])
 
 
 class TestGreedySelect:

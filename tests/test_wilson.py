@@ -1,6 +1,8 @@
 """The absorbing loop-erased walk sampler against its determinantal laws."""
 
+import hashlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from graphdpp import (
 from graphdpp import wilson as wilson_module
 from graphdpp.errors import InvalidParams, NoConvergence, WatchdogExceeded
 from graphdpp.graphs import component_labels
-from graphdpp.wilson import _WalkTables
+from graphdpp.wilson import _running_sums
 
 from conftest import dpp_exact_law, empirical_tv
 
@@ -103,6 +105,56 @@ def test_roots_cover_every_component(g, q, seed):
     assert set(label[roots].tolist()) == set(label.tolist())
     isolated = np.flatnonzero(g.degrees() == 0)
     assert set(isolated.tolist()) <= set(roots.tolist())
+
+
+@st.composite
+def weighted_graphs_with_isolated_nodes(draw):
+    """Weighted graphs over four orders of magnitude in which some nodes,
+    drawn anywhere in the index range, have no edges."""
+    n = draw(st.integers(1, 30))
+    isolated = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    live = [v for v in range(n) if v not in isolated]
+    pairs = [(i, j) for i in live for j in live if i < j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+    w = st.floats(1e-2, 1e2)
+    weights = draw(st.lists(w, min_size=len(chosen), max_size=len(chosen)))
+    return Graph(n, [(i, j, w) for (i, j), w in zip(chosen, weights)]), sorted(isolated)
+
+
+class TestWalkArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_graphs_with_isolated_nodes())
+    def test_running_sums_match_per_row_cumsum(self, case):
+        g, isolated = case
+        adj = g.adjacency()
+        ptr = adj.indptr
+        rows = [np.cumsum(adj.data[ptr[i] : ptr[i + 1]]) for i in range(g.n)]
+        assert np.array_equal(_running_sums(adj), np.concatenate(rows))
+        assert np.all(g.degrees()[isolated] == 0)
+
+    def test_weighted_draws_pinned(self):
+        # the golden chain pins unit-weight draws only; this pins the bisection path
+        g = sbm_generate(SbmParams(n=30, k_comm=2, c=6.0, eps=0.3), 12)
+        w = np.random.default_rng(12).uniform(0.1, 5.0, g.num_edges)
+        g = Graph.from_arrays(g.n, g.edge_i, g.edge_j, w)
+        h = hashlib.sha256()
+        for q in (0.05, 0.7):
+            for seed in range(20):
+                h.update(wilson_sample(g, q, seed).nodes.tobytes())
+        assert h.hexdigest() == "d60f614e160e54a7a5ea1fd4de307e0c462918a46209a8539f53b6bc21548027"
+
+    def test_walk_does_not_copy_the_adjacency(self):
+        # per-call memory is O(n) lists and the random buffer; a copy of the
+        # 3.2e5 neighbor indices into a list alone would take about 11 MiB
+        g = sbm_generate(SbmParams(n=20_000, k_comm=2, c=16.0, eps=0.1), 0)
+        wilson_sample(g, 0.1, 0)
+        tracemalloc.start()
+        try:
+            wilson_sample(g, 0.1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestExpectedSampleSize:
@@ -235,25 +287,23 @@ class TestTuneQ:
             tune_q(g, 1, 0, max_probes=12)
         assert time.perf_counter() - t0 < 1.0
 
-    def test_tables_built_once_per_search(self, monkeypatch):
-        built, probed = [], set()
+    def test_search_spends_max_probes(self, monkeypatch):
+        probed = set()
 
-        class CountingTables(_WalkTables):
-            def __init__(self, g):
-                built.append(g)
-                super().__init__(g)
-
-        def counting_sample(g, q, rng=None, **kw):
+        def counting_sample(g, q, rng=None):
             probed.add(q)
-            return wilson_sample(g, q, rng, **kw)
+            return wilson_sample(g, q, rng)
 
-        monkeypatch.setattr(wilson_module, "_WalkTables", CountingTables)
         monkeypatch.setattr(wilson_module, "wilson_sample", counting_sample)
         g = sbm_generate(SbmParams(n=40, k_comm=2, c=6.0, eps=0.3), 8)
         with pytest.raises(NoConvergence):
             tune_q(g, 12, 0, runs_per_probe=4, tol=1e-9, max_probes=6)
         assert len(probed) == 6
-        assert built == [g]
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -0.1])
+    def test_rejects_bad_tol(self, k2, tol):
+        with pytest.raises(InvalidParams, match="tol"):
+            tune_q(k2, 1, 0, runs_per_probe=4, tol=tol, max_probes=2)
 
     def test_target_equal_to_components_is_searched(self, edgeless5):
         q = tune_q(edgeless5, 5, 0, runs_per_probe=4)
@@ -302,10 +352,9 @@ def reference_tune_q(
         probes += 1
         if probed is not None:
             probed.append(q)
-        tables = _WalkTables(g)
         total = 0
         for _ in range(runs_per_probe):
-            total += len(wilson_sample(g, q, rng, _tables=tables))
+            total += len(wilson_sample(g, q, rng))
         return total / runs_per_probe
 
     q = max(target_k * mean_degree / g.n, 1e-12)
