@@ -11,7 +11,7 @@ import numpy as np
 
 from .dpp import dpp_sample, dpp_weight_matrix, ideal_lowpass_kernel, wilson_kernel_explicit
 from .errors import GraphDppError, InvalidParams
-from .estimation import estimate_pi, floor_zero_probabilities
+from .estimation import FILTER_DEGREE, estimate_pi, floor_zero_probabilities
 from .experiments import (
     ExperimentConfig,
     emit_csv,
@@ -25,7 +25,6 @@ from .recovery import (
     Measurement,
     RecoveryParams,
     measure,
-    recover_known_basis,
     recover_known_basis_weighted,
     recover_unknown_basis,
 )
@@ -128,18 +127,15 @@ def _cmd_recover(args):
     y = load_signal(args.measurement)
     if len(sampling) == 0:
         raise InvalidParams(f"{args.sampling}: sampling set is empty, nothing to recover from")
+    if sampling.weights is None:
+        sampling.weights = np.ones(len(sampling))
     meas = Measurement(y=y, sampling=sampling)
     if args.known_basis:
         if args.k is None:
             raise InvalidParams("--k is required with --known-basis")
         u_k = fourier_basis_k(eigendecompose(laplacian(g)), args.k)
-        if sampling.weights is not None:
-            x_rec = recover_known_basis_weighted(u_k, meas)
-        else:
-            x_rec = recover_known_basis(u_k, meas)
+        x_rec = recover_known_basis_weighted(u_k, meas)
     else:
-        if sampling.weights is None:
-            sampling.weights = np.ones(len(sampling))
         params = RecoveryParams(gamma=args.gamma, r=args.r, tolerance=args.tol)
         x_rec = recover_unknown_basis(laplacian(g), meas, params)
     save_signal(x_rec, args.out)
@@ -236,16 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurement", required=True)
     p.add_argument("--known-basis", action="store_true")
     p.add_argument("--k", type=int, default=None, help="bandlimit (known basis)")
-    p.add_argument("--gamma", type=float, default=1e-5)
-    p.add_argument("--r", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--gamma", type=float, default=RecoveryParams.gamma)
+    p.add_argument("--r", type=int, default=RecoveryParams.r)
+    p.add_argument("--tol", type=float, default=RecoveryParams.tolerance)
     _common(p)
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("estimate-pi", help="sketch-estimate walk inclusion probabilities")
     p.add_argument("--graph", required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--d", type=int, default=30, help="polynomial degree")
+    p.add_argument("--d", type=int, default=FILTER_DEGREE, help="polynomial degree")
     p.add_argument("--n-sketch", type=int, default=None, help="sketch width")
     _common(p)
     p.set_defaults(func=_cmd_estimate_pi)

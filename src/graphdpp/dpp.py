@@ -91,7 +91,7 @@ class MarginalKernel:
         return self._diag
 
     def restriction(self, nodes) -> np.ndarray:
-        rows = self.vectors[index_array(nodes, "node indices"), :]
+        rows = self.vectors[index_array(nodes, "node indices", self.n), :]
         return (rows * self.eigenvalues) @ rows.T
 
 
@@ -146,10 +146,8 @@ def dpp_sample(kernel: MarginalKernel, rng=None) -> SamplingSet:
 
 
 def inclusion_probability(kernel: MarginalKernel, nodes) -> float:
-    """Probability that all the given (distinct) nodes appear in a sample."""
-    nodes = index_array(nodes, "node indices")
-    if len(nodes) == 0:
-        return 1.0
+    """Probability that all the given (distinct) nodes appear in a sample
+    (the empty set's 0 x 0 restriction has determinant 1)."""
     det = np.linalg.det(kernel.restriction(nodes))
     return max(float(det), 0.0)
 
@@ -162,8 +160,7 @@ def sample_size_moments(kernel: MarginalKernel):
 
 def dpp_weight_matrix(kernel: MarginalKernel, nodes) -> np.ndarray:
     """Diagonal recovery weights: the inclusion probability of each sampled node."""
-    nodes = index_array(nodes, "node indices")
-    pi = kernel.diagonal()[nodes]
+    pi = kernel.diagonal()[index_array(nodes, "node indices", kernel.n)]
     if np.any(pi <= 0.0):
         raise ZeroMarginal("a sampled node has zero inclusion probability")
     return pi

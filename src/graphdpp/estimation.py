@@ -170,7 +170,8 @@ def estimate_pi(
 
 def floor_zero_probabilities(pi: np.ndarray, nodes) -> np.ndarray:
     """Weights for sampled nodes, flooring exact zeros that would break reweighting."""
-    w = np.asarray(pi, dtype=float)[index_array(nodes, "node indices")]
+    pi = np.asarray(pi, dtype=float)
+    w = pi[index_array(nodes, "node indices", len(pi))]
     if np.any(w <= 0.0):
         warnings.warn(
             "estimated inclusion probability is zero for a sampled node; flooring",

@@ -58,9 +58,9 @@ class ExperimentConfig:
     grid: tuple = (0.1,)
     eps_frac: float = 0.2
     noise_sigma: float = 1e-4
-    gamma: float = 1e-5
-    r: int = 4
-    tolerance: float = 1e-8
+    gamma: float = RecoveryParams.gamma
+    r: int = RecoveryParams.r
+    tolerance: float = RecoveryParams.tolerance
     graphs_per_point: int = 20
     signals_per_graph: int = 50
     target_m: int = 0

@@ -7,15 +7,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidParams
+from .errors import InvalidParams, OutOfRange
 
 
-def index_array(values, what: str) -> np.ndarray:
-    """values as int64 (integer input is not copied); others must be finite whole numbers."""
+def index_array(values, what: str, n=None) -> np.ndarray:
+    """values as int64 (integer input is not copied); others must be finite
+    whole numbers. With n, the size of what they index, each must lie in [0, n)."""
     v = np.asarray(values)
     if v.dtype.kind not in "biu" and not np.all(np.isfinite(v) & (v == np.floor(v))):
         raise InvalidParams(f"{what} must be integers")
-    return v.astype(np.int64, copy=False)
+    v = v.astype(np.int64, copy=False)
+    if n is not None and ((v < 0) | (v >= n)).any():
+        raise OutOfRange(f"{what} must lie in [0, {n})")
+    return v
 
 
 class Graph:
@@ -45,15 +49,13 @@ class Graph:
         n = int(index_array(n, "node count"))
         if n < 1:
             raise InvalidParams("graph needs at least one node")
-        i, j = index_array(i, "edge endpoints"), index_array(j, "edge endpoints")
+        i, j = index_array(i, "edge endpoints", n), index_array(j, "edge endpoints", n)
         w = np.asarray(w, dtype=float)
         if i.ndim != 1 or not i.shape == j.shape == w.shape:
             raise InvalidParams("edge arrays must be one-dimensional and of equal length")
         i, j = np.minimum(i, j), np.maximum(i, j)
         if np.any(i == j):
             raise InvalidParams("self-loops are not allowed")
-        if np.any((i < 0) | (j >= n)):
-            raise InvalidParams("edge endpoint outside [0, n)")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise InvalidParams("edge weights must be strictly positive and finite")
         keys = i * n + j

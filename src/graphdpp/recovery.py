@@ -18,7 +18,7 @@ from .errors import (
     ShapeMismatch,
     SolverDiverged,
 )
-from .graphs import LaplacianView, component_labels
+from .graphs import LaplacianView, component_labels, index_array
 from .spectral import eigendecompose
 
 _SINGULAR_CUTOFF = 1e-12
@@ -61,8 +61,13 @@ class RecoveryParams:
     def __post_init__(self):
         if not np.isfinite(self.gamma) or self.gamma <= 0:
             raise InvalidParams("gamma must be positive and finite")
+        self.r = int(index_array(self.r, "Laplacian power r"))
         if self.r < 1:
             raise InvalidParams("Laplacian power r must be at least 1")
+        if self.max_iter is not None:
+            self.max_iter = int(index_array(self.max_iter, "max_iter"))
+            if self.max_iter < 1:
+                raise InvalidParams("max_iter must be at least 1")
         if not np.isfinite(self.tolerance) or self.tolerance <= 0:
             raise InvalidParams("tolerance must be positive and finite")
 
@@ -72,10 +77,9 @@ def measure(x: np.ndarray, sampling: SamplingSet, noise_sigma: float = 0.0, rng=
     if not np.isfinite(noise_sigma) or noise_sigma < 0:
         raise InvalidParams("noise_sigma must be finite and nonnegative")
     x = np.asarray(x, dtype=float)
-    if np.any(sampling.nodes >= len(x)):
-        raise ShapeMismatch("sampled node index outside the signal")
+    nodes = index_array(sampling.nodes, "sampled node indices", len(x))
     rng = np.random.default_rng(rng)
-    y = x[sampling.nodes] + noise_sigma * rng.standard_normal(len(sampling.nodes))
+    y = x[nodes] + noise_sigma * rng.standard_normal(len(nodes))
     return Measurement(y=y, sampling=sampling)
 
 
@@ -97,9 +101,8 @@ def _pinv_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _known_basis_solve(u_k, meas: Measurement, scale: np.ndarray) -> np.ndarray:
     """Least squares in the span of the basis columns, measurement row i scaled by scale[i]."""
     u_k = np.asarray(u_k, dtype=float)
-    if np.any(meas.sampling.nodes >= u_k.shape[0]):
-        raise ShapeMismatch("sampled node index outside the basis rows")
-    restricted = scale[:, None] * u_k[meas.sampling.nodes, :]
+    nodes = index_array(meas.sampling.nodes, "sampled node indices", u_k.shape[0])
+    restricted = scale[:, None] * u_k[nodes, :]
     return u_k @ _pinv_solve(restricted, scale * meas.y)
 
 
@@ -159,10 +162,8 @@ def recover_unknown_basis(
     w = meas.sampling.weights
     if w is None:
         raise MissingWeights("sampling set carries no weights")
-    nodes = meas.sampling.nodes
     n = lap.n
-    if np.any(nodes >= n):
-        raise ShapeMismatch("sampled node index outside the graph")
+    nodes = index_array(meas.sampling.nodes, "sampled node indices", n)
     inv_w = 1.0 / w
     gamma, r = params.gamma, params.r
     sampled = np.bincount(nodes, inv_w, minlength=n)

@@ -7,7 +7,7 @@ from enum import Enum
 import numpy as np
 
 from .dpp import SamplingSet
-from .errors import DegenerateBasis, InvalidDistribution, InvalidParams, NoConvergence, OutOfRange
+from .errors import DegenerateBasis, InvalidDistribution, InvalidParams, NoConvergence
 from .graphs import index_array
 
 _RANK_TOL = 1e-12
@@ -27,10 +27,7 @@ class ObjectiveKind(Enum):
 
 def singular_values_restriction(u_k: np.ndarray, nodes) -> np.ndarray:
     """Ascending singular values of the rows of u_k indexed by the node list."""
-    nodes = index_array(nodes, "node indices")
-    if np.any((nodes < 0) | (nodes >= len(u_k))):
-        raise OutOfRange(f"node indices must lie in [0, {len(u_k)})")
-    sub = u_k[nodes, :]
+    sub = u_k[index_array(nodes, "node indices", len(u_k)), :]
     return np.linalg.svd(sub, compute_uv=False)[::-1]
 
 

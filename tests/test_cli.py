@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from graphdpp import SamplingSet
+from graphdpp import (
+    Measurement,
+    SamplingSet,
+    eigendecompose,
+    fourier_basis_k,
+    laplacian,
+    recover_known_basis,
+)
 from graphdpp.cli import main
 from graphdpp.experiments import parse_result_csv
 from graphdpp.serialization import (
@@ -121,6 +128,21 @@ class TestRecoverCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "sampling set is empty" in err
         assert not rec.exists()
+
+    def test_known_basis_without_weights_matches_plain_solve(self, tmp_path):
+        # a weightless sampling file gets unit weights, and the weighted
+        # solve with unit weights is the plain one, bit for bit
+        g, s, y, rec = (tmp_path / n for n in ("g.mtx", "s.csv", "y.csv", "rec.csv"))
+        run("generate-graph", "--n", 40, "--c", 6, "--eps-frac", 0.2, "--seed", 3, "--out", g)
+        sampling = SamplingSet(nodes=np.array([3, 17, 29, 8]), method="t")
+        save_sampling(sampling, s)
+        save_signal(np.array([0.3, -1.2, 0.7, 2.5]), y)
+        run("recover", "--graph", g, "--sampling", s, "--measurement", y,
+            "--known-basis", "--k", 3, "--out", rec)
+        u_k = fourier_basis_k(eigendecompose(laplacian(load_graph(g))), 3)
+        meas = Measurement(y=load_signal(y), sampling=load_sampling(s))
+        assert meas.sampling.weights is None
+        np.testing.assert_array_equal(load_signal(rec), recover_known_basis(u_k, meas))
 
 
 class TestEstimatePi:

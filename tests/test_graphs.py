@@ -12,7 +12,7 @@ from graphdpp import (
     laplacian,
     sbm_generate,
 )
-from graphdpp.errors import InvalidParams
+from graphdpp.errors import InvalidParams, OutOfRange
 from graphdpp.graphs import _decode_triangular
 
 from conftest import assert_same_edges
@@ -37,7 +37,7 @@ class TestGraph:
             Graph(2, [(0, 1, 0.0)])
 
     def test_rejects_out_of_range_index(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(OutOfRange):
             Graph(2, [(0, 2, 1.0)])
 
     @pytest.mark.parametrize("endpoint", [1.5, np.nan])

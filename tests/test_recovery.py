@@ -34,6 +34,7 @@ from graphdpp.errors import (
     IllConditionedWarning,
     InvalidParams,
     MissingWeights,
+    OutOfRange,
     ShapeMismatch,
     SolverDiverged,
 )
@@ -97,7 +98,7 @@ class TestMeasure:
             measure(np.zeros(3), unit_weight_sampling([1, 2]), noise_sigma=bad)
 
     def test_node_outside_signal_rejected(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(OutOfRange):
             measure(np.zeros(3), unit_weight_sampling([1, 3]), 0.0, 0)
 
 
@@ -111,6 +112,22 @@ class TestRecoveryParams:
     def test_non_finite_tolerance_rejected(self, bad):
         with pytest.raises(InvalidParams):
             RecoveryParams(tolerance=bad)
+
+    def test_fractional_power_rejected(self):
+        # unchecked, it fails later as a raw TypeError in matrix_power or range()
+        with pytest.raises(InvalidParams):
+            RecoveryParams(r=2.5)
+
+    @pytest.mark.parametrize("bad", [1.5, 0, -3])
+    def test_bad_iteration_cap_rejected(self, bad):
+        # unchecked, 1.5 is a raw TypeError and 0 or -3 run no iteration
+        with pytest.raises(InvalidParams):
+            RecoveryParams(max_iter=bad)
+
+    def test_whole_float_counts_become_ints(self):
+        params = RecoveryParams(r=3.0, max_iter=7.0)
+        assert (params.r, params.max_iter) == (3, 7)
+        assert type(params.r) is int and type(params.max_iter) is int
 
 
 class TestKnownBasis:
