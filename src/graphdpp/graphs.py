@@ -11,10 +11,11 @@ from .errors import InvalidParams, OutOfRange
 
 
 def index_array(values, what: str, n=None) -> np.ndarray:
-    """values as int64 (integer input is not copied); others must be finite
-    whole numbers. With n, the size of what they index, each must lie in [0, n)."""
+    """values as int64 (integer input is not copied); floats must be finite whole
+    numbers, other dtypes fail. With n, the size of what they index, each must lie in [0, n)."""
     v = np.asarray(values)
-    if v.dtype.kind not in "biu" and not np.all(np.isfinite(v) & (v == np.floor(v))):
+    kind = v.dtype.kind
+    if kind not in "biuf" or kind == "f" and not np.all(np.isfinite(v) & (v == np.floor(v))):
         raise InvalidParams(f"{what} must be integers")
     v = v.astype(np.int64, copy=False)
     if n is not None and ((v < 0) | (v >= n)).any():
@@ -25,9 +26,10 @@ def index_array(values, what: str, n=None) -> np.ndarray:
 class Graph:
     """Immutable undirected weighted graph without self-loops.
 
-    Edges are stored once with i < j and strictly positive weight. Node
-    indices run over [0, n). An optional per-node community label array is
-    carried along for generated benchmark graphs.
+    Its one stored form is the symmetric CSR adjacency, built at
+    construction; edge weights are strictly positive and node indices run
+    over [0, n). An optional per-node community label array is carried
+    along for generated benchmark graphs.
     """
 
     def __init__(self, n, edges, communities=None):
@@ -53,46 +55,47 @@ class Graph:
         w = np.asarray(w, dtype=float)
         if i.ndim != 1 or not i.shape == j.shape == w.shape:
             raise InvalidParams("edge arrays must be one-dimensional and of equal length")
-        i, j = np.minimum(i, j), np.maximum(i, j)
         if np.any(i == j):
             raise InvalidParams("self-loops are not allowed")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise InvalidParams("edge weights must be strictly positive and finite")
-        keys = i * n + j
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        if np.any(keys[1:] == keys[:-1]):
+        half = sp.csr_matrix((w, (i, j)), shape=(n, n))
+        # scipy sums a repeated pair, in either orientation, into one entry
+        self._adj = half + half.T
+        if self._adj.nnz != 2 * len(w):
             raise InvalidParams("duplicate edges")
         self.n = n
-        self.edge_i = i[order]
-        self.edge_j = j[order]
-        self.edge_w = w[order]
         if communities is not None:
             communities = index_array(communities, "community labels")
             if communities.shape != (n,):
                 raise InvalidParams("communities must have one label per node")
         self.communities = communities
-        self._unit_weights = bool(np.all(self.edge_w == 1.0))
-        self._adj = self._degrees = None
+        self._unit_weights = bool(np.all(w == 1.0))
+        self._degrees = None
 
     @property
     def num_edges(self):
-        return len(self.edge_w)
+        return self._adj.nnz // 2
 
     def adjacency(self) -> sp.csr_matrix:
-        """Symmetric sparse adjacency matrix (cached)."""
-        if self._adj is None:
-            rows = np.concatenate([self.edge_i, self.edge_j])
-            cols = np.concatenate([self.edge_j, self.edge_i])
-            data = np.concatenate([self.edge_w, self.edge_w])
-            self._adj = sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        """Symmetric sparse adjacency matrix."""
         return self._adj
 
+    def edges(self):
+        """Edge arrays (i, j, w) with i < j in (i, j) order; int64 endpoints."""
+        rows = np.repeat(np.arange(self.n), np.diff(self._adj.indptr))
+        upper = rows < self._adj.indices
+        return rows[upper], self._adj.indices[upper].astype(np.int64), self._adj.data[upper]
+
     def degrees(self) -> np.ndarray:
-        """Weighted degree of every node (cached, read-only)."""
+        """Weighted degree of every node (cached, read-only); InvalidParams if one overflows."""
         if self._degrees is None:
-            self._degrees = np.asarray(self.adjacency().sum(axis=1)).ravel()
-            self._degrees.flags.writeable = False
+            with np.errstate(over="ignore"):
+                degrees = np.asarray(self._adj.sum(axis=1)).ravel()
+            if not np.isfinite(degrees).all():
+                raise InvalidParams("weighted degrees must be finite")
+            degrees.flags.writeable = False
+            self._degrees = degrees
         return self._degrees
 
     def has_unit_weights(self) -> bool:
@@ -149,13 +152,13 @@ def component_labels(g: Graph) -> np.ndarray:
     """Component label of every node: the smallest node index in its component.
 
     Min-label hooking with pointer jumping (Shiloach-Vishkin) over the
-    edge arrays: each round hooks every root to the smallest root across
+    CSR entries: each round hooks every root to the smallest root across
     its edges, then flattens the trees, until nothing moves. Kept in numpy
     because importing scipy.sparse.csgraph also loads scipy.sparse.linalg,
     which costs the process about 11 MB and 0.2 s of import time.
     """
-    u = np.concatenate([g.edge_i, g.edge_j])
-    v = np.concatenate([g.edge_j, g.edge_i])
+    adj = g.adjacency()
+    u, v = np.repeat(np.arange(g.n), np.diff(adj.indptr)), adj.indices
     parent = np.arange(g.n)
     while True:
         hooked = parent.copy()

@@ -90,11 +90,7 @@ def _read_by_node(path, column, kind, n=None) -> np.ndarray:
 def save_graph(g: Graph, path, labels_path=None) -> None:
     """Write the adjacency in symmetric coordinate Matrix Market format,
     with community labels in an optional sidecar CSV."""
-    adj = sp.coo_matrix(
-        (g.edge_w, (g.edge_i, g.edge_j)), shape=(g.n, g.n)
-    )
-    adj = adj + adj.T
-    scipy.io.mmwrite(str(path), adj, symmetry="symmetric", precision=17)
+    scipy.io.mmwrite(str(path), g.adjacency(), symmetry="symmetric", precision=17)
     if labels_path is not None:
         if g.communities is None:
             raise ParseError("graph carries no community labels to write")

@@ -11,8 +11,8 @@ from graphdpp import Graph
 def assert_same_edges(a, b):
     """The two graphs hold the same canonical edge arrays."""
     assert a.n == b.n
-    for name in ("edge_i", "edge_j", "edge_w"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for x, y in zip(a.edges(), b.edges()):
+        np.testing.assert_array_equal(x, y)
 
 
 @pytest.fixture

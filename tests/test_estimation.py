@@ -114,9 +114,10 @@ class TestSketch:
 def _weighted_with_isolated_node(n, seed):
     """Weighted SBM whose node 0 has no edges."""
     g = sbm_generate(SbmParams(n=n, k_comm=2, c=8.0, eps=0.2), seed)
-    keep = (g.edge_i != 0) & (g.edge_j != 0)
+    i, j, _ = g.edges()
+    keep = (i != 0) & (j != 0)
     w = np.random.default_rng(seed).uniform(0.1, 3.0, keep.sum())
-    return Graph.from_arrays(n, g.edge_i[keep], g.edge_j[keep], w)
+    return Graph.from_arrays(n, i[keep], j[keep], w)
 
 
 class TestSketchPanels:

@@ -1,5 +1,7 @@
 """Graph construction, SBM generation and Laplacian basics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,8 @@ from graphdpp import (
     critical_epsilon,
     laplacian,
     sbm_generate,
+    tune_q,
+    wilson_sample,
 )
 from graphdpp.errors import InvalidParams, OutOfRange
 from graphdpp.graphs import _decode_triangular
@@ -21,9 +25,11 @@ from conftest import assert_same_edges
 class TestGraph:
     def test_edges_normalized_and_symmetric(self):
         g = Graph(3, [(2, 0, 1.5), (1, 2, 0.5)])
-        assert g.edge_i.tolist() == [0, 1]
-        assert g.edge_j.tolist() == [2, 2]
-        assert g.edge_w.tolist() == [1.5, 0.5]
+        i, j, w = g.edges()
+        assert i.tolist() == [0, 1]
+        assert j.tolist() == [2, 2]
+        assert w.tolist() == [1.5, 0.5]
+        assert (i.dtype, j.dtype, w.dtype) == (np.int64, np.int64, np.float64)
         a = g.adjacency().toarray()
         np.testing.assert_array_equal(a, a.T)
         assert a[0, 2] == 1.5
@@ -61,12 +67,28 @@ class TestGraph:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(InvalidParams):
             Graph(3, [(0, 1, 1.0), (1, 0, 2.0)])
+        with pytest.raises(InvalidParams):
+            Graph(3, [(0, 1, 1.0), (0, 1, 2.0)])
+        with pytest.raises(InvalidParams):
+            Graph.from_arrays(3, [0, 0], [1, 1], [1.0, 2.0])
 
 
 class TestDegreesAndLaplacian:
     def test_single_weighted_edge(self):
         g = Graph(2, [(0, 1, 2.5)])
         np.testing.assert_allclose(g.degrees(), [2.5, 2.5])
+
+    @pytest.mark.parametrize(
+        "consumer",
+        [laplacian, lambda g: wilson_sample(g, 0.5), lambda g: tune_q(g, 1)],
+        ids=["laplacian", "wilson_sample", "tune_q"],
+    )
+    def test_overflowing_degree_rejected(self, consumer):
+        # finite weights whose degree sum is inf: eigendecompose returned NaN
+        # eigenvalues and the walk raised a raw ZeroDivisionError
+        g = Graph(3, [(0, 1, 1e308), (0, 2, 1e308)])
+        with pytest.raises(InvalidParams):
+            consumer(g)
 
     def test_isolated_node_degree_zero(self):
         g = Graph(3, [(0, 1, 1.0)])
@@ -169,7 +191,8 @@ class TestSbmGenerate:
     def test_eps_zero_has_no_inter_edges(self):
         g = sbm_generate(SbmParams(n=40, k_comm=2, c=5.0, eps=0.0), 1)
         comm = g.communities
-        assert np.all(comm[g.edge_i] == comm[g.edge_j])
+        i, j, _ = g.edges()
+        assert np.all(comm[i] == comm[j])
 
     @pytest.mark.parametrize("eps", [1e-19, 1e-300, 5e-324])
     def test_vanishing_eps_terminates(self, eps):
@@ -177,7 +200,8 @@ class TestSbmGenerate:
         # negative, giving negative endpoints or a loop that never ended
         g = sbm_generate(SbmParams(n=40, k_comm=2, c=5.0, eps=eps), 1)
         comm = g.communities
-        assert np.all(comm[g.edge_i] == comm[g.edge_j])
+        i, j, _ = g.edges()
+        assert np.all(comm[i] == comm[j])
 
     def test_deterministic_under_seed(self):
         p = SbmParams(n=50, k_comm=2, c=6.0, eps=0.3)
@@ -235,7 +259,7 @@ def test_edge_order_and_orientation_do_not_matter(graph, data):
     swapped = [(j, i, w) if flip else (i, j, w) for (i, j, w), flip in zip(shuffled, flips)]
     a, b = Graph(n, edges), Graph(n, swapped)
     assert_same_edges(b, a)
-    assert list(zip(b.edge_i.tolist(), b.edge_j.tolist(), b.edge_w.tolist())) == sorted(edges)
+    assert list(zip(*(x.tolist() for x in b.edges()))) == sorted(edges)
 
 
 @settings(max_examples=200, deadline=None)
@@ -279,3 +303,20 @@ def test_decode_triangular_inverts_row_major_pair_index(s):
     i, j = _decode_triangular(t, s)
     np.testing.assert_array_equal(i, rows)
     np.testing.assert_array_equal(j, cols)
+
+
+def test_graph_retains_only_the_adjacency():
+    # the CSR adjacency is a graph's one stored form: once generated and
+    # given its Laplacian, a graph holds the two CSR matrices and a few
+    # n-vectors (degrees, community labels), with no edge lists beside them
+    laplacian(sbm_generate(SbmParams(n=100, k_comm=2, c=4.0, eps=0.12), 0))
+    tracemalloc.start()
+    try:
+        g = sbm_generate(SbmParams(n=20_000, k_comm=2, c=16.0, eps=0.12), 0)
+        lap = laplacian(g)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrices = (g.adjacency(), lap.matrix)
+    csr_bytes = sum(a.nbytes for m in matrices for a in (m.data, m.indices, m.indptr))
+    assert retained <= 1.1 * csr_bytes + 32 * g.n

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from graphdpp import (
     Graph,
     Measurement,
+    RecoveryParams,
     SamplingSet,
     SbmParams,
     dpp_weight_matrix,
@@ -107,3 +108,14 @@ def test_checked_reads_equal_plain_fancy_indexing(nodes):
     pi = WALK_KERNEL.diagonal()
     np.testing.assert_array_equal(dpp_weight_matrix(WALK_KERNEL, nodes), pi[idx])
     np.testing.assert_array_equal(floor_zero_probabilities(pi, nodes), pi[idx])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: RecoveryParams(r="4"), lambda: Graph("3", []), lambda: SamplingSet(nodes=["a"])],
+    ids=["RecoveryParams", "Graph", "SamplingSet"],
+)
+def test_non_numeric_index_rejected(build):
+    # np.isfinite is undefined on strings; the gate raised a raw TypeError
+    with pytest.raises(InvalidParams):
+        build()

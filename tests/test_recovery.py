@@ -457,7 +457,7 @@ def test_preconditioned_cg_on_degenerate_graphs(problem):
     # the preconditioner's diagonal
     graph, nodes, weights, y, gamma, r = problem
     n = graph.n + 1
-    graph = Graph.from_arrays(n, graph.edge_i, graph.edge_j, graph.edge_w)
+    graph = Graph.from_arrays(n, *graph.edges())
     s = SamplingSet(nodes=nodes, weights=weights, method="t")
     params = RecoveryParams(gamma=gamma, r=r)
 

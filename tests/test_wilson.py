@@ -136,7 +136,7 @@ class TestWalkArrays:
         # the golden chain pins unit-weight draws only; this pins the bisection path
         g = sbm_generate(SbmParams(n=30, k_comm=2, c=6.0, eps=0.3), 12)
         w = np.random.default_rng(12).uniform(0.1, 5.0, g.num_edges)
-        g = Graph.from_arrays(g.n, g.edge_i, g.edge_j, w)
+        g = Graph.from_arrays(g.n, *g.edges()[:2], w)
         h = hashlib.sha256()
         for q in (0.05, 0.7):
             for seed in range(20):
@@ -226,7 +226,8 @@ class TestMatchesKernel:
 
         def scanned(scan):
             label = np.argsort(scan)  # new index of each node
-            edges = zip(label[g.edge_i].tolist(), label[g.edge_j].tolist(), g.edge_w)
+            i, j, w = g.edges()
+            edges = zip(label[i].tolist(), label[j].tolist(), w)
             return Graph(20, list(edges)), np.asarray(scan)
 
         reversed_scan = scanned(range(19, -1, -1))
