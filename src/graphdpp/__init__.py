@@ -56,7 +56,7 @@ from .spectral import (
     generate_bandlimited_signal,
     largest_eigenvalue_estimate,
 )
-from .wilson import expected_sample_size, tune_q, wilson_sample
+from .wilson import exact_q, expected_sample_size, tune_q, wilson_sample
 
 __version__ = "0.1.0"
 
@@ -87,6 +87,7 @@ __all__ = [
     "dpp_weight_matrix",
     "wilson_sample",
     "expected_sample_size",
+    "exact_q",
     "tune_q",
     "fit_sqrt_filter",
     "estimate_pi",

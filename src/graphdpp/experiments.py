@@ -19,7 +19,7 @@ from .recovery import RecoveryParams, measure, recover_known_basis_weighted, \
 from .selection import greedy_select, iid_leverage_sample, maxvol_select
 from .serialization import read_csv, write_csv
 from .spectral import eigendecompose, fourier_basis_k, generate_bandlimited_signal
-from .wilson import tune_q, wilson_sample
+from .wilson import exact_q, wilson_sample
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +36,8 @@ _SAMPLER_ID = {
     "wilson": 6,
     "iid": 7,
 }
+# _TAG_TUNE is no longer drawn (q is solved from the spectrum); the tags keep
+# their numbers so the other streams do not move
 _TAG_GRAPH, _TAG_SIGNAL, _TAG_DRAW, _TAG_NOISE, _TAG_TUNE, _TAG_WEIGHTS = range(6)
 
 RESULT_HEADER = ["sweep_value", "sampler", "mean_error", "p10", "p90", "mean_samples", "trials"]
@@ -48,7 +50,9 @@ def stream(master: int, *path: int) -> np.random.Generator:
 
 @dataclass
 class ExperimentConfig:
-    """Flat experiment description, parseable from `key = value` text."""
+    """Flat experiment description, parseable from `key = value` text.
+    The expected walk-sample size is `target_m` (0: the bandlimit) in the
+    gamma sweep and the grid value in the m sweep; it fixes q exactly."""
 
     n: int = 100
     k_comm: int = 2
@@ -65,8 +69,6 @@ class ExperimentConfig:
     signals_per_graph: int = 50
     target_m: int = 0
     estimated_weights: bool = False
-    tune_runs: int = 64
-    tune_tol: float = 0.15
     seed: int = 0
 
     def __post_init__(self):
@@ -243,9 +245,11 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
     """Sweep over the sample-size target m or over the penalty gamma,
     comparing walk-based determinantal draws against matched i.i.d. draws.
 
-    Each walk draw is paired with an i.i.d. draw of exactly the same size,
-    and for the gamma sweep the same draws and measurements are reused at
-    every grid value, so curves differ only in what is being swept.
+    Each graph's absorption rate q solves s(q) = target exactly from the
+    eigenvalues of its Fourier basis (exact_q). Each walk draw is paired
+    with an i.i.d. draw of exactly the same size, and for the gamma sweep
+    the same draws and measurements are reused at every grid value, so
+    curves differ only in what is being swept.
     """
     if cfg.sweep not in ("m", "gamma"):
         raise InvalidParams("unknown-basis experiment sweeps m or gamma")
@@ -278,13 +282,7 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
             basis = eigendecompose(lap)
             _check_bandlimit_gap(basis, k, graph.n)
             u_k = fourier_basis_k(basis, k)
-            q = tune_q(
-                graph,
-                target,
-                stream(cfg.seed, point, g_idx, _TAG_TUNE),
-                runs_per_probe=cfg.tune_runs,
-                tol=cfg.tune_tol,
-            )
+            q = exact_q(graph, basis, target)
             kernel = wilson_kernel_explicit(basis, q)
             if cfg.estimated_weights:
                 wrng = stream(cfg.seed, point, g_idx, _TAG_WEIGHTS)

@@ -50,8 +50,9 @@ class Measurement:
 @dataclass
 class RecoveryParams:
     """Regularized-recovery knobs: penalty strength, Laplacian power,
-    relative residual tolerance (binds the direct solve and conjugate
-    gradient alike) and the conjugate-gradient iteration cap (default 10 n)."""
+    relative residual tolerance (binds the direct solve, up to its
+    round-off, and conjugate gradient alike) and the conjugate-gradient
+    iteration cap (default 10 n)."""
 
     gamma: float = 1e-5
     r: int = 4
@@ -125,13 +126,17 @@ def recover_known_basis_weighted(u_k: np.ndarray, meas: Measurement) -> np.ndarr
 
 def _kernel_form(lap: LaplacianView, r: int):
     """(L^r)^+ and N, the normalized indicators of the c0 components, which
-    span the kernel of L^r. That kernel is the first c0 eigenpairs, so the
-    pseudo-inverse sums the rest and needs no eigenvalue threshold."""
+    span the kernel of L^r, with n eps |L^r| and |(L^r)^+|. That kernel is
+    the first c0 eigenpairs, so the pseudo-inverse sums the rest and needs
+    no eigenvalue threshold."""
     basis = eigendecompose(lap)
     _, comp, sizes = np.unique(component_labels(lap.graph), return_inverse=True, return_counts=True)
     null = np.eye(len(sizes))[comp] / np.sqrt(sizes[comp])[:, None]
     tail = basis.vectors[:, len(sizes) :]
-    return (tail / basis.eigenvalues[len(sizes) :] ** r) @ tail.T, null
+    tail_r = basis.eigenvalues[len(sizes) :] ** r
+    pinv_norm = 1.0 / tail_r[0] if len(tail_r) else 0.0
+    round_off = lap.n * np.finfo(float).eps * basis.eigenvalues[-1] ** r
+    return (tail / tail_r) @ tail.T, null, round_off, pinv_norm
 
 
 def recover_unknown_basis(
@@ -146,17 +151,18 @@ def recover_unknown_basis(
     sampled nodes (merging repeats keeps a bounded as gamma -> 0), with
     G = (L^r)^+ and N the normalized component indicators cached on the
     view, and return z = G[:, S] a + N c when its residual is within
-    tolerance * |b|. Larger graphs, and small ones that fail (a component
-    without samples makes the system singular), go to Jacobi-preconditioned
-    conjugate gradient. The fall-through also serves tight tolerances: at
-    gamma = 1e8, r = 2 and tolerance 1e-12 on an 80-node SBM the bordered
-    answer's relative residual is about 1.6e-6, and conjugate gradient
-    meets the tolerance. It applies the Laplacian r times per iteration
-    and never materializes L^r. Its diagonal is gamma d^r + the sampled
-    diagonal, d the degrees (a zero entry counts as 1). The tolerance binds
-    the unpreconditioned residual on both paths; max_iter caps conjugate
-    gradient, which raises SolverDiverged when its residual does not reach
-    the tolerance within the cap.
+    tolerance * |b| plus the round-off an accurate z carries,
+    n eps gamma |L^r| (|z| + |G| |a|). That slack matters when gamma L^r
+    is large or G is ill-conditioned: on a 154-node SBM of two barely
+    linked blocks (gamma = 1, r = 4) the residual was 63 times the 1e-8
+    tolerance for a z within 4e-10 of an extended-precision solve. Larger
+    graphs, and small ones that fail (a component without samples makes
+    the system singular), go to Jacobi-preconditioned conjugate gradient.
+    It applies the Laplacian r times per iteration and never materializes
+    L^r. Its diagonal is gamma d^r + the sampled diagonal, d the degrees
+    (a zero entry counts as 1). Its stopping rule reads the recursively
+    updated residual; max_iter caps it, and it raises SolverDiverged when
+    that residual does not reach the tolerance within the cap.
     """
     params = params or RecoveryParams()
     w = meas.sampling.weights
@@ -175,7 +181,9 @@ def recover_unknown_basis(
 
     if n <= _DIRECT_MAX_N:
         try:
-            pinv, null = lap.cached(("kernel", r), lambda: _kernel_form(lap, r))
+            pinv, null, round_off, pinv_norm = lap.cached(
+                ("kernel", r), lambda: _kernel_form(lap, r)
+            )
             s = np.flatnonzero(sampled)
             m, c0 = len(s), null.shape[1]
             border = np.zeros((m + c0, m + c0))
@@ -188,7 +196,11 @@ def recover_unknown_basis(
         else:
             x = pinv[:, s] @ sol[:m] + null @ sol[m:]
             power = lap.cached(("power", r), lambda: np.linalg.matrix_power(lap.dense(), r))
-            if np.linalg.norm(gamma * (power @ x) + sampled * x - b) <= target:
+            # round-off an accurate x still shows in its residual: evaluating
+            # gamma L^r x, and forming x through G = (L^r)^+, whose error of
+            # about eps |G| |a| lies in every direction, gamma L^r included
+            slack = gamma * round_off * (np.linalg.norm(x) + pinv_norm * np.linalg.norm(sol[:m]))
+            if np.linalg.norm(gamma * (power @ x) + sampled * x - b) <= target + slack:
                 return x
 
     def operator(z):

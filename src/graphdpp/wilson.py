@@ -1,14 +1,16 @@
 """Absorbing loop-erased random walks: determinantal node sampling without
-any spectral computation, and the empirical tuning of the absorption rate."""
+any spectral computation, the empirical tuning of the absorption rate, and
+its exact solution where the spectrum is already in hand."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import numpy as np
 
 from .dpp import SamplingSet, wilson_kernel_explicit
-from .errors import InvalidParams, NoConvergence, WatchdogExceeded
+from .errors import InvalidParams, NoConvergence, ShapeMismatch, WatchdogExceeded
 from .graphs import Graph, component_labels
 from .spectral import SpectralBasis
 
@@ -109,6 +111,48 @@ def wilson_sample(g: Graph, q: float, rng=None) -> SamplingSet:
 def expected_sample_size(basis: SpectralBasis, q: float) -> float:
     """Exact expected output size, the trace of the rate-q walk kernel (desk-scale oracle)."""
     return float(np.sum(wilson_kernel_explicit(basis, q).eigenvalues))
+
+
+def exact_q(g: Graph, basis: SpectralBasis, target_k: float) -> float:
+    """Absorption rate whose expected sample size s(q) = sum q / (q + lambda_i)
+    over the basis eigenvalues (expected_sample_size) is target_k within
+    1e-9 target_k. The search is tune_q's, on exact sizes: start at target_k
+    times the mean degree (the mean eigenvalue) over n, double or halve q
+    until the target is bracketed, then bisect on log q. s rises from the
+    component count to n, both met in the limit (an edgeless graph has
+    s = n at every q); a target below the component count raises
+    NoConvergence, as in tune_q.
+    """
+    if not 1 <= target_k <= g.n:
+        raise InvalidParams(f"target_k must lie in [1, {g.n}]")
+    if basis.n != g.n:
+        raise ShapeMismatch(f"basis has {basis.n} eigenvalues for a graph of {g.n} nodes")
+    components = int(np.count_nonzero(component_labels(g) == np.arange(g.n)))
+    if target_k < components:
+        raise NoConvergence(f"mean size {target_k} is below the {components} connected components")
+    lam = basis.eigenvalues
+    band = 1e-9 * target_k
+    x = math.log(target_k * float(lam.mean()) / g.n or 1.0)  # log q
+    lo = hi = None
+    # exp stays finite and nonzero on the range
+    while -700.0 < x < 700.0:
+        q = math.exp(x)
+        gap = float(np.sum(q / (q + lam))) - target_k
+        if abs(gap) <= band:
+            return q
+        if gap < 0:
+            lo = x
+        else:
+            hi = x
+        if hi is None:
+            x += math.log(2.0)
+        elif lo is None:
+            x -= math.log(2.0)
+        else:
+            x = 0.5 * (lo + hi)
+            if x in (lo, hi):
+                break
+    raise NoConvergence(f"no q reached mean size {target_k} +/- {band:.3g}")
 
 
 def tune_q(

@@ -180,7 +180,7 @@ class TestExperimentCommand:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
             "sweep = m\ngrid = 2\nn = 60\nc = 8\neps_frac = 0.2\n"
-            "graphs_per_point = 1\nsignals_per_graph = 2\ntune_runs = 16\nseed = 2\n"
+            "graphs_per_point = 1\nsignals_per_graph = 2\nseed = 2\n"
         )
         out = tmp_path / "out.csv"
         run("experiment", "fig1c", "--config", cfg, "--out", out)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphdpp import experiments as experiments_module
+from graphdpp import wilson as wilson_module
 from graphdpp.errors import InvalidParams, ParseError
 from graphdpp.experiments import (
     ExperimentConfig,
@@ -56,6 +58,15 @@ class TestConfig:
         path = tmp_path / "cfg.txt"
         path.write_text("# a comment\n\nseed = 5  # trailing\n")
         assert parse_config(path).seed == 5
+
+    @pytest.mark.parametrize("key", ["tune_runs", "tune_tol"])
+    def test_retired_tuning_keys_named_in_error(self, tmp_path, key):
+        # q is solved from the spectrum, so a config that still sets the
+        # walk tuner's probe count or band fails instead of being ignored
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"sweep = m\n{key} = 16\n")
+        with pytest.raises(ParseError, match=key):
+            parse_config(path)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidParams):
@@ -142,7 +153,7 @@ def tiny_known_cfg(**over):
 def tiny_unknown_cfg(**over):
     base = dict(
         n=60, c=8.0, bandlimit=2, sweep="m", grid=(2.0,), eps_frac=0.2,
-        graphs_per_point=2, signals_per_graph=3, tune_runs=32, seed=2,
+        graphs_per_point=2, signals_per_graph=3, seed=2,
     )
     base.update(over)
     return ExperimentConfig(**base)
@@ -204,6 +215,30 @@ class TestUnknownBasisExperiment:
         t1 = run_experiment_unknown_basis(cfg)
         t2 = run_experiment_unknown_basis(cfg)
         assert t1 == t2
+
+    @pytest.mark.parametrize("sweep,grid", [("gamma", (1e-5, 1e1)), ("m", (2.0, 3.0))])
+    def test_sweeps_never_tune_by_walks(self, monkeypatch, sweep, grid):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tune_q ran in a sweep")
+
+        monkeypatch.setattr(wilson_module, "tune_q", refuse)
+        monkeypatch.setattr(experiments_module, "tune_q", refuse, raising=False)
+        cfg = tiny_unknown_cfg(sweep=sweep, grid=grid, graphs_per_point=1, signals_per_graph=2)
+        assert len(run_experiment_unknown_basis(cfg)) == 4
+
+    def test_walk_sizes_average_to_the_target(self):
+        # q is exact for each graph, so every draw has mean size m; a DPP
+        # size has variance at most its mean, so the mean of 200 draws lies
+        # within 4 standard errors sqrt(m / 200) of m. At this seed a q tuned
+        # by walk probes (+/- 15% band) put the m = 6 mean at 6.875
+        cfg = tiny_unknown_cfg(
+            grid=(2.0, 6.0), graphs_per_point=4, signals_per_graph=50, seed=3
+        )
+        rows = [r for r in run_experiment_unknown_basis(cfg) if r.sampler == "wilson"]
+        assert len(rows) == 2
+        for row in rows:
+            assert row.trials == 200
+            assert abs(row.mean_samples - row.sweep_value) <= 4 * np.sqrt(row.sweep_value / 200)
 
 
 class TestDegenerateCutoff:

@@ -15,18 +15,17 @@ FIG1A_CONFIG = (
 )
 FIG1B_CONFIG = (
     "sweep = gamma\ngrid = 1e-5,1e-1\nn = 40\nc = 6\nbandlimit = 2\ntarget_m = 4\n"
-    "estimated_weights = true\ngraphs_per_point = 1\nsignals_per_graph = 2\n"
-    "tune_runs = 16\nseed = 2\n"
+    "estimated_weights = true\ngraphs_per_point = 1\nsignals_per_graph = 2\nseed = 2\n"
 )
 FIG1C_CONFIG = (
     "sweep = m\ngrid = 3,5\nn = 40\nc = 6\nbandlimit = 2\n"
-    "graphs_per_point = 1\nsignals_per_graph = 2\ntune_runs = 16\nseed = 3\n"
+    "graphs_per_point = 1\nsignals_per_graph = 2\nseed = 3\n"
 )
 
 GOLDEN = {
     "fig1a.csv": "78b3fa77b17a841447f936a03eb9a01ab9bc300b4d7a8a9240c5bcf59b5e4b90",
-    "fig1b.csv": "23b641ba393949a26379de22d14832d15bdcb9ac5d98943c65fd0349c8993b22",
-    "fig1c.csv": "a942e31c7ef24ae09dd8e7d8029e7a5684321bfc46b5d8a86e95c8001de55b6e",
+    "fig1b.csv": "8868c6269f17f5349061790cd9380799ba83f4a76d15669f0ba3cd3c32f69006",
+    "fig1c.csv": "899b4a48e17d4d7368186387b92ccbf261232b20625315886679116fa33184f3",
     "g.mtx": "8e26abbcf3b55248581922948e2f6236325718b624a1a826153b53d4adacbb52",
     "labels.csv": "218ea8d6ba0c2d3ccd92c2d12afc7b287e4ba5e629f0e9e77d51072d36a1da4a",
     "pi.csv": "750b73f5d63568f52b78c9915fbe8322d63683b66d152cc38bab8487ca3cab17",

@@ -14,6 +14,7 @@ from graphdpp import (
     Graph,
     SbmParams,
     eigendecompose,
+    exact_q,
     expected_sample_size,
     laplacian,
     sbm_generate,
@@ -22,7 +23,7 @@ from graphdpp import (
     wilson_sample,
 )
 from graphdpp import wilson as wilson_module
-from graphdpp.errors import InvalidParams, NoConvergence, WatchdogExceeded
+from graphdpp.errors import InvalidParams, NoConvergence, ShapeMismatch, WatchdogExceeded
 from graphdpp.graphs import component_labels
 from graphdpp.wilson import _running_sums
 
@@ -331,6 +332,61 @@ class TestTuneQ:
         # each label is the smallest node index in its component
         np.testing.assert_array_equal(labels[labels], labels)
         assert np.all(labels <= np.arange(n))
+
+
+def _basis(g):
+    return eigendecompose(laplacian(g))
+
+
+def _components(g):
+    return int(np.count_nonzero(component_labels(g) == np.arange(g.n)))
+
+
+class TestExactQ:
+    def test_k2_hand_value(self, k2):
+        # s(q) = 1 + q / (q + 2) = 1.5 at q = 2
+        assert exact_q(k2, _basis(k2), 1.5) == pytest.approx(2.0, rel=1e-7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=walk_graphs(), a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
+    def test_meets_the_oracle_and_rises_with_the_target(self, g, a, b):
+        basis = _basis(g)
+        c = _components(g)
+        lo, hi = sorted((c + a * (g.n - c), c + b * (g.n - c)))
+        q_lo = exact_q(g, basis, lo)
+        assert abs(expected_sample_size(basis, q_lo) - lo) <= 1e-9 * lo
+        if hi - lo > 1e-6 * hi:
+            q_hi = exact_q(g, basis, hi)
+            assert abs(expected_sample_size(basis, q_hi) - hi) <= 1e-9 * hi
+            assert q_hi > q_lo
+
+    @settings(max_examples=100, deadline=None)
+    @given(walk_graphs())
+    def test_component_count_and_n_are_met(self, g):
+        basis = _basis(g)
+        for target in (_components(g), g.n):
+            q = exact_q(g, basis, target)
+            assert 0 < q < np.inf
+            assert abs(expected_sample_size(basis, q) - target) <= 1e-9 * target
+
+    def test_edgeless_graph_has_size_n_at_every_q(self, edgeless5):
+        basis = _basis(edgeless5)
+        assert expected_sample_size(basis, exact_q(edgeless5, basis, 5)) == 5.0
+        with pytest.raises(NoConvergence, match="5 connected components"):
+            exact_q(edgeless5, basis, 4.5)
+
+    def test_target_below_components_raises(self, two_k2):
+        with pytest.raises(NoConvergence, match="2 connected components"):
+            exact_q(two_k2, _basis(two_k2), 1.5)
+
+    @pytest.mark.parametrize("target", [0.5, 0.0, 4.5, np.nan])
+    def test_target_outside_range_raises(self, two_k2, target):
+        with pytest.raises(InvalidParams, match="target_k"):
+            exact_q(two_k2, _basis(two_k2), target)
+
+    def test_basis_of_another_graph_rejected(self, k2, p3):
+        with pytest.raises(ShapeMismatch):
+            exact_q(p3, _basis(k2), 2)
 
 
 def reference_tune_q(
