@@ -7,7 +7,10 @@ these estimators usable where a dense eigendecomposition is not.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,22 +126,70 @@ def default_sketch_width(n_nodes: int) -> int:
     return int(20 * np.ceil(np.log(max(n_nodes, 2))))
 
 
+def _run_all(task, items) -> None:
+    """task(item) for every item of a sequence, on up to one thread per CPU
+    in the process's affinity mask (all CPUs where the OS has no mask).
+
+    The calling thread takes items too, so it starts at most
+    min(CPUs, len(items)) - 1 helpers, none at all for a single item or
+    CPU, and joins them before it returns. A task that raises stops the
+    others from taking more, and its exception reaches the caller.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    helpers = min(cpus, len(items)) - 1
+    todo, lock, failed = iter(items), threading.Lock(), threading.Event()
+
+    def drain():
+        while not failed.is_set():
+            with lock:
+                item = next(todo, None)
+            if item is None:
+                return
+            try:
+                task(item)
+            except BaseException:
+                failed.set()
+                raise
+
+    # the pool starts a thread per submitted drain only: none when helpers is 0
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+    for future in futures:
+        future.result()
+
+
 def _sketched_diagonal(lap, f, d, n, rng, lmax):
     """Estimated diagonal of f(L): squared row norms of a width-n Gaussian
     sketch filtered by the degree-d fit of sqrt(f) on [0, lmax].
 
     The whole sketch is drawn first, so the values do not depend on the
     panel width; it is then filtered in contiguous panels of about
-    _PANEL_ENTRIES entries, which keeps the Clenshaw blocks cache-sized
-    and their memory a few panels rather than a few sketches.
+    _PANEL_ENTRIES entries, which keeps the Clenshaw blocks cache-sized.
+    The panels are independent, so they are filtered concurrently on the
+    CPUs the process may run on (the sparse products and the in-place
+    updates release the interpreter lock), and memory beyond the sketch
+    is a few panels per worker. A filtered panel's row norms overwrite its
+    first sketch column, which nothing reads any more, and are added up in
+    panel order: the result is the same, bit for bit, whatever the number
+    of workers.
     """
     filt = fit_sqrt_filter(f, d, lmax)
     sketch = gaussian_sketch(lap.n, n, rng)
     step = max(8, _PANEL_ENTRIES // lap.n)
-    out = np.zeros(lap.n)
-    for j in range(0, n, step):
+
+    def filter_panel(j):
         panel = filt.apply(lap, np.ascontiguousarray(sketch[:, j : j + step]))
-        out += np.einsum("ij,ij->i", panel, panel)
+        sketch[:, j] = np.einsum("ij,ij->i", panel, panel)
+
+    starts = range(0, n, step)
+    _run_all(filter_panel, starts)
+    out = np.zeros(lap.n)
+    for j in starts:
+        out += sketch[:, j]
     return out
 
 
@@ -156,8 +207,9 @@ def estimate_pi(
     squared row norms. Estimates are nonnegative by construction and
     concentrate around the true values at sketch widths of order log n.
     The cost is d sparse products per sketch column; the sketch is
-    filtered in cache-sized column panels, so beyond the sketch itself
-    the memory is a few panels.
+    filtered in cache-sized column panels, spread over the CPUs the
+    process may run on, so beyond the sketch itself the memory is a few
+    panels per worker.
     """
     if not 0 < q < np.inf:
         raise InvalidParams("q must be positive and finite")

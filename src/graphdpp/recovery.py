@@ -160,9 +160,12 @@ def recover_unknown_basis(
     the system singular), go to Jacobi-preconditioned conjugate gradient.
     It applies the Laplacian r times per iteration and never materializes
     L^r. Its diagonal is gamma d^r + the sampled diagonal, d the degrees
-    (a zero entry counts as 1). Its stopping rule reads the recursively
-    updated residual; max_iter caps it, and it raises SolverDiverged when
-    that residual does not reach the tolerance within the cap.
+    (a zero entry counts as 1). It returns only on the true residual: once
+    the recursively updated residual passes the tolerance, b - Mz is
+    recomputed (r more Laplacian applies), and if that is still above the
+    tolerance CG restarts from it (residual replacement). max_iter caps the
+    iterations of all passes together, and it raises SolverDiverged when
+    the tolerance is not reached within the cap.
     """
     params = params or RecoveryParams()
     w = meas.sampling.weights
@@ -217,28 +220,32 @@ def recover_unknown_basis(
 
     x = np.zeros(n)
     res = b.copy()
-    p = z = inv_diag * res
-    rz = float(res @ z)
-    for _ in range(max_iter):
+    done = 0
+    while True:
+        # (re)start from res, after the first pass the true residual b - Mx
+        p = z = inv_diag * res
+        rz = float(res @ z)
+        while np.linalg.norm(res) > target and done < max_iter:
+            ap = operator(p)
+            p_ap = float(p @ ap)
+            if p_ap <= 0.0:
+                raise SolverDiverged("conjugate gradient broke down on a non-positive curvature")
+            alpha = rz / p_ap
+            x += alpha * p
+            res -= alpha * ap
+            z = inv_diag * res
+            rz_new = float(res @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+            done += 1
+        res = b - operator(x)
         if np.linalg.norm(res) <= target:
             return x
-        ap = operator(p)
-        p_ap = float(p @ ap)
-        if p_ap <= 0.0:
-            raise SolverDiverged("conjugate gradient broke down on a non-positive curvature")
-        alpha = rz / p_ap
-        x += alpha * p
-        res -= alpha * ap
-        z = inv_diag * res
-        rz_new = float(res @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if np.linalg.norm(res) <= target:
-        return x
-    raise SolverDiverged(
-        f"residual {np.linalg.norm(res):.3e} above tolerance {target:.3e}"
-        f" after {max_iter} iterations"
-    )
+        if done == max_iter:
+            raise SolverDiverged(
+                f"residual {np.linalg.norm(res):.3e} above tolerance {target:.3e}"
+                f" after {max_iter} iterations"
+            )
 
 
 def relative_error(x: np.ndarray, x_rec: np.ndarray) -> float:

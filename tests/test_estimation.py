@@ -1,5 +1,8 @@
 """Polynomial filters and sketch-based probability estimation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -120,27 +123,97 @@ def _weighted_with_isolated_node(n, seed):
     return Graph.from_arrays(n, i[keep], j[keep], w)
 
 
+def _force_cpus(monkeypatch, count):
+    """Make the estimators see `count` allowed CPUs, whatever the machine has."""
+    monkeypatch.setattr(estimation.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 class TestSketchPanels:
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_paneled_matches_single_pass(self, weighted):
-        n = 5000  # width 180 is no multiple of the 8-column panels
+    @staticmethod
+    def graph(n, weighted):
         if weighted:
             g = _weighted_with_isolated_node(n, 3)
             assert g.degrees()[0] == 0.0
-        else:
-            g = sbm_generate(SbmParams(n=n, k_comm=2, c=8.0, eps=0.2), 3)
-        lap = laplacian(g)
+            return g
+        return sbm_generate(SbmParams(n=n, k_comm=2, c=8.0, eps=0.2), 3)
+
+    @staticmethod
+    def f(lam):
+        return 0.1 / (0.1 + lam)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_paneled_matches_single_pass(self, weighted):
+        n = 5000  # width 180 is no multiple of the 8-column panels
+        lap = laplacian(self.graph(n, weighted))
         width = default_sketch_width(n)
         assert width == 180 and max(8, estimation._PANEL_ENTRIES // n) == 8
         lmax = 2 * lap.degree_vector.max()
 
-        def f(lam):
-            return 0.1 / (0.1 + lam)
-
-        filtered = fit_sqrt_filter(f, 30, lmax).apply(lap, gaussian_sketch(n, width, 4))
+        filtered = fit_sqrt_filter(self.f, 30, lmax).apply(lap, gaussian_sketch(n, width, 4))
         single = np.einsum("ij,ij->i", filtered, filtered)
-        paneled = estimation._sketched_diagonal(lap, f, 30, width, np.random.default_rng(4), lmax)
+        paneled = estimation._sketched_diagonal(lap, self.f, 30, width, np.random.default_rng(4), lmax)
         np.testing.assert_allclose(paneled, single, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_identical_to_serial_loop(self, monkeypatch, weighted, workers):
+        # reference: the panels filtered one after another on this thread,
+        # their row norms added in panel order; 8 workers on a fast thread
+        # switch would show a panel skipped or taken twice
+        n, width = 5000, 180
+        lap = laplacian(self.graph(n, weighted))
+        lmax = 2 * lap.degree_vector.max()
+        filt = fit_sqrt_filter(self.f, 30, lmax)
+        sketch = gaussian_sketch(n, width, 4)
+        serial = np.zeros(n)
+        for j in range(0, width, 8):
+            panel = filt.apply(lap, np.ascontiguousarray(sketch[:, j : j + 8]))
+            serial += np.einsum("ij,ij->i", panel, panel)
+
+        _force_cpus(monkeypatch, workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = estimation._sketched_diagonal(lap, self.f, 30, width, np.random.default_rng(4), lmax)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(out, serial)
+
+    def test_panel_error_reaches_caller(self, monkeypatch):
+        class PanelFailure(RuntimeError):
+            pass
+
+        lap = laplacian(self.graph(5000, False))
+        apply, calls, lock = LaplacianView.apply, [], threading.Lock()
+
+        def failing(self, y):
+            with lock:
+                calls.append(None)
+                if len(calls) == 45:  # inside the second panel filtered
+                    raise PanelFailure("panel failed")
+            return apply(self, y)
+
+        before = threading.active_count()
+        _force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(LaplacianView, "apply", failing)
+        with pytest.raises(PanelFailure):
+            estimation._sketched_diagonal(lap, self.f, 30, 180, np.random.default_rng(4), 40.0)
+        assert threading.active_count() == before
+        assert len(calls) < 4 * 30  # the other worker stopped after its panel in hand
+
+    def test_single_panel_starts_no_thread(self, monkeypatch):
+        lap = laplacian(self.graph(100, False))  # width 100 fits one panel
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread)
+            start(thread)
+
+        _force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        pi = estimate_pi(lap, 0.1, rng=0)
+        assert pi.shape == (100,) and started == []
 
 
 class TestEstimatePi:

@@ -12,11 +12,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.linalg", "scipy.sparse.linalg")
 
 
-def test_import_loads_no_scipy_solvers():
-    code = f"import sys, graphdpp; print(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
+def _import_and_print(expr):
+    """Import graphdpp in a fresh interpreter and return what `expr` prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = f"import sys, threading, graphdpp; print({expr})"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == []
+    return out.stdout.split()
+
+
+def test_import_loads_no_scipy_solvers():
+    assert _import_and_print(f"' '.join(m for m in {HEAVY!r} if m in sys.modules)") == []
+
+
+def test_import_starts_no_thread():
+    # the estimators start their worker threads per call, never at import
+    assert _import_and_print("threading.active_count()") == ["1"]

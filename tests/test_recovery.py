@@ -336,6 +336,26 @@ class TestUnknownBasis:
         expected = np.sum(meas.y / weights) / np.sum(1.0 / weights)
         np.testing.assert_allclose(x_rec, expected, atol=1e-4)
 
+    def test_cg_returns_only_on_its_true_residual(self, instance, monkeypatch):
+        # forced through conjugate gradient, this stiff system's recursive
+        # residual passes the tolerance while b - Mz stays about 5e-6 |b|:
+        # the solver must either reach the tolerance on b - Mz or raise
+        _, lap, _, _, x = instance
+        monkeypatch.setattr(recovery, "_DIRECT_MAX_N", 0)
+        nodes = np.array([2, 30, 66])
+        weights = np.array([0.4, 0.1, 0.9])
+        s = SamplingSet(nodes=nodes, weights=weights, method="t")
+        meas = Measurement(y=x[nodes], sampling=s)
+        params = RecoveryParams(gamma=1e8, r=2, tolerance=1e-12)
+        try:
+            x_rec = recover_unknown_basis(lap, meas, params)
+        except SolverDiverged:
+            return
+        m = params.gamma * np.linalg.matrix_power(lap.dense(), 2)
+        m[nodes, nodes] += 1.0 / weights
+        b = np.bincount(nodes, meas.y / weights, minlength=lap.n)
+        assert np.linalg.norm(m @ x_rec - b) <= params.tolerance * np.linalg.norm(b)
+
     def test_perturbations_increase_objective(self, instance):
         g, lap, _, u_k, x = instance
         nodes = np.array([5, 18, 44, 70])
