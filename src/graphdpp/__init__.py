@@ -39,6 +39,7 @@ from .recovery import (
     recover_known_basis,
     recover_known_basis_weighted,
     recover_unknown_basis,
+    recover_unknown_basis_path,
     relative_error,
 )
 from .selection import (
@@ -101,5 +102,6 @@ __all__ = [
     "recover_known_basis",
     "recover_known_basis_weighted",
     "recover_unknown_basis",
+    "recover_unknown_basis_path",
     "relative_error",
 ]

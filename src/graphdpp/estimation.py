@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import InvalidParams, OutOfRange
-from .graphs import LaplacianView, index_array
+from .graphs import LaplacianView, count, index_array
 from .spectral import DENSE_EIGEN_GUARD, _vector_eval, eigendecompose, largest_eigenvalue_estimate
 
 ZERO_PROBABILITY_FLOOR = 1e-12
@@ -84,8 +84,7 @@ def fit_sqrt_filter(f, d: int, lambda_max: float) -> PolynomialFilter:
     of the filtered sketch then estimate the diagonal of the f-filter.
     The recorded sup-norm fit error is measured on a 1001-point grid.
     """
-    if d < 1:
-        raise InvalidParams("polynomial degree must be at least 1")
+    d = count(d, "polynomial degree")
     if lambda_max < 0:
         raise InvalidParams("lambda_max must be nonnegative")
     if lambda_max == 0.0:
@@ -113,8 +112,7 @@ def fit_sqrt_filter(f, d: int, lambda_max: float) -> PolynomialFilter:
 
 def gaussian_sketch(n_nodes: int, width: int, rng=None) -> np.ndarray:
     """Sketch matrix with i.i.d. Normal(0, 1/width) entries."""
-    if width < 1:
-        raise InvalidParams("sketch width must be at least 1")
+    n_nodes, width = count(n_nodes, "node count"), count(width, "sketch width")
     rng = np.random.default_rng(rng)
     x = rng.standard_normal((n_nodes, width))
     x /= np.sqrt(width)
@@ -213,9 +211,9 @@ def estimate_pi(
     """
     if not 0 < q < np.inf:
         raise InvalidParams("q must be positive and finite")
+    d = count(d, "polynomial degree")
+    n = default_sketch_width(lap.n) if n is None else count(n, "sketch width")
     rng = np.random.default_rng(rng)
-    if n is None:
-        n = default_sketch_width(lap.n)
     lmax = largest_eigenvalue_estimate(lap, tol=POWER_TOL)
     return _sketched_diagonal(lap, lambda lam: q / (q + lam), d, n, rng, lmax)
 
@@ -255,6 +253,7 @@ def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray
     above it the cutoff is located by bisection on sketched eigenvalue
     counts. Returns a probability vector (nonnegative, summing to one).
     """
+    k = int(index_array(k, "bandlimit k"))
     if not 1 <= k <= lap.n:
         raise OutOfRange(f"k must lie in [1, {lap.n}], got {k}")
     rng = np.random.default_rng(rng)
@@ -278,10 +277,10 @@ def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray
         for _ in range(25):
             cutoff = (lo + hi) / 2.0
             step = _smooth_step(cutoff, (hi - lo) / 16.0)
-            count = _sketched_diagonal(lap, step, d, n, rng, lmax).sum()
-            if abs(count - k) <= 0.25:
+            below = _sketched_diagonal(lap, step, d, n, rng, lmax).sum()
+            if abs(below - k) <= 0.25:
                 break
-            if count < k:
+            if below < k:
                 lo = cutoff
             else:
                 hi = cutoff

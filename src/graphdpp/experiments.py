@@ -13,9 +13,9 @@ import numpy as np
 from .dpp import dpp_sample, dpp_weight_matrix, ideal_lowpass_kernel, wilson_kernel_explicit
 from .errors import DegenerateCutoffWarning, InvalidParams, ParseError
 from .estimation import estimate_leverage_scores, estimate_pi, floor_zero_probabilities
-from .graphs import SbmParams, critical_epsilon, laplacian, sbm_generate
+from .graphs import SbmParams, count, critical_epsilon, laplacian, sbm_generate
 from .recovery import RecoveryParams, measure, recover_known_basis_weighted, \
-    recover_unknown_basis, relative_error
+    recover_unknown_basis_path, relative_error
 from .selection import greedy_select, iid_leverage_sample, maxvol_select
 from .serialization import read_csv, write_csv
 from .spectral import eigendecompose, fourier_basis_k, generate_bandlimited_signal
@@ -76,10 +76,10 @@ class ExperimentConfig:
             raise InvalidParams(f"unknown sweep variable {self.sweep!r}")
         if len(self.grid) == 0:
             raise InvalidParams("sweep grid must be non-empty")
-        if self.graphs_per_point < 1 or self.signals_per_graph < 1:
-            raise InvalidParams("trial counts must be at least 1")
-        if self.seed < 0:
-            raise InvalidParams("seed must be nonnegative")
+        for name in ("n", "k_comm", "bandlimit", "graphs_per_point", "signals_per_graph"):
+            setattr(self, name, count(getattr(self, name), name))
+        for name in ("target_m", "seed"):
+            setattr(self, name, count(getattr(self, name), name, minimum=0))
         if self.target_m == 0:
             self.target_m = self.bandlimit
 
@@ -249,7 +249,9 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
     eigenvalues of its Fourier basis (exact_q). Each walk draw is paired
     with an i.i.d. draw of exactly the same size, and for the gamma sweep
     the same draws and measurements are reused at every grid value, so
-    curves differ only in what is being swept.
+    curves differ only in what is being swept: each measurement is
+    recovered for the whole gamma grid in one recover_unknown_basis_path
+    call, whose rows equal the one-gamma solves.
     """
     if cfg.sweep not in ("m", "gamma"):
         raise InvalidParams("unknown-basis experiment sweeps m or gamma")
@@ -267,6 +269,7 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
         targets = [cfg.target_m]
         gammas = list(cfg.grid)
 
+    grid_params = [RecoveryParams(gamma=g, r=cfg.r, tolerance=cfg.tolerance) for g in gammas]
     results = {
         (value, name): [] for value in cfg.grid for name in UNKNOWN_BASIS_SAMPLERS
     }
@@ -314,11 +317,10 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
                     )
                     for name in UNKNOWN_BASIS_SAMPLERS
                 }
-                for gamma in gammas:
-                    value = cfg.grid[t_idx] if cfg.sweep == "m" else gamma
-                    params = RecoveryParams(gamma=gamma, r=cfg.r, tolerance=cfg.tolerance)
-                    for name in UNKNOWN_BASIS_SAMPLERS:
-                        x_rec = recover_unknown_basis(lap, meas[name], params)
+                values = [cfg.grid[t_idx]] if cfg.sweep == "m" else gammas
+                for name in UNKNOWN_BASIS_SAMPLERS:
+                    x_recs = recover_unknown_basis_path(lap, meas[name], grid_params)
+                    for value, x_rec in zip(values, x_recs):
                         results[(value, name)].append(relative_error(x, x_rec))
                         sizes[(value, name)].append(m_t)
     for value in cfg.grid:
@@ -331,6 +333,7 @@ def run_scalability_check(n: int, q: float, runs: int = 10, seed: int = 0):
     """Mean walk-sampler output size and mean per-run wall time on one
     large SBM realisation (two communities, c = 16, eps at 0.2 of the
     detectability threshold); generation is excluded from the timing."""
+    runs = count(runs, "runs")
     eps = 0.2 * critical_epsilon(16.0, 2)
     graph = sbm_generate(SbmParams(n=n, k_comm=2, c=16.0, eps=eps), stream(seed, 0, _TAG_GRAPH))
     sizes = []

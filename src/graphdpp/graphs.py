@@ -23,6 +23,16 @@ def index_array(values, what: str, n=None) -> np.ndarray:
     return v
 
 
+def count(value, what: str, minimum: int = 1) -> int:
+    """value as an int of at least `minimum`, through index_array: a
+    fractional, NaN or non-numeric count, or one below the minimum, raises
+    InvalidParams."""
+    v = int(index_array(value, what))
+    if v < minimum:
+        raise InvalidParams(f"{what} must be at least {minimum}")
+    return v
+
+
 class Graph:
     """Immutable undirected weighted graph without self-loops.
 
@@ -48,9 +58,7 @@ class Graph:
         return g
 
     def _init_from_arrays(self, n, i, j, w, communities):
-        n = int(index_array(n, "node count"))
-        if n < 1:
-            raise InvalidParams("graph needs at least one node")
+        n = count(n, "node count")
         i, j = index_array(i, "edge endpoints", n), index_array(j, "edge endpoints", n)
         w = np.asarray(w, dtype=float)
         if i.ndim != 1 or not i.shape == j.shape == w.shape:

@@ -1,10 +1,12 @@
 """Signal recovery from node measurements: pseudo-inverse solvers for a
-known Fourier basis and a regularized solver without it (a bordered kernel
-system from one cached eigendecomposition per graph on small graphs,
+known Fourier basis and a regularized solver without it, for one penalty
+or a whole grid of them (bordered kernel systems from one cached
+eigendecomposition per graph on small graphs, batched across the grid;
 matrix-free Jacobi-preconditioned conjugate gradient otherwise)."""
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass
 
@@ -18,7 +20,7 @@ from .errors import (
     ShapeMismatch,
     SolverDiverged,
 )
-from .graphs import LaplacianView, component_labels, index_array
+from .graphs import LaplacianView, component_labels, count, index_array
 from .spectral import eigendecompose
 
 _SINGULAR_CUTOFF = 1e-12
@@ -62,13 +64,9 @@ class RecoveryParams:
     def __post_init__(self):
         if not np.isfinite(self.gamma) or self.gamma <= 0:
             raise InvalidParams("gamma must be positive and finite")
-        self.r = int(index_array(self.r, "Laplacian power r"))
-        if self.r < 1:
-            raise InvalidParams("Laplacian power r must be at least 1")
+        self.r = count(self.r, "Laplacian power r")
         if self.max_iter is not None:
-            self.max_iter = int(index_array(self.max_iter, "max_iter"))
-            if self.max_iter < 1:
-                raise InvalidParams("max_iter must be at least 1")
+            self.max_iter = count(self.max_iter, "max_iter")
         if not np.isfinite(self.tolerance) or self.tolerance <= 0:
             raise InvalidParams("tolerance must be positive and finite")
 
@@ -145,66 +143,127 @@ def recover_unknown_basis(
     """Recovery without the Fourier basis: high-frequency-penalized least squares.
 
     Solves the normal equations (gamma L^r + S' W^-1 S) z = S' W^-1 y of the
-    weighted data term plus gamma * z' L^r z. Graphs of up to
-    _DIRECT_MAX_N = 500 nodes solve the bordered kernel system
-    [[G_SS + gamma W, N_S], [N_S', 0]] [a; c] = [y; 0] over the distinct
-    sampled nodes (merging repeats keeps a bounded as gamma -> 0), with
-    G = (L^r)^+ and N the normalized component indicators cached on the
-    view, and return z = G[:, S] a + N c when its residual is within
-    tolerance * |b| plus the round-off an accurate z carries,
-    n eps gamma |L^r| (|z| + |G| |a|). That slack matters when gamma L^r
-    is large or G is ill-conditioned: on a 154-node SBM of two barely
-    linked blocks (gamma = 1, r = 4) the residual was 63 times the 1e-8
-    tolerance for a z within 4e-10 of an extended-precision solve. Larger
-    graphs, and small ones that fail (a component without samples makes
-    the system singular), go to Jacobi-preconditioned conjugate gradient.
-    It applies the Laplacian r times per iteration and never materializes
-    L^r. Its diagonal is gamma d^r + the sampled diagonal, d the degrees
-    (a zero entry counts as 1). It returns only on the true residual: once
-    the recursively updated residual passes the tolerance, b - Mz is
-    recomputed (r more Laplacian applies), and if that is still above the
-    tolerance CG restarts from it (residual replacement). max_iter caps the
-    iterations of all passes together, and it raises SolverDiverged when
-    the tolerance is not reached within the cap.
+    weighted data term plus gamma * z' L^r z; the one-gamma case of
+    recover_unknown_basis_path, which describes the solvers. Graphs of up
+    to _DIRECT_MAX_N = 500 nodes solve a bordered kernel system from one
+    cached eigendecomposition; larger graphs, and small ones where that
+    fails, run Jacobi-preconditioned conjugate gradient, which raises
+    SolverDiverged when the tolerance is not reached within max_iter.
     """
-    params = params or RecoveryParams()
+    return recover_unknown_basis_path(lap, meas, [params or RecoveryParams()])[0]
+
+
+def recover_unknown_basis_path(lap: LaplacianView, meas: Measurement, params_seq) -> np.ndarray:
+    """recover_unknown_basis for each entry of a penalty grid: row i of the
+    (len(params_seq), n) result is, bit for bit, the solve of the grid of
+    params_seq[i] alone. The entries must share r, tolerance and max_iter.
+
+    Graphs of up to _DIRECT_MAX_N = 500 nodes solve the bordered kernel
+    system [[G_SS + gamma W, N_S], [N_S', 0]] [a; c] = [y; 0] over the
+    distinct sampled nodes (merging repeats keeps a bounded as gamma -> 0),
+    with G = (L^r)^+ and N the normalized component indicators cached on
+    the view. The gammas share every block but the diagonal gamma W, so
+    their systems are stacked into one batched solve (when it raises, each
+    gamma is retried alone). Row z = G[:, S] a + N c is kept when its
+    residual is within tolerance * |b| plus the round-off an accurate z
+    carries, n eps gamma |L^r| (|z| + |G| |a|). That slack matters when
+    gamma L^r is large or G is ill-conditioned: on a 154-node SBM of two
+    barely linked blocks (gamma = 1, r = 4) the residual was 63 times the
+    1e-8 tolerance for a z within 4e-10 of an extended-precision solve.
+    Larger graphs, and gammas whose bordered solve fails (a component
+    without samples makes the system singular), go one at a time to
+    Jacobi-preconditioned conjugate gradient (_conjugate_gradient).
+    """
+    params_seq = list(params_seq)
+    try:
+        shared = {(p.r, p.tolerance, p.max_iter) for p in params_seq}
+    except AttributeError:
+        raise InvalidParams("a penalty grid is a sequence of RecoveryParams") from None
+    if len(shared) != 1:
+        raise InvalidParams("a penalty grid is non-empty, its entries sharing r, tolerance and max_iter")
+    ((r, tolerance, max_iter),) = shared
     w = meas.sampling.weights
     if w is None:
         raise MissingWeights("sampling set carries no weights")
     n = lap.n
     nodes = index_array(meas.sampling.nodes, "sampled node indices", n)
     inv_w = 1.0 / w
-    gamma, r = params.gamma, params.r
+    gammas = np.array([p.gamma for p in params_seq], dtype=float)
     sampled = np.bincount(nodes, inv_w, minlength=n)
     b = np.bincount(nodes, meas.y * inv_w, minlength=n)
+    out = np.zeros((len(gammas), n))
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
-        return np.zeros(n)
-    target = params.tolerance * b_norm
+        return out
+    target = tolerance * b_norm
 
+    todo = range(len(gammas))
     if n <= _DIRECT_MAX_N:
-        try:
-            pinv, null, round_off, pinv_norm = lap.cached(
-                ("kernel", r), lambda: _kernel_form(lap, r)
-            )
-            s = np.flatnonzero(sampled)
-            m, c0 = len(s), null.shape[1]
-            border = np.zeros((m + c0, m + c0))
-            border[:m, :m] = pinv[np.ix_(s, s)] + np.diag(gamma / sampled[s])
-            border[:m, m:] = null[s]
-            border[m:, :m] = null[s].T
-            sol = np.linalg.solve(border, np.concatenate([b[s] / sampled[s], np.zeros(c0)]))
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            x = pinv[:, s] @ sol[:m] + null @ sol[m:]
-            power = lap.cached(("power", r), lambda: np.linalg.matrix_power(lap.dense(), r))
-            # round-off an accurate x still shows in its residual: evaluating
-            # gamma L^r x, and forming x through G = (L^r)^+, whose error of
-            # about eps |G| |a| lies in every direction, gamma L^r included
-            slack = gamma * round_off * (np.linalg.norm(x) + pinv_norm * np.linalg.norm(sol[:m]))
-            if np.linalg.norm(gamma * (power @ x) + sampled * x - b) <= target + slack:
-                return x
+        todo = _bordered_solve(lap, r, gammas, sampled, b, target, out)
+    if max_iter is None:
+        max_iter = 10 * n
+    for i in todo:
+        out[i] = _conjugate_gradient(lap, r, gammas[i], sampled, b, target, max_iter)
+    return out
+
+
+def _bordered_solve(lap, r, gammas, sampled, b, target, out) -> np.ndarray:
+    """Write the bordered kernel system's answer for each gamma into its row
+    of out; return the rows whose answer misses the residual target."""
+    try:
+        pinv, null, round_off, pinv_norm = lap.cached(("kernel", r), lambda: _kernel_form(lap, r))
+    except np.linalg.LinAlgError:
+        return np.arange(len(gammas))
+    s = np.flatnonzero(sampled)
+    m, c0 = len(s), null.shape[1]
+    k, size = len(gammas), m + c0
+    null_s = null[s]
+    border = np.zeros((k, size, size))
+    border[:, :m, :m] = pinv[s[:, None], s]
+    border[:, :m, m:] = null_s
+    border[:, m:, :m] = null_s.T
+    # the first m diagonal entries of each system, through a flat view
+    border.reshape(k, -1)[:, : m * (size + 1) : size + 1] += gammas[:, None] / sampled[s]
+    rhs = np.zeros(size)
+    rhs[:m] = b[s] / sampled[s]
+    try:
+        sol = np.linalg.solve(border, rhs)
+    except np.linalg.LinAlgError:
+        # one singular system fails the whole batch: solve each alone, and
+        # leave a failed row NaN, which fails the residual check below
+        sol = np.full((k, size), np.nan)
+        for i in range(k):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                sol[i] = np.linalg.solve(border[i], rhs)
+    pinv_s = pinv[:, s]
+    for i, a in enumerate(sol):
+        out[i] = pinv_s @ a[:m] + null @ a[m:]
+    power = lap.cached(("power", r), lambda: np.linalg.matrix_power(lap.dense(), r))
+    # round-off an accurate x still shows in its residual: evaluating
+    # gamma L^r x, and forming x through G = (L^r)^+, whose error of
+    # about eps |G| |a| lies in every direction, gamma L^r included
+    slack = gammas * round_off * (_row_norms(out) + pinv_norm * _row_norms(sol[:, :m]))
+    residual = gammas[:, None] * (out @ power.T) + sampled * out - b
+    # not "above": a NaN row fails the check too
+    return np.flatnonzero(~(_row_norms(residual) <= target + slack))
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
+def _conjugate_gradient(lap, r, gamma, sampled, b, target, max_iter) -> np.ndarray:
+    """Jacobi-preconditioned conjugate gradient on gamma L^r + diag(sampled).
+
+    It applies the Laplacian r times per iteration and never materializes
+    L^r. Its diagonal is gamma d^r + the sampled diagonal, d the degrees
+    (a zero entry counts as 1). It returns only on the true residual: once
+    the recursively updated residual passes the target, b - Mz is
+    recomputed (r more Laplacian applies), and if that is still above the
+    target CG restarts from it (residual replacement). max_iter caps the
+    iterations of all passes together, and it raises SolverDiverged when
+    the target is not reached within the cap.
+    """
 
     def operator(z):
         out = z
@@ -212,13 +271,11 @@ def recover_unknown_basis(
             out = lap.apply(out)
         return gamma * out + sampled * z
 
-    max_iter = params.max_iter if params.max_iter is not None else 10 * n
-
     # Jacobi preconditioner from the degrees: d^r stands in for diag(L^r)
     diag = gamma * lap.degree_vector**r + sampled
     inv_diag = 1.0 / np.where(diag > 0.0, diag, 1.0)
 
-    x = np.zeros(n)
+    x = np.zeros(len(b))
     res = b.copy()
     done = 0
     while True:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .dpp import SamplingSet
 from .errors import DegenerateBasis, InvalidDistribution, InvalidParams, NoConvergence
-from .graphs import index_array
+from .graphs import count, index_array
 
 _RANK_TOL = 1e-12
 _PRUNE_SLACK = 1e-9
@@ -79,7 +79,10 @@ def greedy_select(u_k: np.ndarray, objective) -> SamplingSet:
     unused row adds rank, DegenerateBasis is raised. Ties break to the
     lowest node index, so the output is deterministic.
     """
-    kind = objective if isinstance(objective, ObjectiveKind) else ObjectiveKind(objective)
+    try:
+        kind = ObjectiveKind(objective)
+    except ValueError:
+        raise InvalidParams(f"unknown greedy objective {objective!r}") from None
     u_k = np.asarray(u_k, dtype=float)
     n, k = u_k.shape
     if k > n:
@@ -114,6 +117,9 @@ def maxvol_select(u_k: np.ndarray, delta: float = 1e-2, max_swaps: int = 1000) -
     the absolute determinant grows by that factor. Stops when no swap
     improves it by more than 1 + delta.
     """
+    if not 0.0 <= delta < np.inf:
+        raise InvalidParams("delta must be nonnegative and finite")
+    max_swaps = count(max_swaps, "max_swaps")
     u_k = np.asarray(u_k, dtype=float)
     n, k = u_k.shape
     nodes = list(greedy_select(u_k, ObjectiveKind.MV).nodes)
@@ -139,8 +145,7 @@ def iid_leverage_sample(p_star: np.ndarray, m: int, rng=None) -> SamplingSet:
     measurement norm unbiased for the signal norm.
     """
     p = np.asarray(p_star, dtype=float)
-    if m < 1:
-        raise InvalidParams("m must be at least 1")
+    m = count(m, "sample count m")
     if np.any(p < 0) or not np.isfinite(p).all():
         raise InvalidDistribution("probabilities must be nonnegative and finite")
     if abs(p.sum() - 1.0) > 1e-9:

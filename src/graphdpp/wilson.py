@@ -11,7 +11,7 @@ import numpy as np
 
 from .dpp import SamplingSet, wilson_kernel_explicit
 from .errors import InvalidParams, NoConvergence, ShapeMismatch, WatchdogExceeded
-from .graphs import Graph, component_labels
+from .graphs import Graph, component_labels, count
 from .spectral import SpectralBasis
 
 # Caps the walk steps of one wilson_sample call, not its running time: the expected
@@ -174,8 +174,8 @@ def tune_q(
     """
     if not 1 <= target_k <= g.n:
         raise InvalidParams(f"target_k must lie in [1, {g.n}]")
-    if runs_per_probe < 1 or max_probes < 1:
-        raise InvalidParams("probe counts must be positive")
+    runs_per_probe = count(runs_per_probe, "runs_per_probe")
+    max_probes = count(max_probes, "max_probes")
     if not 0 < tol < np.inf:
         raise InvalidParams("tol must be positive and finite")
     band = tol * target_k

@@ -1,5 +1,7 @@
 """Config parsing, result tables, determinism and the sweep protocols."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -275,6 +277,14 @@ class TestScalability:
         mean_size, mean_seconds = run_scalability_check(1000, 5e-4, runs=3, seed=0)
         assert mean_seconds < 1.0
         assert 1.0 <= mean_size <= 1000
+
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_no_runs_rejected(self, runs):
+        # runs = 0 returned (nan, nan) with two RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams):
+                run_scalability_check(200, 0.5, runs=runs)
 
     def test_huge_q_returns_everything(self):
         mean_size, _ = run_scalability_check(200, 1e6, runs=2, seed=1)

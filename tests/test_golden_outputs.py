@@ -22,6 +22,12 @@ FIG1C_CONFIG = (
     "graphs_per_point = 1\nsignals_per_graph = 2\nseed = 3\n"
 )
 
+# the fig1b preset's whole gamma grid on the FIG1B_CONFIG chain
+FIG1B_GRID_CONFIG = FIG1B_CONFIG.replace(
+    "grid = 1e-5,1e-1", "grid = 1e-7,1e-6,1e-5,1e-3,1e-1,1e1,1e2"
+)
+FIG1B_GRID_SHA256 = "45f108141c304fbc8e2e2e3f7fc32b451f8e8d277cf77f19b06404276e70024e"
+
 GOLDEN = {
     "fig1a.csv": "78b3fa77b17a841447f936a03eb9a01ab9bc300b4d7a8a9240c5bcf59b5e4b90",
     "fig1b.csv": "8868c6269f17f5349061790cd9380799ba83f4a76d15669f0ba3cd3c32f69006",
@@ -91,3 +97,11 @@ def run_chain(d):
 
 def test_cli_outputs_are_byte_identical(tmp_path):
     assert run_chain(tmp_path) == GOLDEN
+
+
+def test_fig1b_full_gamma_grid_is_byte_identical(tmp_path):
+    cfg = tmp_path / "fig1b_grid.cfg"
+    cfg.write_text(FIG1B_GRID_CONFIG, encoding="utf-8")
+    out = tmp_path / "fig1b_grid.csv"
+    assert main(["experiment", "fig1b", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG1B_GRID_SHA256

@@ -1,6 +1,7 @@
 """Every function that reads by caller-supplied node indices checks them
 against the size of what it indexes, through one gate: an index below 0 or
-at n raises OutOfRange, a fractional one InvalidParams."""
+at n raises OutOfRange, a fractional one InvalidParams. Count arguments
+(sample sizes, degrees, widths, run and trial counts) pass the same gate."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,12 @@ from hypothesis import strategies as st
 
 from graphdpp import (
     Graph,
+    estimate_leverage_scores,
+    estimate_pi,
+    fit_sqrt_filter,
+    gaussian_sketch,
+    iid_leverage_sample,
+    tune_q,
     Measurement,
     RecoveryParams,
     SamplingSet,
@@ -30,6 +37,7 @@ from graphdpp import (
 from graphdpp import recovery
 from graphdpp.errors import InvalidParams, OutOfRange
 from graphdpp.estimation import floor_zero_probabilities
+from graphdpp.experiments import ExperimentConfig, run_scalability_check
 
 # the path 0-1-2 with weights 1, 2; node 2's inclusion probability under
 # the rank-2 ideal kernel is 0.667, which a wrapped index -1 would return
@@ -119,3 +127,39 @@ def test_non_numeric_index_rejected(build):
     # np.isfinite is undefined on strings; the gate raised a raw TypeError
     with pytest.raises(InvalidParams):
         build()
+
+
+COUNT_CONSUMERS = {
+    "iid_leverage_sample": lambda v: iid_leverage_sample(np.full(4, 0.25), v, 0),
+    "tune_q[runs_per_probe]": lambda v: tune_q(SBM, 3, 0, runs_per_probe=v, tol=0.5),
+    "tune_q[max_probes]": lambda v: tune_q(SBM, 3, 0, runs_per_probe=4, tol=0.5, max_probes=v),
+    "estimate_pi[d]": lambda v: estimate_pi(LAP3, 0.3, d=v, rng=0),
+    "estimate_pi[n]": lambda v: estimate_pi(LAP3, 0.3, n=v, rng=0),
+    "fit_sqrt_filter": lambda v: fit_sqrt_filter(lambda lam: 1.0 / (1.0 + lam), v, 2.0),
+    "gaussian_sketch[width]": lambda v: gaussian_sketch(5, v, 0),
+    "gaussian_sketch[n_nodes]": lambda v: gaussian_sketch(v, 3, 0),
+    "estimate_leverage_scores": lambda v: estimate_leverage_scores(LAP3, v, 0),
+    "run_scalability_check": lambda v: run_scalability_check(40, 0.5, runs=v),
+    **{
+        f"ExperimentConfig[{name}]": (lambda name: lambda v: ExperimentConfig(**{name: v}))(name)
+        for name in (
+            "signals_per_graph", "graphs_per_point", "bandlimit", "target_m", "n", "k_comm", "seed"
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(COUNT_CONSUMERS))
+@pytest.mark.parametrize("bad", [2.5, float("nan"), "2"], ids=["fraction", "nan", "string"])
+def test_non_integer_count_rejected(name, bad):
+    # a fractional count raised a raw TypeError or IndexError, or (in
+    # ExperimentConfig) was accepted and failed later in range(); a
+    # fractional seed was truncated, so seeds 2 and 2.7 gave one table
+    with pytest.raises(InvalidParams):
+        COUNT_CONSUMERS[name](bad)
+
+
+@pytest.mark.parametrize("name", list(COUNT_CONSUMERS))
+@pytest.mark.parametrize("good", [2, 2.0, np.int32(2)], ids=["int", "whole-float", "numpy-int"])
+def test_whole_count_accepted(name, good):
+    COUNT_CONSUMERS[name](good)

@@ -25,10 +25,11 @@ from graphdpp import (
     recover_known_basis,
     recover_known_basis_weighted,
     recover_unknown_basis,
+    recover_unknown_basis_path,
     relative_error,
     sbm_generate,
 )
-from graphdpp import recovery
+from graphdpp import experiments, recovery
 from graphdpp.graphs import component_labels
 from graphdpp.errors import (
     IllConditionedWarning,
@@ -587,6 +588,173 @@ def test_repeated_node_with_two_readings_stays_on_the_bordered_path(r, monkeypat
     x_rec = recover_unknown_basis(lap, Measurement(y=y, sampling=s), RecoveryParams(gamma=1e-7, r=r))
     x_ref = dense_normal_solve(lap, nodes, weights, y, 1e-7, r)
     assert np.linalg.norm(x_rec - x_ref) <= 1e-7 * np.linalg.norm(x_ref)
+
+
+FIG1B_GAMMAS = (1e-7, 1e-6, 1e-5, 1e-3, 1e-1, 1e1, 1e2)
+
+
+def grid_params(gammas, **shared):
+    return [RecoveryParams(gamma=g, **shared) for g in gammas]
+
+
+def one_gamma_rows(lap, meas, params_seq):
+    """The grid solved one gamma at a time; SolverDiverged where CG gives up."""
+    rows = []
+    for p in params_seq:
+        try:
+            rows.append(recover_unknown_basis(lap, meas, p))
+        except SolverDiverged:
+            rows.append(None)
+    return rows
+
+
+def assert_rows_match(lap, meas, params_seq, rows):
+    """The grid solve's rows are bit for bit the one-gamma solves (or the
+    grid raises SolverDiverged where a one-gamma solve does)."""
+    if any(row is None for row in rows):
+        with pytest.raises(SolverDiverged):
+            recover_unknown_basis_path(lap, meas, params_seq)
+        return
+    out = recover_unknown_basis_path(lap, meas, params_seq)
+    assert out.shape == (len(params_seq), lap.n)
+    for got, want in zip(out, rows):
+        np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def sbm_grid_problems(draw):
+    """SBMs of up to 120 nodes, optionally with edge weights in [0.25, 4],
+    sampled nodes with repeats and weights, r in {1, 2, 4}."""
+    k_comm = draw(st.integers(1, 3))
+    n = k_comm * draw(st.integers(10, 120 // k_comm))
+    params = SbmParams(n=n, k_comm=k_comm, c=draw(st.floats(2.0, 8.0)), eps=draw(st.floats(0.0, 1.0)))
+    graph = sbm_generate(params, draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        i, j, w = graph.edges()
+        w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.25, 4.0, len(w))
+        graph = Graph.from_arrays(n, i, j, w)
+    m = draw(st.integers(1, 12))
+    nodes = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)))
+    return laplacian(graph), nodes, weights, y, draw(st.sampled_from([1, 2, 4]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sbm_grid_problems())
+def test_grid_rows_equal_one_gamma_solves(problem):
+    lap, nodes, weights, y, r = problem
+    meas = Measurement(y=y, sampling=SamplingSet(nodes=nodes, weights=weights, method="t"))
+    params_seq = grid_params(FIG1B_GAMMAS, r=r)
+    assert_rows_match(lap, meas, params_seq, one_gamma_rows(lap, meas, params_seq))
+
+
+class TestUnknownBasisPath:
+    @staticmethod
+    def spy_cg(monkeypatch):
+        gammas = []
+        real = recovery._conjugate_gradient
+
+        def spy(lap, r, gamma, *args):
+            gammas.append(gamma)
+            return real(lap, r, gamma, *args)
+
+        monkeypatch.setattr(recovery, "_conjugate_gradient", spy)
+        return gammas
+
+    def test_only_the_failing_gamma_runs_cg(self, instance, monkeypatch):
+        _, lap, _, _, x = instance
+        nodes = np.array([5, 18, 44, 70])
+        s = SamplingSet(nodes=nodes, weights=np.array([0.2, 0.3, 0.15, 0.4]), method="t")
+        meas = Measurement(y=x[nodes], sampling=s)
+        params_seq = grid_params(FIG1B_GAMMAS, r=4, tolerance=1e-10)
+        rows = one_gamma_rows(lap, meas, params_seq)
+        real_solve = np.linalg.solve
+
+        def one_row_off(a, b):
+            sol = real_solve(a, b)
+            if sol.ndim == 2:
+                sol[2] *= 1.001  # FIG1B_GAMMAS[2] misses its residual check
+            return sol
+
+        monkeypatch.setattr(np.linalg, "solve", one_row_off)
+        cg_gammas = self.spy_cg(monkeypatch)
+        out = recover_unknown_basis_path(lap, meas, params_seq)
+        assert cg_gammas == [FIG1B_GAMMAS[2]]
+        for i, (got, want) in enumerate(zip(out, rows)):
+            if i == 2:
+                assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+            else:
+                np.testing.assert_array_equal(got, want)
+
+    def test_component_without_samples_sends_every_gamma_to_cg(self, two_k2, monkeypatch):
+        lap = laplacian(two_k2)
+        s = SamplingSet(nodes=np.array([0, 1]), weights=np.array([1.0, 1.0]), method="t")
+        meas = Measurement(y=np.array([2.0, 2.0]), sampling=s)
+        gammas = (1e-6, 1e-3, 1.0)
+        params_seq = grid_params(gammas, r=2)
+        rows = one_gamma_rows(lap, meas, params_seq)
+        cg_gammas = self.spy_cg(monkeypatch)
+        assert_rows_match(lap, meas, params_seq, rows)
+        assert cg_gammas == list(gammas)
+
+    def test_above_direct_size_rows_equal_one_gamma_solves(self):
+        lap = laplacian(sbm_generate(SbmParams(n=600, k_comm=2, c=10.0, eps=0.15), 4))
+        assert lap.n > recovery._DIRECT_MAX_N
+        x = np.random.default_rng(11).standard_normal(600)
+        nodes = np.array([9, 24, 44, 104, 160, 183, 303, 377, 487, 502])
+        s = SamplingSet(nodes=nodes, weights=np.linspace(0.1, 0.5, 10), method="t")
+        meas = Measurement(y=x[nodes], sampling=s)
+        params_seq = grid_params((1e-5, 1e-3, 1e-1), r=4, tolerance=1e-10)
+        rows = one_gamma_rows(lap, meas, params_seq)
+        assert all(row is not None for row in rows)
+        assert_rows_match(lap, meas, params_seq, rows)
+
+    def test_zero_right_hand_side_gives_zero_rows(self, instance):
+        _, lap, _, _, _ = instance
+        s = SamplingSet(nodes=np.array([3, 40]), weights=np.array([0.5, 0.5]), method="t")
+        out = recover_unknown_basis_path(
+            lap, Measurement(y=np.zeros(2), sampling=s), grid_params(FIG1B_GAMMAS)
+        )
+        np.testing.assert_array_equal(out, np.zeros((len(FIG1B_GAMMAS), lap.n)))
+
+    @pytest.mark.parametrize(
+        "other",
+        [{"r": 2}, {"tolerance": 1e-6}, {"max_iter": 50}],
+        ids=["r", "tolerance", "max_iter"],
+    )
+    def test_mismatched_shared_knobs_rejected(self, instance, other):
+        _, lap, _, _, x = instance
+        s = SamplingSet(nodes=np.array([3, 40]), weights=np.array([0.5, 0.5]), method="t")
+        meas = Measurement(y=x[[3, 40]], sampling=s)
+        with pytest.raises(InvalidParams):
+            recover_unknown_basis_path(
+                lap, meas, [RecoveryParams(gamma=1e-5), RecoveryParams(gamma=1e-3, **other)]
+            )
+
+    @pytest.mark.parametrize("grid", [[], [1e-5]], ids=["empty", "bare-float"])
+    def test_grid_that_is_not_recovery_params_rejected(self, instance, grid):
+        _, lap, _, _, x = instance
+        s = SamplingSet(nodes=np.array([3, 40]), weights=np.array([0.5, 0.5]), method="t")
+        with pytest.raises(InvalidParams):
+            recover_unknown_basis_path(lap, Measurement(y=x[[3, 40]], sampling=s), grid)
+
+    def test_fig1b_sweep_calls_the_path_once_per_signal_and_sampler(self, monkeypatch):
+        calls = []
+        real = experiments.recover_unknown_basis_path
+
+        def spy(lap, meas, params_seq):
+            calls.append(len(params_seq))
+            return real(lap, meas, params_seq)
+
+        monkeypatch.setattr(experiments, "recover_unknown_basis_path", spy)
+        cfg = experiments.ExperimentConfig(
+            n=40, c=6.0, bandlimit=2, sweep="gamma", grid=FIG1B_GAMMAS, target_m=4,
+            graphs_per_point=2, signals_per_graph=3, seed=2,
+        )
+        rows = experiments.run_experiment_unknown_basis(cfg)
+        assert calls == [len(FIG1B_GAMMAS)] * (2 * 3 * 2)
+        assert all(row.trials == 2 * 3 for row in rows)
 
 
 class TestRelativeError:

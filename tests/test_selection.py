@@ -263,6 +263,28 @@ class TestMaxvol:
                     assert abs(np.linalg.det(u[swapped, :])) <= (1 + delta) * base + 1e-12
 
 
+class TestFailFast:
+    def test_unknown_greedy_objective_rejected(self):
+        with pytest.raises(InvalidParams):
+            greedy_select(random_orthonormal(8, 2, 1), "foo")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"delta": -1.0}, {"delta": float("nan")}, {"delta": float("inf")}, {"max_swaps": 0},
+         {"max_swaps": 2.5}],
+        ids=["negative-delta", "nan-delta", "inf-delta", "zero-swaps", "fractional-swaps"],
+    )
+    def test_bad_maxvol_knobs_rejected_before_any_swap(self, kwargs, monkeypatch):
+        # a negative or NaN delta used to run all max_swaps swaps, then
+        # raise NoConvergence; now nothing runs, not even the greedy seed
+        def refuse(*args):
+            raise AssertionError("maxvol started before checking its knobs")
+
+        monkeypatch.setattr("graphdpp.selection.greedy_select", refuse)
+        with pytest.raises(InvalidParams):
+            maxvol_select(random_orthonormal(8, 2, 1), **kwargs)
+
+
 class TestIidLeverageSample:
     def test_point_mass(self):
         p = np.zeros(6)
