@@ -332,7 +332,11 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
 def run_scalability_check(n: int, q: float, runs: int = 10, seed: int = 0):
     """Mean walk-sampler output size and mean per-run wall time on one
     large SBM realisation (two communities, c = 16, eps at 0.2 of the
-    detectability threshold); generation is excluded from the timing."""
+    detectability threshold); generation is excluded from the timing.
+    Above wilson.HANDOVER nodes each run is the vectorized draw and
+    cycle-popping rounds, then the walk loop for what they leave; at small
+    q (n = 1e5, q = 5e-4) the first draw absorbs too few steps for rounds
+    to pay, and the time is mostly the walk loop's."""
     runs = count(runs, "runs")
     eps = 0.2 * critical_epsilon(16.0, 2)
     graph = sbm_generate(SbmParams(n=n, k_comm=2, c=16.0, eps=eps), stream(seed, 0, _TAG_GRAPH))

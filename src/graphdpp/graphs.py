@@ -80,6 +80,7 @@ class Graph:
         self.communities = communities
         self._unit_weights = bool(np.all(w == 1.0))
         self._degrees = None
+        self._running_sums = None
 
     @property
     def num_edges(self):
@@ -105,6 +106,24 @@ class Graph:
             degrees.flags.writeable = False
             self._degrees = degrees
         return self._degrees
+
+    def running_sums(self) -> np.ndarray:
+        """Running weight sums of every adjacency row (cached, read-only), added
+        left to right as a per-row np.cumsum does: pass k adds entry k - 1 into
+        entry k of the rows longer than k."""
+        if self._running_sums is None:
+            cum = self._adj.data.copy()
+            pos, end = self._adj.indptr[:-1] + 1, self._adj.indptr[1:]
+            while True:
+                keep = pos < end
+                pos, end = pos[keep], end[keep]
+                if not len(pos):
+                    break
+                cum[pos] += cum[pos - 1]
+                pos += 1
+            cum.flags.writeable = False
+            self._running_sums = cum
+        return self._running_sums
 
     def has_unit_weights(self) -> bool:
         return self._unit_weights

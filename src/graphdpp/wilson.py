@@ -18,39 +18,122 @@ from .spectral import SpectralBasis
 # step count grows like n (d_max + q) / q, so degree / q near 1e10 walks for minutes.
 WATCHDOG_STEPS = 10**9
 _RAND_BUFFER = 1 << 18
+# Graphs of more than HANDOVER nodes draw every node's first step at once and pop
+# cycles in vectorized rounds before the walk loop finishes; at or below it the
+# loop alone runs, drawing as it always has (a round costs about as much as the
+# loop's whole walk there). Each round passes over every unresolved node, so the
+# loop takes over once at most HANDOVER nodes are unresolved, after MAX_ROUNDS
+# rounds, or at once when the first draw absorbs fewer than MIN_ROOTS steps: the
+# forest then has so few roots that popping down to them takes hundreds of rounds
+# of a few cycles each.
+HANDOVER = 512
+MAX_ROUNDS = 24
+MIN_ROOTS = 4
 
 
-def _running_sums(adj) -> np.ndarray:
-    """Running weight sums of every CSR row, added left to right as a per-row
-    np.cumsum does: pass k adds entry k - 1 into entry k of the rows longer than k."""
-    cum = adj.data.copy()
-    pos, end = adj.indptr[:-1] + 1, adj.indptr[1:]
-    while True:
-        keep = pos < end
-        pos, end = pos[keep], end[keep]
-        if not len(pos):
-            return cum
-        cum[pos] += cum[pos - 1]
-        pos += 1
+def _arrows(g: Graph, nodes: np.ndarray, q: float, rng) -> np.ndarray:
+    """One arrow from each of `nodes` at once, drawn by the walk loop's rule
+    (see wilson_sample): the neighbor moved to, or g.n for absorption."""
+    adj = g.adjacency()
+    d = g.degrees()[nodes]
+    y = rng.random(len(nodes)) * (d + q)
+    j, end = adj.indptr[nodes], adj.indptr[nodes + 1]
+    if g.has_unit_weights():
+        j = j + np.minimum(y, d).astype(np.int64)  # int(y), or the row end once y >= d
+    else:
+        # bisect_right(cum, y, j, end) on every row at once
+        cum, hi = g.running_sums(), end
+        for _ in range(int((end - j).max(initial=0)).bit_length()):
+            live = j < hi
+            mid = j + ((hi - j) >> 1)
+            right = live & (cum.take(mid, mode="clip") <= y)
+            j = np.where(right, mid + 1, j)
+            hi = np.where(live & ~right, mid, hi)
+    out = np.full(len(nodes), g.n, dtype=np.int64)
+    inside = np.flatnonzero(j < end)
+    out[inside] = adj.indices[j[inside]]
+    return out
+
+
+def _count_steps(steps: int) -> int:
+    if steps > WATCHDOG_STEPS:
+        raise WatchdogExceeded(f"walk exceeded {WATCHDOG_STEPS} total steps")
+    return steps
+
+
+def _pop_cycles(g: Graph, q: float, rng):
+    """Cycle popping in rounds. Returns every node's arrow (g.n for
+    absorption), the nodes whose arrows do not yet lead to absorption
+    (ascending) and the number of arrows drawn."""
+    n = g.n
+    arrow = _arrows(g, np.arange(n), q, rng)
+    steps = _count_steps(n)
+    unresolved = np.arange(n)
+    pos = np.empty(n + 1, dtype=np.int64)
+    # passes before the first cycle test: paths in a random map of m points are
+    # about sqrt(m) long; later rounds start from the passes the last one took
+    depth = n.bit_length() // 2
+    rounds = MAX_ROUNDS if np.count_nonzero(arrow == n) >= MIN_ROOTS else 0
+    for _ in range(rounds):
+        m = len(unresolved)
+        if m <= HANDOVER:
+            break
+        # arrows among the unresolved nodes; absorption and resolved nodes map to m
+        pos.fill(m)
+        pos[unresolved] = np.arange(m)
+        succ = np.append(pos[arrow[unresolved]], m)
+        # after k passes jump = succ^(2^k); once succ maps the image of jump off m
+        # one-to-one onto itself, that image is the union of the cycles and every
+        # path has reached absorption or its cycle. 2^k > m passes always suffice.
+        jump = succ
+        depth = min(depth, m.bit_length())
+        for k in range(1, m.bit_length() + 1):
+            jump = jump.take(jump)
+            if k >= depth:
+                on_cycle = np.zeros(m + 1, dtype=bool)
+                on_cycle[jump] = True
+                on_cycle[m] = False
+                image = np.zeros(m + 1, dtype=bool)
+                image[succ[on_cycle]] = True
+                if (image == on_cycle).all():
+                    break
+        depth = k
+        popped = unresolved[on_cycle[:m]]
+        unresolved = unresolved[jump[:m] < m]
+        steps = _count_steps(steps + len(popped))
+        arrow[popped] = _arrows(g, popped, q, rng)
+    return arrow, unresolved, steps
 
 
 def wilson_sample(g: Graph, q: float, rng=None) -> SamplingSet:
     """Sample nodes by loop-erased random walks absorbed at rate q.
 
-    Walks start from the first unvisited node in ascending index order and
-    run until they hit either the absorbing state or an already-retained
-    node. Each step is one uniform draw x, y = x (d_u + q), against the
-    running weight sums c_1 <= ... <= c_d = d_u (up to round-off) of u's
-    adjacency row: the walk moves to the first neighbor whose c_j exceeds
-    y, with probability w_uv / (d_u + q), and is absorbed when none does,
-    with probability q / (d_u + q). On unit weights c_j = j, so the
-    neighbor index is int(y) with no search; other weights bisect the sums.
-    Loops are erased by the successor-pointer (cycle popping) rule: each
-    node keeps its latest outgoing step, so revisits overwrite loops in
-    O(1). An absorbed walk adds the node it left from to the output, which
-    is the determinantal process with kernel eigenvalues q / (q + lambda)
-    on the graph Fourier basis, whatever the scan order. A call that takes
-    more than WATCHDOG_STEPS steps (steps, not seconds) raises WatchdogExceeded.
+    Each step is one uniform draw x, y = x (d_u + q), against the running
+    weight sums c_1 <= ... <= c_d = d_u (up to round-off) of u's adjacency
+    row: the walk moves to the first neighbor whose c_j exceeds y, with
+    probability w_uv / (d_u + q), and is absorbed when none does, with
+    probability q / (d_u + q). On unit weights c_j = j, so the neighbor
+    index is int(y) with no search; other weights bisect the sums.
+
+    A node's successive steps form a stack of independent arrows, and the
+    sample depends on the stacks alone: pop cycles of top arrows until none
+    is left, and the nodes whose arrows point to absorption are the
+    sample, whatever order the cycles pop in (Propp and Wilson, J.
+    Algorithms 1998). It is the determinantal process with kernel
+    eigenvalues q / (q + lambda) on the graph Fourier basis.
+
+    On graphs of at most HANDOVER nodes, walks start from the first
+    unvisited node in ascending index order and run until they hit
+    absorption or an already-retained node; each node keeps its latest
+    step, so a revisit erases the loop in O(1). Roots come in the order
+    the walks reach them. Larger graphs draw every node's arrow at once,
+    then run rounds in which pointer doubling finds the nodes whose arrows
+    lead to absorption and every node on a cycle draws again, popping all
+    current cycles together. The walks then finish the unresolved nodes
+    in ascending order (see HANDOVER for when), each taking its pending
+    arrow on its first departure and a fresh draw after that, and roots
+    come in ascending order. A call that draws more than WATCHDOG_STEPS
+    arrows (draws, not seconds) raises WatchdogExceeded.
 
     Weights are left unfilled; recovery callers attach inclusion
     probabilities from an explicit kernel or from the sketch estimator.
@@ -58,53 +141,70 @@ def wilson_sample(g: Graph, q: float, rng=None) -> SamplingSet:
     if not 0 < q < np.inf:
         raise InvalidParams("q must be positive and finite")
     rng = np.random.default_rng(rng)
+    n = g.n
     adj = g.adjacency()
-    # nnz-sized arrays stay numpy buffers behind memoryviews. indptr and the degrees,
-    # read every step, become O(n) lists: a list read takes about half the time of a
-    # memoryview read (25 against 42-65 ns for floats, 32-49 against 55-61 for ints)
-    indptr = adj.indptr.tolist()
+    degrees = g.degrees()
+    # per node: 0 draws its next step, 1 is retained, 2 holds an arrow left by the
+    # rounds for its first departure. Index n is absorption, which ends a walk as a
+    # retained node does.
+    state = bytearray(n + 1)
+    state[n] = 1
+    if n <= HANDOVER:
+        starts, nxt, steps = range(n), [n] * n, 0
+        # nnz-sized arrays stay numpy buffers behind memoryviews. indptr and the
+        # degrees, read every step, become O(n) lists: a list read takes about half
+        # the time of a memoryview read (25 against 42-65 ns for floats, 32-49
+        # against 55-61 for ints)
+        indptr, degree = adj.indptr.tolist(), degrees.tolist()
+    else:
+        arrow, unresolved, steps = _pop_cycles(g, q, rng)
+        status = np.ones(n, dtype=np.uint8)
+        status[unresolved] = 2
+        state[:n] = status.tobytes()
+        # here list copies cost more than their faster reads save, even at small q
+        # where the walks finish every node
+        starts, nxt = unresolved.tolist(), memoryview(arrow)
+        indptr, degree = memoryview(adj.indptr), memoryview(degrees)
     indices = memoryview(adj.indices)
-    degree = g.degrees().tolist()
-    cum = None if g.has_unit_weights() else memoryview(_running_sums(adj))
+    cum = None if g.has_unit_weights() else memoryview(g.running_sums())
     watchdog = WATCHDOG_STEPS
 
-    nxt = [-1] * g.n
-    retained = bytearray(g.n)
     roots = []
     # the buffer grows toward the cap so short runs stay cheap
-    buf_size = min(max(4 * g.n, 64), _RAND_BUFFER)
+    buf_size = min(max(4 * len(starts), 64), _RAND_BUFFER)
     buf = rng.random(buf_size).tolist()
     pos = 0
-    steps = 0
 
-    for start in range(g.n):
+    for start in starts:
         u = start
-        while not retained[u]:
-            if pos == buf_size:
-                buf_size = min(buf_size * 4, _RAND_BUFFER)
-                buf = rng.random(buf_size).tolist()
-                pos = 0
-            y = buf[pos] * (degree[u] + q)
-            pos += 1
-            steps += 1
-            if steps > watchdog:
-                raise WatchdogExceeded(f"walk exceeded {watchdog} total steps")
-            end = indptr[u + 1]
-            j = indptr[u] + int(y) if cum is None else bisect_right(cum, y, indptr[u], end)
-            if j >= end:
-                nxt[u] = -2
-                break
-            v = indices[j]
-            nxt[u] = v
-            u = v
+        while state[u] != 1:
+            while not state[u]:
+                if pos == buf_size:
+                    buf_size = min(buf_size * 4, _RAND_BUFFER)
+                    buf = rng.random(buf_size).tolist()
+                    pos = 0
+                y = buf[pos] * (degree[u] + q)
+                pos += 1
+                steps += 1
+                if steps > watchdog:
+                    raise WatchdogExceeded(f"walk exceeded {watchdog} total steps")
+                end = indptr[u + 1]
+                j = indptr[u] + int(y) if cum is None else bisect_right(cum, y, indptr[u], end)
+                v = indices[j] if j < end else n
+                nxt[u] = v
+                u = v
+            if state[u] == 2:
+                state[u] = 0
+                u = nxt[u]
         u = start
-        while not retained[u]:
-            retained[u] = 1
+        while not state[u]:
+            state[u] = 1
             v = nxt[u]
-            if v == -2:
+            if v == n:
                 roots.append(u)
-                break
             u = v
+    if n > HANDOVER:
+        roots = np.flatnonzero(arrow == n)
     return SamplingSet(nodes=np.asarray(roots, dtype=np.int64), weights=None, method="wilson")
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import time
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from graphdpp import (
 from graphdpp import wilson as wilson_module
 from graphdpp.errors import InvalidParams, NoConvergence, ShapeMismatch, WatchdogExceeded
 from graphdpp.graphs import component_labels
-from graphdpp.wilson import _running_sums
 
 from conftest import dpp_exact_law, empirical_tv
 
@@ -130,7 +130,9 @@ class TestWalkArrays:
         adj = g.adjacency()
         ptr = adj.indptr
         rows = [np.cumsum(adj.data[ptr[i] : ptr[i + 1]]) for i in range(g.n)]
-        assert np.array_equal(_running_sums(adj), np.concatenate(rows))
+        sums = g.running_sums()
+        assert np.array_equal(sums, np.concatenate(rows))
+        assert sums is g.running_sums() and not sums.flags.writeable
         assert np.all(g.degrees()[isolated] == 0)
 
     def test_weighted_draws_pinned(self):
@@ -156,6 +158,146 @@ class TestWalkArrays:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+
+def _force_rounds(mp, rounds):
+    """Send every graph through the first vectorized draw and up to `rounds` rounds."""
+    mp.setattr(wilson_module, "HANDOVER", 0)
+    mp.setattr(wilson_module, "MIN_ROOTS", 0)
+    mp.setattr(wilson_module, "MAX_ROUNDS", rounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=walk_graphs(),
+    q=st.floats(1e-2, 1e2),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.sampled_from([0, 1, 10**9]),
+)
+def test_forced_rounds_keep_the_sample_invariants(g, q, seed, rounds):
+    with pytest.MonkeyPatch.context() as mp:
+        _force_rounds(mp, rounds)
+        roots = wilson_sample(g, q, seed).nodes
+        again = wilson_sample(g, q, seed).nodes
+    np.testing.assert_array_equal(roots, again)
+    assert len(set(roots.tolist())) == len(roots)
+    assert np.all((roots >= 0) & (roots < g.n))
+    _, label = connected_components(g.adjacency(), directed=False)
+    assert set(label[roots].tolist()) == set(label.tolist())
+    isolated = np.flatnonzero(g.degrees() == 0)
+    assert set(isolated.tolist()) <= set(roots.tolist())
+
+
+# two weighted components with the isolated node 5 between them
+SPLIT_GRAPH = Graph(
+    9,
+    [(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1.0), (3, 4, 0.8), (0, 4, 3.0), (1, 3, 0.7)]
+    + [(6, 7, 1.5), (7, 8, 0.4), (6, 8, 2.5)],
+)
+# test_03's weighted 6-cycle
+CYCLE6 = Graph(6, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 4, 1.5), (4, 5, 1.0), (0, 5, 1.0)])
+
+
+@pytest.fixture(params=["rounds", "one-round-then-walks"])
+def forced_rounds(request, monkeypatch):
+    """Every graph takes the vectorized path: rounds until every node is
+    resolved, or one round and the walk loop for the rest."""
+    _force_rounds(monkeypatch, 10**9 if request.param == "rounds" else 1)
+    return request.param
+
+
+class TestVectorizedRounds:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_arrows_follow_the_loop_rule(self, weighted):
+        g = sbm_generate(SbmParams(n=200, k_comm=2, c=8.0, eps=0.3), 3)
+        if weighted:
+            w = np.random.default_rng(3).uniform(0.1, 5.0, g.num_edges)
+            g = Graph.from_arrays(g.n, *g.edges()[:2], w)
+        adj, degree = g.adjacency(), g.degrees()
+        nodes = np.arange(g.n).repeat(20)
+        for q in (1e-3, 0.5, 1e3):
+            arrows = wilson_module._arrows(g, nodes, q, np.random.default_rng(4))
+            x = np.random.default_rng(4).random(len(nodes))
+            expected = []
+            for u, xi in zip(nodes.tolist(), x.tolist()):
+                y = xi * (degree[u] + q)
+                lo, hi = adj.indptr[u], adj.indptr[u + 1]
+                j = bisect_right(g.running_sums(), y, lo, hi) if weighted else lo + int(y)
+                expected.append(adj.indices[j] if j < hi else g.n)
+            np.testing.assert_array_equal(arrows, expected)
+
+    def test_watchdog_counts_round_draws(self, monkeypatch):
+        # at q = 1e-9 nothing resolves, so every round redraws a cycle or more
+        g = sbm_generate(SbmParams(n=50, k_comm=2, c=6.0, eps=0.3), 0)
+        _force_rounds(monkeypatch, 10**9)
+        monkeypatch.setattr(wilson_module, "WATCHDOG_STEPS", 60)
+        with pytest.raises(WatchdogExceeded) as info:
+            wilson_sample(g, 1e-9, 0)
+        assert any(entry.name == "_pop_cycles" for entry in info.traceback)
+
+    def test_draws_at_the_handover_unchanged(self):
+        # hashes recorded before the rounds existed: graphs of HANDOVER nodes or
+        # fewer take the walk loop and draw exactly as it did
+        g = sbm_generate(SbmParams(n=510, k_comm=2, c=8.0, eps=0.3), 13)
+        assert g.n <= wilson_module.HANDOVER
+        w = np.random.default_rng(13).uniform(0.1, 5.0, g.num_edges)
+        digests = []
+        for graph in (g, Graph.from_arrays(g.n, *g.edges()[:2], w)):
+            h = hashlib.sha256()
+            for q in (0.05, 0.7):
+                for seed in range(10):
+                    h.update(wilson_sample(graph, q, seed).nodes.tobytes())
+            digests.append(h.hexdigest())
+        assert digests == [
+            "28495c7be69e19d26861ebc24161f179c14f7f1da5edacb2c1f67ef524d4388c",
+            "a6e9a2eae6df80e38237fd1c084027463aae532732547cc22a15dd4e13beef80",
+        ]
+
+    def test_vectorized_draws_pinned(self):
+        # q = 0.1 pops in rounds; at q = 0.01 the first draw absorbs fewer than
+        # MIN_ROOTS arrows and the walks finish from it
+        g = sbm_generate(SbmParams(n=2000, k_comm=2, c=8.0, eps=0.3), 14)
+        w = np.random.default_rng(14).uniform(0.1, 5.0, g.num_edges)
+        digests = []
+        for graph in (g, Graph.from_arrays(g.n, *g.edges()[:2], w)):
+            h = hashlib.sha256()
+            for q in (0.01, 0.1):
+                for seed in range(5):
+                    h.update(wilson_sample(graph, q, seed).nodes.tobytes())
+            digests.append(h.hexdigest())
+        assert digests == [
+            "6a5854009ffff649b019ad51384f90e2bc412f5e0c922237cdcbfff517775190",
+            "0e7808b1c00a00e667760ab2e0c022318c63f81e405e2a7d6fe6086b39c7c0c3",
+        ]
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 2.0])
+    def test_marginals(self, forced_rounds, q):
+        diag = wilson_kernel_explicit(eigendecompose(laplacian(SPLIT_GRAPH)), q).diagonal()
+        rng = np.random.default_rng(int(q * 100))
+        runs = 1000
+        counts = np.zeros(SPLIT_GRAPH.n)
+        for _ in range(runs):
+            counts[wilson_sample(SPLIT_GRAPH, q, rng).nodes] += 1
+        se = np.maximum(np.sqrt(diag * (1 - diag) / runs), 1 / runs)
+        assert np.all(np.abs(counts / runs - diag) <= 4 * se)
+        assert counts[5] == runs
+
+    def test_size_law(self, forced_rounds):
+        g = sbm_generate(SbmParams(n=30, k_comm=2, c=6.0, eps=0.25), 4)
+        mu = wilson_kernel_explicit(eigendecompose(laplacian(g)), 0.8).eigenvalues
+        mean, var = mu.sum(), (mu * (1 - mu)).sum()
+        rng = np.random.default_rng(5)
+        runs = 3000
+        sizes = np.array([len(wilson_sample(g, 0.8, rng)) for _ in range(runs)])
+        assert abs(sizes.mean() - mean) <= 4 * np.sqrt(var / runs)
+        kappa4 = np.sum(mu * (1 - mu) * (1 - 6 * mu * (1 - mu)))
+        assert abs(sizes.var(ddof=1) - var) <= 4 * np.sqrt((kappa4 + 2 * var**2) / runs)
+
+    def test_joint_law(self, forced_rounds):
+        law = dpp_exact_law(wilson_kernel_explicit(eigendecompose(laplacian(CYCLE6)), 1.0).matrix())
+        rng = np.random.default_rng(6)
+        samples = [wilson_sample(CYCLE6, 1.0, rng).nodes for _ in range(20_000)]
+        assert empirical_tv(samples, law) <= 0.03
 
 
 class TestExpectedSampleSize:
