@@ -20,8 +20,8 @@ WATCHDOG_STEPS = 10**9
 _RAND_BUFFER = 1 << 18
 # Graphs of more than HANDOVER nodes draw every node's first step at once and pop
 # cycles in vectorized rounds before the walk loop finishes; at or below it the
-# loop alone runs, drawing as it always has (a round costs about as much as the
-# loop's whole walk there). Each round passes over every unresolved node, so the
+# loop alone runs, drawing as it always has (there the numpy calls' fixed cost
+# outweighs what they save). Each round passes over every unresolved node, so the
 # loop takes over once at most HANDOVER nodes are unresolved, after MAX_ROUNDS
 # rounds, or at once when the first draw absorbs fewer than MIN_ROOTS steps: the
 # forest then has so few roots that popping down to them takes hundreds of rounds
@@ -176,8 +176,10 @@ def wilson_sample(g: Graph, q: float, rng=None) -> SamplingSet:
     pos = 0
 
     for start in starts:
+        if state[start] == 1:
+            continue
         u = start
-        while state[u] != 1:
+        while True:
             while not state[u]:
                 if pos == buf_size:
                     buf_size = min(buf_size * 4, _RAND_BUFFER)
@@ -193,9 +195,10 @@ def wilson_sample(g: Graph, q: float, rng=None) -> SamplingSet:
                 v = indices[j] if j < end else n
                 nxt[u] = v
                 u = v
-            if state[u] == 2:
-                state[u] = 0
-                u = nxt[u]
+            if state[u] != 2:
+                break
+            state[u] = 0
+            u = nxt[u]
         u = start
         while not state[u]:
             state[u] = 1
