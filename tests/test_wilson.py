@@ -198,6 +198,21 @@ SPLIT_GRAPH = Graph(
 CYCLE6 = Graph(6, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 4, 1.5), (4, 5, 1.0), (0, 5, 1.0)])
 
 
+def _draws(g, q, rng, runs, copies=50):
+    """`runs` samples of g's law, `copies` per call: disjoint components
+    draw independently (each pops only its own arrows), so one draw on
+    that many disjoint copies of g is as many independent draws on g."""
+    i, j, w = g.edges()
+    shift = np.repeat(np.arange(copies) * g.n, len(i))
+    tiled = np.tile(i, copies) + shift, np.tile(j, copies) + shift, np.tile(w, copies)
+    big = Graph.from_arrays(copies * g.n, *tiled)
+    samples = []
+    for _ in range(runs // copies):
+        copy, node = np.divmod(wilson_sample(big, q, rng).nodes, g.n)
+        samples += [node[copy == c] for c in range(copies)]
+    return samples
+
+
 @pytest.fixture(params=["rounds", "one-round-then-walks"])
 def forced_rounds(request, monkeypatch):
     """Every graph takes the vectorized path: rounds until every node is
@@ -273,11 +288,9 @@ class TestVectorizedRounds:
     @pytest.mark.parametrize("q", [0.05, 0.3, 2.0])
     def test_marginals(self, forced_rounds, q):
         diag = wilson_kernel_explicit(eigendecompose(laplacian(SPLIT_GRAPH)), q).diagonal()
-        rng = np.random.default_rng(int(q * 100))
-        runs = 1000
-        counts = np.zeros(SPLIT_GRAPH.n)
-        for _ in range(runs):
-            counts[wilson_sample(SPLIT_GRAPH, q, rng).nodes] += 1
+        runs = 4000
+        draws = _draws(SPLIT_GRAPH, q, np.random.default_rng(int(q * 100)), runs)
+        counts = np.bincount(np.concatenate(draws), minlength=SPLIT_GRAPH.n)
         se = np.maximum(np.sqrt(diag * (1 - diag) / runs), 1 / runs)
         assert np.all(np.abs(counts / runs - diag) <= 4 * se)
         assert counts[5] == runs
@@ -286,17 +299,15 @@ class TestVectorizedRounds:
         g = sbm_generate(SbmParams(n=30, k_comm=2, c=6.0, eps=0.25), 4)
         mu = wilson_kernel_explicit(eigendecompose(laplacian(g)), 0.8).eigenvalues
         mean, var = mu.sum(), (mu * (1 - mu)).sum()
-        rng = np.random.default_rng(5)
-        runs = 3000
-        sizes = np.array([len(wilson_sample(g, 0.8, rng)) for _ in range(runs)])
+        runs = 10_000
+        sizes = np.array([len(d) for d in _draws(g, 0.8, np.random.default_rng(5), runs)])
         assert abs(sizes.mean() - mean) <= 4 * np.sqrt(var / runs)
         kappa4 = np.sum(mu * (1 - mu) * (1 - 6 * mu * (1 - mu)))
         assert abs(sizes.var(ddof=1) - var) <= 4 * np.sqrt((kappa4 + 2 * var**2) / runs)
 
     def test_joint_law(self, forced_rounds):
         law = dpp_exact_law(wilson_kernel_explicit(eigendecompose(laplacian(CYCLE6)), 1.0).matrix())
-        rng = np.random.default_rng(6)
-        samples = [wilson_sample(CYCLE6, 1.0, rng).nodes for _ in range(20_000)]
+        samples = _draws(CYCLE6, 1.0, np.random.default_rng(6), 100_000)
         assert empirical_tv(samples, law) <= 0.03
 
 
