@@ -18,14 +18,14 @@ from .spectral import SpectralBasis
 # step count grows like n (d_max + q) / q, so degree / q near 1e10 walks for minutes.
 WATCHDOG_STEPS = 10**9
 _RAND_BUFFER = 1 << 18
-# Graphs of more than HANDOVER nodes draw every node's first step at once and pop
-# cycles in vectorized rounds before the walk loop finishes; at or below it the
-# loop alone runs, drawing as it always has (there the numpy calls' fixed cost
-# outweighs what they save). Each round passes over every unresolved node, so the
-# loop takes over once at most HANDOVER nodes are unresolved, after MAX_ROUNDS
-# rounds, or at once when the first draw absorbs fewer than MIN_ROOTS steps: the
-# forest then has so few roots that popping down to them takes hundreds of rounds
-# of a few cycles each.
+# Graphs of more than HANDOVER nodes draw every node's arrow (its next step) at
+# once and pop cycles in vectorized rounds before the walk loop finishes; at or
+# below it the loop alone runs, drawing as it always has (there the numpy calls'
+# fixed cost outweighs what they save). Each round passes over every unresolved
+# node, so the loop takes over once at most HANDOVER nodes are unresolved, after
+# MAX_ROUNDS rounds, or at once when the first draw absorbs fewer than MIN_ROOTS
+# arrows: the forest then has so few roots that popping down to them takes
+# hundreds of rounds of a few cycles each.
 HANDOVER = 512
 MAX_ROUNDS = 24
 MIN_ROOTS = 4
