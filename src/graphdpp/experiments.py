@@ -335,7 +335,7 @@ def run_scalability_check(n: int, q: float, runs: int = 10, seed: int = 0):
     detectability threshold); generation is excluded from the timing.
     Above wilson.HANDOVER nodes each run is the vectorized draw and
     cycle-popping rounds, then the walk loop for what they leave; at small
-    q (n = 1e5, q = 5e-4) the first draw absorbs too few steps for rounds
+    q (n = 1e5, q = 5e-4) the first draw absorbs too few arrows for rounds
     to pay, and the time is mostly the walk loop's."""
     runs = count(runs, "runs")
     eps = 0.2 * critical_epsilon(16.0, 2)
