@@ -11,7 +11,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -23,7 +23,7 @@ from .spectral import DENSE_EIGEN_GUARD, _vector_eval, eigendecompose, largest_e
 ZERO_PROBABILITY_FLOOR = 1e-12
 POWER_TOL = 1e-2  # relative tolerance of the lambda_max estimate behind every fit
 FILTER_DEGREE = 30  # default Chebyshev degree of the fitted filters
-_PANEL_ENTRIES = 32768  # sketch entries filtered per panel: 256 KiB of float64
+_PANEL_BYTES = 640_000  # float32 sketch panel size: 16 columns at n = 1e4
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,8 @@ class PolynomialFilter:
         never formed. Up to five blocks of x's size are live at once, so
         the caller bounds the batch width.
         """
-        c = self.coefficients
+        # in x's precision: float64 numpy scalars would promote a float32 block
+        c = self.coefficients.astype(np.result_type(x, np.float32), copy=False)
         if self.lambda_max <= 0:
             return float(self(0.0)) * x
         b1, b2 = c[-1] * x, 0.0
@@ -164,31 +165,49 @@ def _sketched_diagonal(lap, f, d, n, rng, lmax):
     """Estimated diagonal of f(L): squared row norms of a width-n Gaussian
     sketch filtered by the degree-d fit of sqrt(f) on [0, lmax].
 
-    The whole sketch is drawn first, so the values do not depend on the
-    panel width; it is then filtered in contiguous panels of about
-    _PANEL_ENTRIES entries, which keeps the Clenshaw blocks cache-sized.
-    The panels are independent, so they are filtered concurrently on the
-    CPUs the process may run on (the sparse products and the in-place
-    updates release the interpreter lock), and memory beyond the sketch
-    is a few panels per worker. A filtered panel's row norms overwrite its
-    first sketch column, which nothing reads any more, and are added up in
-    panel order: the result is the same, bit for bit, whatever the number
-    of workers.
+    The filter runs in float32, whose round-off (about 1e-5 relative) is
+    far below the sketch's sampling error, about sqrt(2 / n), and the fit
+    error. Its operator is lap.scaled(1 / lmax), made for this call only
+    and not cached, with the same coefficients on lambda_max = 1: every
+    entry is at most 1 in magnitude, so no accepted edge weight overflows.
+    The coefficients are scaled by a power of two into [0.5, 1), which is
+    exact and undone on the output; tiny ones would make the iterates
+    subnormal, and subnormal arithmetic is several times slower.
+
+    The whole sketch is drawn first, with gaussian_sketch's values (drawn
+    in float64, a block of rows at a time) kept in float32: the values do
+    not depend on the panel width, and the sketch takes half the memory.
+    It is filtered in contiguous panels of about _PANEL_BYTES, which
+    keeps the Clenshaw blocks cache-sized. The panels are independent, so
+    they are filtered concurrently on the CPUs the process may run on (the
+    sparse products and the in-place updates release the interpreter
+    lock), and memory beyond the sketch is a few panels per worker. Each
+    panel's squared row norms, taken in float64, fill its own row of a
+    (panels, n) array, and the rows are added up in panel order: the
+    result is the same, bit for bit, whatever the number of workers.
     """
     filt = fit_sqrt_filter(f, d, lmax)
-    sketch = gaussian_sketch(lap.n, n, rng)
-    step = max(8, _PANEL_ENTRIES // lap.n)
+    scale = np.ldexp(1.0, int(np.frexp(np.abs(filt.coefficients).max())[1]))
+    filt = replace(filt, coefficients=filt.coefficients / scale)
+    if lmax > 0.0:
+        lap, filt = lap.scaled(1.0 / lmax), replace(filt, lambda_max=1.0)
+    sketch = np.empty((lap.n, n), dtype=np.float32)
+    block = max(1, _PANEL_BYTES // (8 * n))
+    for i in range(0, lap.n, block):
+        sketch[i : i + block] = gaussian_sketch(min(block, lap.n - i), n, rng)
+    step = max(8, _PANEL_BYTES // (4 * lap.n))
+    starts = range(0, n, step)
+    norms = np.empty((len(starts), lap.n))
 
     def filter_panel(j):
         panel = filt.apply(lap, np.ascontiguousarray(sketch[:, j : j + step]))
-        sketch[:, j] = np.einsum("ij,ij->i", panel, panel)
+        norms[j // step] = np.einsum("ij,ij->i", panel, panel, dtype=np.float64)
 
-    starts = range(0, n, step)
     _run_all(filter_panel, starts)
     out = np.zeros(lap.n)
-    for j in starts:
-        out += sketch[:, j]
-    return out
+    for row in norms:
+        out += row
+    return out * scale**2
 
 
 def estimate_pi(
@@ -204,10 +223,14 @@ def estimate_pi(
     polynomial, pushes a width-n Gaussian sketch through it, and reads the
     squared row norms. Estimates are nonnegative by construction and
     concentrate around the true values at sketch widths of order log n.
-    The cost is d sparse products per sketch column; the sketch is
-    filtered in cache-sized column panels, spread over the CPUs the
-    process may run on, so beyond the sketch itself the memory is a few
-    panels per worker.
+    The cost is d sparse products per sketch column. The filter runs in
+    single precision on L / lambda_max, a float32 view made per call that
+    shares L's CSR index arrays; its round-off is about 1e-5 relative,
+    far below the sketch's sampling error. The sketch is held in float32
+    (4 bytes an entry) and filtered in column panels of about 640 KB (16
+    columns at n = 1e4, at least 8), spread over the CPUs the process may
+    run on, so beyond the sketch itself the memory is a few panels per
+    worker.
     """
     if not 0 < q < np.inf:
         raise InvalidParams("q must be positive and finite")
@@ -251,7 +274,10 @@ def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray
     applied to a sketch of the default width: up to DENSE_EIGEN_GUARD
     nodes the cutoff between the k-th and (k+1)-th eigenvalue is exact,
     above it the cutoff is located by bisection on sketched eigenvalue
-    counts. Returns a probability vector (nonnegative, summing to one).
+    counts. Every sketch pass, the bisection's included, is filtered in
+    single precision on L / lambda_max in panels of about 640 KB, as in
+    estimate_pi. Returns a probability vector (nonnegative, summing to
+    one).
     """
     k = int(index_array(k, "bandlimit k"))
     if not 1 <= k <= lap.n:

@@ -169,6 +169,28 @@ class LaplacianView:
             self._cache[key] = value
         return self._cache[key]
 
+    def scaled(self, factor: float) -> LaplacianView:
+        """factor * L in single precision, for products that need no more."""
+        return _ScaledLaplacianView(self, factor)
+
+
+class _ScaledLaplacianView(LaplacianView):
+    """factor * L as float32 values on the CSR index arrays of lap.matrix,
+    which it shares. Its cache starts empty and nothing else keeps it, so
+    a view made per use is freed with it."""
+
+    def __init__(self, lap: LaplacianView, factor: float):
+        self.graph, self._cache = lap.graph, {}
+        self.degree_vector = (lap.degree_vector * factor).astype(np.float32)
+        m = lap.matrix
+        data = (m.data * factor).astype(np.float32)
+        # subnormal entries make the products several times slower
+        data[np.abs(data) < np.finfo(np.float32).tiny] = 0.0
+        self.matrix = sp.csr_matrix((data, m.indices, m.indptr), shape=m.shape)
+
+    def dense(self) -> np.ndarray:
+        return self.matrix.toarray()
+
 
 def laplacian(g: Graph) -> LaplacianView:
     """Combinatorial Laplacian (degree matrix minus adjacency) of g."""

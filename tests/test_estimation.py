@@ -1,7 +1,10 @@
 """Polynomial filters and sketch-based probability estimation."""
 
+import gc
 import sys
 import threading
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +82,17 @@ class TestFitSqrtFilter:
         assert out.shape == (40,)
         np.testing.assert_allclose(out, dense @ v, atol=1e-10)
 
+    def test_apply_keeps_single_precision(self):
+        g = sbm_generate(SbmParams(n=40, k_comm=2, c=6.0, eps=0.3), 0)
+        lap = laplacian(g)
+        basis = eigendecompose(lap)
+        lmax = basis.eigenvalues[-1] * 1.01
+        filt = fit_sqrt_filter(lambda lam: 0.5 / (0.5 + lam), 20, lmax)
+        x = np.random.default_rng(1).standard_normal((40, 7))
+        single = replace(filt, lambda_max=1.0).apply(lap.scaled(1.0 / lmax), x.astype(np.float32))
+        assert single.dtype == np.float32
+        np.testing.assert_allclose(single, filt.apply(lap, x), rtol=0, atol=1e-5)
+
     @pytest.mark.parametrize("d", [1, 2, 7, 30])
     def test_degree_d_filter_applies_laplacian_d_times(self, monkeypatch, d):
         # the bench tracer counts estimator work as LaplacianView.apply calls
@@ -141,34 +155,41 @@ class TestSketchPanels:
     def f(lam):
         return 0.1 / (0.1 + lam)
 
+    @staticmethod
+    def single_precision(lap, lmax):
+        """The filter and operator the sketch runs on: L / lmax in float32."""
+        filt = fit_sqrt_filter(TestSketchPanels.f, 30, lmax)
+        return replace(filt, lambda_max=1.0), lap.scaled(1.0 / lmax)
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_paneled_matches_single_pass(self, weighted):
-        n = 5000  # width 180 is no multiple of the 8-column panels
+        n = 5000  # width 180 is no multiple of the 32-column panels
         lap = laplacian(self.graph(n, weighted))
         width = default_sketch_width(n)
-        assert width == 180 and max(8, estimation._PANEL_ENTRIES // n) == 8
+        assert width == 180 and max(8, estimation._PANEL_BYTES // (4 * n)) == 32
         lmax = 2 * lap.degree_vector.max()
 
-        filtered = fit_sqrt_filter(self.f, 30, lmax).apply(lap, gaussian_sketch(n, width, 4))
-        single = np.einsum("ij,ij->i", filtered, filtered)
+        filt, scaled = self.single_precision(lap, lmax)
+        filtered = filt.apply(scaled, gaussian_sketch(n, width, 4).astype(np.float32))
+        single = np.einsum("ij,ij->i", filtered, filtered, dtype=np.float64)
         paneled = estimation._sketched_diagonal(lap, self.f, 30, width, np.random.default_rng(4), lmax)
         np.testing.assert_allclose(paneled, single, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_bit_identical_to_serial_loop(self, monkeypatch, weighted, workers):
-        # reference: the panels filtered one after another on this thread,
-        # their row norms added in panel order; 8 workers on a fast thread
-        # switch would show a panel skipped or taken twice
-        n, width = 5000, 180
+        # reference: the float32 panels filtered one after another on this
+        # thread, their row norms added in panel order; 8 workers on a fast
+        # thread switch would show a panel skipped or taken twice
+        n, width, step = 5000, 180, 32
         lap = laplacian(self.graph(n, weighted))
         lmax = 2 * lap.degree_vector.max()
-        filt = fit_sqrt_filter(self.f, 30, lmax)
+        filt, scaled = self.single_precision(lap, lmax)
         sketch = gaussian_sketch(n, width, 4)
         serial = np.zeros(n)
-        for j in range(0, width, 8):
-            panel = filt.apply(lap, np.ascontiguousarray(sketch[:, j : j + 8]))
-            serial += np.einsum("ij,ij->i", panel, panel)
+        for j in range(0, width, step):
+            panel = filt.apply(scaled, sketch[:, j : j + step].astype(np.float32))
+            serial += np.einsum("ij,ij->i", panel, panel, dtype=np.float64)
 
         _force_cpus(monkeypatch, workers)
         interval = sys.getswitchinterval()
@@ -214,6 +235,92 @@ class TestSketchPanels:
         monkeypatch.setattr(threading.Thread, "start", recording)
         pi = estimate_pi(lap, 0.1, rng=0)
         assert pi.shape == (100,) and started == []
+
+
+def _double_precision_diagonal(lap, f, d, n, rng, lmax):
+    """_sketched_diagonal's estimate with the same polynomial evaluated in
+    float64 on L itself, in 32-column panels."""
+    filt = fit_sqrt_filter(f, d, lmax)
+    sketch = gaussian_sketch(lap.n, n, rng)
+    out = np.zeros(lap.n)
+    for j in range(0, n, 32):
+        panel = filt.apply(lap, np.ascontiguousarray(sketch[:, j : j + 32]))
+        out += np.einsum("ij,ij->i", panel, panel)
+    return out
+
+
+class TestSinglePrecision:
+    """The sketch filter runs in float32; its round-off must stay far below
+    the estimators' sampling error (about sqrt(2 / 180) = 0.1 here)."""
+
+    @staticmethod
+    def both(monkeypatch, estimate):
+        """estimate() as the package computes it, and with the filter evaluated in float64."""
+        single = estimate()
+        with monkeypatch.context() as m:
+            m.setattr(estimation, "_sketched_diagonal", _double_precision_diagonal)
+            double = estimate()
+        assert np.all(np.isfinite(single)) and np.all(single >= 0.0)
+        return single, double
+
+    @staticmethod
+    def assert_close(single, double):
+        assert np.max(np.abs(single - double) / double) <= 1e-4
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        g = _weighted_with_isolated_node(5000, 3)
+        assert g.degrees()[0] == 0.0
+        return g
+
+    @pytest.mark.parametrize("q", [0.1, 1e-3])
+    def test_estimate_pi(self, monkeypatch, graph, q):
+        lap = laplacian(graph)
+        self.assert_close(*self.both(monkeypatch, lambda: estimate_pi(lap, q, rng=5)))
+
+    def test_leverage_scores_bisected(self, monkeypatch, graph):
+        # 5000 nodes would take the exact-cutoff path through eigh; the
+        # bisection path makes every sketch pass of the scale route
+        lap = laplacian(graph)
+        monkeypatch.setattr(estimation, "DENSE_EIGEN_GUARD", 10)
+        self.assert_close(*self.both(monkeypatch, lambda: estimate_leverage_scores(lap, 10, rng=6)))
+
+    def test_extreme_weights(self, monkeypatch, graph):
+        # weights over 60 decades: L / lambda_max has entries far below
+        # float32's smallest normal number, and the fitted coefficients are tiny
+        i, j, _ = graph.edges()
+        w = 10.0 ** np.random.default_rng(4).uniform(-30.0, 30.0, len(i))
+        lap = laplacian(Graph.from_arrays(graph.n, i, j, w))
+        self.assert_close(*self.both(monkeypatch, lambda: estimate_pi(lap, 0.1, rng=5)))
+
+    def test_scaled_view_shares_structure(self):
+        graph = _weighted_with_isolated_node(200, 3)
+        lap = laplacian(graph)
+        lmax = 2 * lap.degree_vector.max()
+        view = lap.scaled(1.0 / lmax)
+        assert isinstance(view, LaplacianView) and view.graph is graph
+        assert np.shares_memory(view.matrix.indices, lap.matrix.indices)
+        assert np.shares_memory(view.matrix.indptr, lap.matrix.indptr)
+        assert view.matrix.dtype == np.float32 and np.abs(view.matrix.data).max() <= 1.0
+        np.testing.assert_allclose(view.matrix.data, lap.matrix.data / lmax, rtol=1e-7)
+        np.testing.assert_allclose(view.degree_vector, lap.degree_vector / lmax, rtol=1e-7)
+        np.testing.assert_allclose(view.dense(), lap.matrix.toarray() / lmax, rtol=1e-7)
+
+    def test_view_is_made_per_call_and_freed(self, monkeypatch, graph):
+        lap = laplacian(graph)
+        views, scaled = [], LaplacianView.scaled
+
+        def recording(self, factor):
+            view = scaled(self, factor)
+            views.append(weakref.ref(view))
+            return view
+
+        monkeypatch.setattr(LaplacianView, "scaled", recording)
+        estimate_pi(lap, 0.1, rng=5)
+        estimate_pi(lap, 0.1, rng=5)
+        gc.collect()
+        assert len(views) == 2 and all(ref() is None for ref in views)
+        assert list(lap._cache) == [("lambda_max", estimation.POWER_TOL)]
 
 
 class TestEstimatePi:
