@@ -182,8 +182,9 @@ def _sketched_diagonal(lap, f, d, n, rng, lmax):
     they are filtered concurrently on the CPUs the process may run on (the
     sparse products and the in-place updates release the interpreter
     lock), and memory beyond the sketch is a few panels per worker. Each
-    panel's squared row norms, taken in float64, fill its own row of a
-    (panels, n) array, and the rows are added up in panel order: the
+    panel's squared row norms, taken in float64, are added to the output
+    in panel order, as soon as every earlier panel's are in; only the
+    norms of panels that finish ahead of an earlier one are held. The
     result is the same, bit for bit, whatever the number of workers.
     """
     filt = fit_sqrt_filter(f, d, lmax)
@@ -197,16 +198,19 @@ def _sketched_diagonal(lap, f, d, n, rng, lmax):
         sketch[i : i + block] = gaussian_sketch(min(block, lap.n - i), n, rng)
     step = max(8, _PANEL_BYTES // (4 * lap.n))
     starts = range(0, n, step)
-    norms = np.empty((len(starts), lap.n))
+    out = np.zeros(lap.n)
+    # panel starts whose norms are still to be added, the next one last
+    order, early, lock = list(reversed(starts)), {}, threading.Lock()
 
     def filter_panel(j):
         panel = filt.apply(lap, np.ascontiguousarray(sketch[:, j : j + step]))
-        norms[j // step] = np.einsum("ij,ij->i", panel, panel, dtype=np.float64)
+        norms = np.einsum("ij,ij->i", panel, panel, dtype=np.float64)
+        with lock:
+            early[j] = norms
+            while order and order[-1] in early:
+                np.add(out, early.pop(order.pop()), out=out)
 
     _run_all(filter_panel, starts)
-    out = np.zeros(lap.n)
-    for row in norms:
-        out += row
     return out * scale**2
 
 

@@ -226,22 +226,6 @@ def _bordered_solve(lap, r, gammas, sampled, b, target, out) -> np.ndarray:
     border.reshape(k, -1)[:, : m * (size + 1) : size + 1] += gammas[:, None] / sampled[s]
     rhs = np.zeros(size)
     rhs[:m] = b[s] / sampled[s]
-    power = lap.cached(("power", r), lambda: np.linalg.matrix_power(lap.dense(), r))
-    # round-off an accurate x still shows in its residual: evaluating
-    # gamma L^r x, and forming x through G = (L^r)^+, whose error of
-    # about eps |G| |a| lies in every direction, gamma L^r included
-    if k == 1:
-        # one gamma (fig1c, the CLI `recover`): the same solve and check on
-        # vectors, without the batch's bookkeeping
-        try:
-            a = np.linalg.solve(border[0], rhs)
-        except np.linalg.LinAlgError:
-            return np.arange(1)
-        x, gamma = out[0], gammas[0]
-        x[:] = pinv[:, s] @ a[:m] + null @ a[m:]
-        slack = gamma * round_off * (np.linalg.norm(x) + pinv_norm * np.linalg.norm(a[:m]))
-        residual = gamma * (power @ x) + sampled * x - b
-        return np.flatnonzero(~(np.linalg.norm(residual) <= target + slack))
     try:
         sol = np.linalg.solve(border, rhs)
     except np.linalg.LinAlgError:
@@ -254,6 +238,10 @@ def _bordered_solve(lap, r, gammas, sampled, b, target, out) -> np.ndarray:
     pinv_s = pinv[:, s]
     for i, a in enumerate(sol):
         out[i] = pinv_s @ a[:m] + null @ a[m:]
+    power = lap.cached(("power", r), lambda: np.linalg.matrix_power(lap.dense(), r))
+    # round-off an accurate x still shows in its residual: evaluating
+    # gamma L^r x, and forming x through G = (L^r)^+, whose error of
+    # about eps |G| |a| lies in every direction, gamma L^r included
     slack = gammas * round_off * (_row_norms(out) + pinv_norm * _row_norms(sol[:, :m]))
     residual = gammas[:, None] * (out @ power.T) + sampled * out - b
     # not "above": a NaN row fails the check too
