@@ -53,29 +53,30 @@ class PolynomialFilter:
 
         Clenshaw on A = (2 / lambda_max) L - I, started at b1 = c_d x, so a
         degree-d filter costs exactly d calls of `lap.apply`. Each step is
-        that one sparse product plus in-place updates of its result; A is
-        never formed. Up to five blocks of x's size are live at once, so
-        the caller bounds the batch width.
+        that one sparse product plus in-place updates of its result, and
+        c_k x goes into the spent b2; A is never formed. Four blocks of
+        x's size are live at once, x included, so the caller bounds the
+        batch width.
         """
         # in x's precision: float64 numpy scalars would promote a float32 block
         c = self.coefficients.astype(np.result_type(x, np.float32), copy=False)
         if self.lambda_max <= 0:
             return float(self(0.0)) * x
-        b1, b2 = c[-1] * x, 0.0
-        for k in range(len(c) - 2, 0, -1):
+        b1, b2 = c[-1] * x, None
+        for k in range(len(c) - 2, -1, -1):
             t = lap.apply(b1)
-            t *= 4.0 / self.lambda_max
+            t *= (4.0 if k else 2.0) / self.lambda_max
             t -= b1
-            t -= b1
-            t -= b2
-            t += c[k] * x
+            if k:
+                t -= b1
+            if b2 is None:
+                b2 = c[k] * x
+            else:
+                t -= b2
+                np.multiply(c[k], x, out=b2)
+            t += b2
             b1, b2 = t, b1
-        t = lap.apply(b1)
-        t *= 2.0 / self.lambda_max
-        t -= b1
-        t -= b2
-        t += c[0] * x
-        return t
+        return b1
 
 
 def fit_sqrt_filter(f, d: int, lambda_max: float) -> PolynomialFilter:
@@ -125,33 +126,36 @@ def default_sketch_width(n_nodes: int) -> int:
     return int(20 * np.ceil(np.log(max(n_nodes, 2))))
 
 
-def _run_all(task, items) -> None:
-    """task(item) for every item of a sequence, on up to one thread per CPU
-    in the process's affinity mask (all CPUs where the OS has no mask).
+def _run_all(task, items, size: int) -> None:
+    """task(item) for every item of an iterable of `size` items, on up to
+    one thread per CPU in the process's affinity mask (all CPUs where the
+    OS has no mask).
 
-    The calling thread takes items too, so it starts at most
-    min(CPUs, len(items)) - 1 helpers, none at all for a single item or
-    CPU, and joins them before it returns. A task that raises stops the
-    others from taking more, and its exception reaches the caller.
+    Items are taken one at a time under a lock, so a lazy iterable makes
+    each item in order, when a thread takes it, while the others run
+    their tasks. The calling thread takes items too, so it starts at most
+    min(CPUs, size) - 1 helpers, none at all for a single item or CPU,
+    and joins them before it returns. A task or item that raises stops
+    the others from taking more, and its exception reaches the caller.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    helpers = min(cpus, len(items)) - 1
+    helpers = min(cpus, size) - 1
     todo, lock, failed = iter(items), threading.Lock(), threading.Event()
 
     def drain():
-        while not failed.is_set():
-            with lock:
-                item = next(todo, None)
-            if item is None:
-                return
-            try:
+        try:
+            while not failed.is_set():
+                with lock:
+                    item = next(todo, None)
+                if item is None:
+                    return
                 task(item)
-            except BaseException:
-                failed.set()
-                raise
+        except BaseException:
+            failed.set()
+            raise
 
     # the pool starts a thread per submitted drain only: none when helpers is 0
     with ThreadPoolExecutor(max(helpers, 1)) as pool:
@@ -174,43 +178,48 @@ def _sketched_diagonal(lap, f, d, n, rng, lmax):
     exact and undone on the output; tiny ones would make the iterates
     subnormal, and subnormal arithmetic is several times slower.
 
-    The whole sketch is drawn first, with gaussian_sketch's values (drawn
-    in float64, a block of rows at a time) kept in float32: the values do
-    not depend on the panel width, and the sketch takes half the memory.
-    It is filtered in contiguous panels of about _PANEL_BYTES, which
-    keeps the Clenshaw blocks cache-sized. The panels are independent, so
-    they are filtered concurrently on the CPUs the process may run on (the
-    sparse products and the in-place updates release the interpreter
-    lock), and memory beyond the sketch is a few panels per worker. Each
-    panel's squared row norms, taken in float64, are added to the output
-    in panel order, as soon as every earlier panel's are in; only the
-    norms of panels that finish ahead of an earlier one are held. The
-    result is the same, bit for bit, whatever the number of workers.
+    The sketch is never held whole. It is cut into contiguous column
+    panels of about _PANEL_BYTES, which keeps the Clenshaw blocks
+    cache-sized, and each panel is drawn when a worker takes it: from rng
+    in panel order, rng.standard_normal((rows, columns)) in float64,
+    divided by sqrt(n) and kept in float32. In order, the panels use up
+    rng's normals as one (rows, n) draw would, and a sketch that fits one
+    panel has gaussian_sketch's values. The panels are independent, so they are
+    filtered concurrently on the CPUs the process may run on (the draws,
+    the sparse products and the in-place updates release the interpreter
+    lock, so one worker draws while another filters), and memory is a
+    few panels per worker. Each panel's squared row norms, taken in
+    float64, are added to the output in panel order, as soon as every
+    earlier panel's are in; only the norms of panels that finish ahead of
+    an earlier one are held. The result is the same, bit for bit,
+    whatever the number of workers.
     """
     filt = fit_sqrt_filter(f, d, lmax)
     scale = np.ldexp(1.0, int(np.frexp(np.abs(filt.coefficients).max())[1]))
     filt = replace(filt, coefficients=filt.coefficients / scale)
     if lmax > 0.0:
         lap, filt = lap.scaled(1.0 / lmax), replace(filt, lambda_max=1.0)
-    sketch = np.empty((lap.n, n), dtype=np.float32)
-    block = max(1, _PANEL_BYTES // (8 * n))
-    for i in range(0, lap.n, block):
-        sketch[i : i + block] = gaussian_sketch(min(block, lap.n - i), n, rng)
     step = max(8, _PANEL_BYTES // (4 * lap.n))
     starts = range(0, n, step)
     out = np.zeros(lap.n)
     # panel starts whose norms are still to be added, the next one last
     order, early, lock = list(reversed(starts)), {}, threading.Lock()
 
-    def filter_panel(j):
-        panel = filt.apply(lap, np.ascontiguousarray(sketch[:, j : j + step]))
+    def draw(j):
+        x = rng.standard_normal((lap.n, min(step, n - j)))
+        x /= np.sqrt(n)
+        return j, x.astype(np.float32)
+
+    def filter_panel(item):
+        j, sketch = item
+        panel = filt.apply(lap, sketch)
         norms = np.einsum("ij,ij->i", panel, panel, dtype=np.float64)
         with lock:
             early[j] = norms
             while order and order[-1] in early:
                 np.add(out, early.pop(order.pop()), out=out)
 
-    _run_all(filter_panel, starts)
+    _run_all(filter_panel, map(draw, starts), len(starts))
     return out * scale**2
 
 
@@ -230,11 +239,12 @@ def estimate_pi(
     The cost is d sparse products per sketch column. The filter runs in
     single precision on L / lambda_max, a float32 view made per call that
     shares L's CSR index arrays; its round-off is about 1e-5 relative,
-    far below the sketch's sampling error. The sketch is held in float32
-    (4 bytes an entry) and filtered in column panels of about 640 KB (16
-    columns at n = 1e4, at least 8), spread over the CPUs the process may
-    run on, so beyond the sketch itself the memory is a few panels per
-    worker.
+    far below the sketch's sampling error. The sketch is never held
+    whole: each column panel of about 640 KB of float32 (16 columns at
+    n = 1e4, at least 8) is drawn from rng when a worker takes it, in
+    panel order, and filtered on one of the CPUs the process may run on.
+    The memory is a few panels per worker, with no n x width array, and
+    rng is left as one standard_normal((lap.n, n)) draw would leave it.
     """
     if not 0 < q < np.inf:
         raise InvalidParams("q must be positive and finite")
@@ -278,10 +288,10 @@ def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray
     applied to a sketch of the default width: up to DENSE_EIGEN_GUARD
     nodes the cutoff between the k-th and (k+1)-th eigenvalue is exact,
     above it the cutoff is located by bisection on sketched eigenvalue
-    counts. Every sketch pass, the bisection's included, is filtered in
-    single precision on L / lambda_max in panels of about 640 KB, as in
-    estimate_pi. Returns a probability vector (nonnegative, summing to
-    one).
+    counts. Every sketch pass, the bisection's included, is drawn and
+    filtered in panels of about 640 KB, in single precision on
+    L / lambda_max, as in estimate_pi: no pass holds its whole sketch.
+    Returns a probability vector (nonnegative, summing to one).
     """
     k = int(index_array(k, "bandlimit k"))
     if not 1 <= k <= lap.n:

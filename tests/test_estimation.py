@@ -3,6 +3,7 @@
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -93,6 +94,36 @@ class TestFitSqrtFilter:
         assert single.dtype == np.float32
         np.testing.assert_allclose(single, filt.apply(lap, x), rtol=0, atol=1e-5)
 
+    @pytest.mark.parametrize("single", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 7, 30])
+    def test_apply_matches_clenshaw_with_fresh_blocks(self, d, single):
+        # reference: the recurrence with c_k x in a new block at every step
+        g = _weighted_with_isolated_node(300, 2)
+        lap = laplacian(g)
+        lmax = 2 * lap.degree_vector.max()
+        filt = fit_sqrt_filter(lambda lam: 0.3 / (0.3 + lam), d, lmax)
+        x = np.random.default_rng(3).standard_normal((300, 5))
+        if single:
+            lap, filt, x = lap.scaled(1.0 / lmax), replace(filt, lambda_max=1.0), x.astype(np.float32)
+        c = filt.coefficients.astype(x.dtype)
+        b1, b2 = c[-1] * x, 0.0
+        for k in range(len(c) - 2, 0, -1):
+            t = lap.apply(b1)
+            t *= 4.0 / filt.lambda_max
+            t -= b1
+            t -= b1
+            t -= b2
+            t += c[k] * x
+            b1, b2 = t, b1
+        t = lap.apply(b1)
+        t *= 2.0 / filt.lambda_max
+        t -= b1
+        t -= b2
+        t += c[0] * x
+        out = filt.apply(lap, x)
+        assert out.dtype == x.dtype
+        np.testing.assert_array_equal(out, t)
+
     @pytest.mark.parametrize("d", [1, 2, 7, 30])
     def test_degree_d_filter_applies_laplacian_d_times(self, monkeypatch, d):
         # the bench tracer counts estimator work as LaplacianView.apply calls
@@ -137,6 +168,17 @@ def _weighted_with_isolated_node(n, seed):
     return Graph.from_arrays(n, i[keep], j[keep], w)
 
 
+def _sketch_panels(rng, n, width, step):
+    """The sketch the estimators filter, drawn as they draw it: column
+    panels of `step`, each from rng in panel order, Normal(0, 1/width)
+    in float64."""
+    rng = np.random.default_rng(rng)
+    return [
+        rng.standard_normal((n, min(step, width - j))) / np.sqrt(width)
+        for j in range(0, width, step)
+    ]
+
+
 def _force_cpus(monkeypatch, count):
     """Make the estimators see `count` allowed CPUs, whatever the machine has."""
     monkeypatch.setattr(estimation.os, "sched_getaffinity", lambda pid: set(range(count)))
@@ -170,7 +212,8 @@ class TestSketchPanels:
         lmax = 2 * lap.degree_vector.max()
 
         filt, scaled = self.single_precision(lap, lmax)
-        filtered = filt.apply(scaled, gaussian_sketch(n, width, 4).astype(np.float32))
+        sketch = np.hstack(_sketch_panels(4, n, width, 32)).astype(np.float32)
+        filtered = filt.apply(scaled, sketch)
         single = np.einsum("ij,ij->i", filtered, filtered, dtype=np.float64)
         paneled = estimation._sketched_diagonal(lap, self.f, 30, width, np.random.default_rng(4), lmax)
         np.testing.assert_allclose(paneled, single, rtol=1e-12, atol=0)
@@ -185,10 +228,9 @@ class TestSketchPanels:
         lap = laplacian(self.graph(n, weighted))
         lmax = 2 * lap.degree_vector.max()
         filt, scaled = self.single_precision(lap, lmax)
-        sketch = gaussian_sketch(n, width, 4)
         serial = np.zeros(n)
-        for j in range(0, width, step):
-            panel = filt.apply(scaled, sketch[:, j : j + step].astype(np.float32))
+        for sketch in _sketch_panels(4, n, width, step):
+            panel = filt.apply(scaled, sketch.astype(np.float32))
             serial += np.einsum("ij,ij->i", panel, panel, dtype=np.float64)
 
         _force_cpus(monkeypatch, workers)
@@ -236,15 +278,54 @@ class TestSketchPanels:
         pi = estimate_pi(lap, 0.1, rng=0)
         assert pi.shape == (100,) and started == []
 
+    @pytest.mark.parametrize("n", [100, 1096])
+    def test_single_panel_matches_whole_sketch(self, n):
+        # up to n = 1096 the default width fits one panel, drawn as one
+        # whole gaussian_sketch: the estimate is the single pass, bit for bit
+        width = default_sketch_width(n)
+        assert width <= max(8, estimation._PANEL_BYTES // (4 * n))
+        lap = laplacian(self.graph(n, True))
+        lmax = estimation.largest_eigenvalue_estimate(lap, tol=estimation.POWER_TOL)
+        filt, scaled = self.single_precision(lap, lmax)  # estimate_pi's filter at q = 0.1
+        filtered = filt.apply(scaled, gaussian_sketch(n, width, 4).astype(np.float32))
+        single = np.einsum("ij,ij->i", filtered, filtered, dtype=np.float64)
+        np.testing.assert_array_equal(estimate_pi(lap, 0.1, rng=4), single)
+
+    def test_rng_left_as_after_whole_sketch(self):
+        # the panels take the normals of one (n, width) draw, in its order
+        n = 5000
+        width = default_sketch_width(n)
+        assert width > max(8, estimation._PANEL_BYTES // (4 * n))  # several panels
+        lap = laplacian(self.graph(n, False))
+        g1, g2 = np.random.default_rng(9), np.random.default_rng(9)
+        estimate_pi(lap, 0.1, rng=g1)
+        g2.standard_normal((n, width))
+        np.testing.assert_array_equal(g1.standard_normal(16), g2.standard_normal(16))
+
+    def test_memory_below_whole_sketch(self, monkeypatch):
+        # a few float32 panels per worker: no n x width array, in either
+        # precision, is ever allocated
+        n = 20_000
+        lap = laplacian(self.graph(n, False))
+        sketch_bytes = n * default_sketch_width(n) * 4
+        _force_cpus(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            estimate_pi(lap, 0.1, rng=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sketch_bytes
+
 
 def _double_precision_diagonal(lap, f, d, n, rng, lmax):
     """_sketched_diagonal's estimate with the same polynomial evaluated in
-    float64 on L itself, in 32-column panels."""
+    float64 on L itself, on the same panels."""
     filt = fit_sqrt_filter(f, d, lmax)
-    sketch = gaussian_sketch(lap.n, n, rng)
+    step = max(8, estimation._PANEL_BYTES // (4 * lap.n))
     out = np.zeros(lap.n)
-    for j in range(0, n, 32):
-        panel = filt.apply(lap, np.ascontiguousarray(sketch[:, j : j + 32]))
+    for sketch in _sketch_panels(rng, lap.n, n, step):
+        panel = filt.apply(lap, sketch)
         out += np.einsum("ij,ij->i", panel, panel)
     return out
 
