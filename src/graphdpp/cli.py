@@ -40,7 +40,7 @@ from .serialization import (
     write_csv,
 )
 from .spectral import eigendecompose, fourier_basis_k, generate_bandlimited_signal
-from .wilson import tune_q, wilson_sample
+from .wilson import TUNE_RUNS, tune_q, wilson_sample
 
 _EXPERIMENT_PRESETS = {
     "fig1a": {"sweep": "epsilon", "grid": (0.05, 0.1, 0.2, 0.5, 1.0)},
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=None, help="walk absorption rate")
     p.add_argument("--target-k", type=int, default=None,
                    help="tune the absorption rate to this mean sample size")
-    p.add_argument("--runs", type=int, default=64, help="walk runs per tuning probe")
+    p.add_argument("--runs", type=int, default=TUNE_RUNS, help="walk runs per tuning probe")
     p.add_argument("--weights", choices=["exact", "estimated", "none"], default="exact",
                    help="how to fill recovery weights for walk samples")
     _common(p)

@@ -21,7 +21,6 @@ from .graphs import LaplacianView, count, index_array
 from .spectral import DENSE_EIGEN_GUARD, _vector_eval, eigendecompose, largest_eigenvalue_estimate
 
 ZERO_PROBABILITY_FLOOR = 1e-12
-POWER_TOL = 1e-2  # relative tolerance of the lambda_max estimate behind every fit
 FILTER_DEGREE = 30  # default Chebyshev degree of the fitted filters
 _PANEL_BYTES = 640_000  # float32 sketch panel size: 16 columns at n = 1e4
 
@@ -167,7 +166,8 @@ def _run_all(task, items, size: int) -> None:
 
 def _sketched_diagonal(lap, f, d, n, rng, lmax):
     """Estimated diagonal of f(L): squared row norms of a width-n Gaussian
-    sketch filtered by the degree-d fit of sqrt(f) on [0, lmax].
+    sketch filtered by the degree-d fit of sqrt(f) on [0, lmax], where
+    lmax is at least L's largest eigenvalue (largest_eigenvalue_estimate).
 
     The filter runs in float32, whose round-off (about 1e-5 relative) is
     far below the sketch's sampling error, about sqrt(2 / n), and the fit
@@ -232,14 +232,15 @@ def estimate_pi(
 ) -> np.ndarray:
     """Estimate every node's inclusion probability under the rate-q walk process.
 
-    Fits sqrt(q / (q + lambda)) on [0, lambda_max] with a degree-d
-    polynomial, pushes a width-n Gaussian sketch through it, and reads the
-    squared row norms. Estimates are nonnegative by construction and
-    concentrate around the true values at sketch widths of order log n.
-    The cost is d sparse products per sketch column. The filter runs in
-    single precision on L / lambda_max, a float32 view made per call that
-    shares L's CSR index arrays; its round-off is about 1e-5 relative,
-    far below the sketch's sampling error. The sketch is never held
+    Fits sqrt(q / (q + lambda)) with a degree-d polynomial on [0, b],
+    where b = max over edges (d_i + d_j) bounds the spectrum from above,
+    pushes a width-n Gaussian sketch through it, and reads the squared
+    row norms. Estimates are nonnegative by construction and concentrate
+    around the true values at sketch widths of order log n. The cost is
+    d sparse products per sketch column. The filter runs in single
+    precision on L / b, a float32 view made per call that shares L's CSR
+    index arrays; its round-off is about 1e-5 relative, far below the
+    sketch's sampling error. The sketch is never held
     whole: each column panel of about 640 KB of float32 (16 columns at
     n = 1e4, at least 8) is drawn from rng when a worker takes it, in
     panel order, and filtered on one of the CPUs the process may run on.
@@ -251,7 +252,7 @@ def estimate_pi(
     d = count(d, "polynomial degree")
     n = default_sketch_width(lap.n) if n is None else count(n, "sketch width")
     rng = np.random.default_rng(rng)
-    lmax = largest_eigenvalue_estimate(lap, tol=POWER_TOL)
+    lmax = largest_eigenvalue_estimate(lap)
     return _sketched_diagonal(lap, lambda lam: q / (q + lam), d, n, rng, lmax)
 
 
@@ -289,8 +290,9 @@ def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray
     nodes the cutoff between the k-th and (k+1)-th eigenvalue is exact,
     above it the cutoff is located by bisection on sketched eigenvalue
     counts. Every sketch pass, the bisection's included, is drawn and
-    filtered in panels of about 640 KB, in single precision on
-    L / lambda_max, as in estimate_pi: no pass holds its whole sketch.
+    filtered in panels of about 640 KB, in single precision on L / b for
+    the edge-degree bound b, as in estimate_pi: no pass holds its whole
+    sketch.
     Returns a probability vector (nonnegative, summing to one).
     """
     k = int(index_array(k, "bandlimit k"))
@@ -301,7 +303,7 @@ def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray
     if k == lap.n:
         return np.full(lap.n, 1.0 / lap.n)
 
-    lmax = largest_eigenvalue_estimate(lap, tol=POWER_TOL)
+    lmax = largest_eigenvalue_estimate(lap)
     if lmax == 0.0:
         # no edges: every frequency is zero, any k rows carry equal mass
         return np.full(lap.n, 1.0 / lap.n)

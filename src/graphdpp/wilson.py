@@ -29,6 +29,7 @@ _RAND_BUFFER = 1 << 18
 HANDOVER = 512
 MAX_ROUNDS = 24
 MIN_ROOTS = 4
+TUNE_RUNS = 64  # walk runs per tune_q probe, also the CLI's --runs default
 
 
 def _arrows(g: Graph, nodes: np.ndarray, q: float, rng) -> np.ndarray:
@@ -262,7 +263,7 @@ def tune_q(
     g: Graph,
     target_k: int,
     rng=None,
-    runs_per_probe: int = 64,
+    runs_per_probe: int = TUNE_RUNS,
     tol: float = 0.1,
     max_probes: int = 30,
 ) -> float:

@@ -1,9 +1,11 @@
-"""Shared fixtures: tiny named graphs and exact determinantal-law oracles."""
+"""Shared fixtures: tiny named graphs, a weighted-graph strategy and exact
+determinantal-law oracles."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from graphdpp import Graph
 
@@ -13,6 +15,17 @@ def assert_same_edges(a, b):
     assert a.n == b.n
     for x, y in zip(a.edges(), b.edges()):
         np.testing.assert_array_equal(x, y)
+
+
+@st.composite
+def edge_lists(draw):
+    """Graphs with isolated nodes, several components and weighted edges,
+    as (n, [(i, j, w)]) with i < j."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(i, j, w) for (i, j), w in zip(chosen, weights)]
 
 
 @pytest.fixture

@@ -285,7 +285,7 @@ class TestSketchPanels:
         width = default_sketch_width(n)
         assert width <= max(8, estimation._PANEL_BYTES // (4 * n))
         lap = laplacian(self.graph(n, True))
-        lmax = estimation.largest_eigenvalue_estimate(lap, tol=estimation.POWER_TOL)
+        lmax = estimation.largest_eigenvalue_estimate(lap)
         filt, scaled = self.single_precision(lap, lmax)  # estimate_pi's filter at q = 0.1
         filtered = filt.apply(scaled, gaussian_sketch(n, width, 4).astype(np.float32))
         single = np.einsum("ij,ij->i", filtered, filtered, dtype=np.float64)
@@ -401,7 +401,7 @@ class TestSinglePrecision:
         estimate_pi(lap, 0.1, rng=5)
         gc.collect()
         assert len(views) == 2 and all(ref() is None for ref in views)
-        assert list(lap._cache) == [("lambda_max", estimation.POWER_TOL)]
+        assert list(lap._cache) == []
 
 
 class TestEstimatePi:

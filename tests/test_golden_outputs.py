@@ -26,22 +26,22 @@ FIG1C_CONFIG = (
 FIG1B_GRID_CONFIG = FIG1B_CONFIG.replace(
     "grid = 1e-5,1e-1", "grid = 1e-7,1e-6,1e-5,1e-3,1e-1,1e1,1e2"
 )
-FIG1B_GRID_SHA256 = "e78dabf31a75c69b7829e9e496c8f7ef85dab96dca87e007dd7c23b72a9d4938"
+FIG1B_GRID_SHA256 = "e68da74a59a7f7fc5fee8a5cce426a6cbf04d2ae54bb61ddecc37b43b2901f16"
 
 GOLDEN = {
     "fig1a.csv": "78b3fa77b17a841447f936a03eb9a01ab9bc300b4d7a8a9240c5bcf59b5e4b90",
-    "fig1b.csv": "5cbf070a367e192485cf3ab2e2b38b5cfc06a987560db1a43b4002b76fdcd2c0",
+    "fig1b.csv": "a3e19d023f31655d455b6f2a68962082c03bb418a135e6ac51544e2edb87d18c",
     "fig1c.csv": "899b4a48e17d4d7368186387b92ccbf261232b20625315886679116fa33184f3",
     "g.mtx": "8e26abbcf3b55248581922948e2f6236325718b624a1a826153b53d4adacbb52",
     "labels.csv": "218ea8d6ba0c2d3ccd92c2d12afc7b287e4ba5e629f0e9e77d51072d36a1da4a",
-    "pi.csv": "d02f63899a2434d17a516a2b7adf63029a4426fc398e4974fa68e76e24090da3",
+    "pi.csv": "ca8192db77a81c8dd75a4e2d115c28103e6b5eae9eb3f2eea22d5c91130f34d3",
     "rec_known.csv": "506e4f21bf1a5736711289b5ecdf5dfe17fc1441703b8a4b281ccfbb74c3de92",
     "rec_wilson_exact.csv": "26bccee0ff6e8493fba84cb9dfc0659c7634a8efb894bee7c370d2e26a2ca111",
     "rec_wilson_none.csv": "aeee7b4cdf5b6da14970b7407512cbc2f9bcde52348f51ac7458ae7d655e67a8",
     "s_dpp.csv": "2cd490d870733983eb0ee3bec8d442e9823011a0a30596057418cc4a69f77c48",
     "s_greedy.csv": "fe36e1fac372cf1ed3aa9820a7bf3633b9498fa49bfe79c5de0cd274613be3fa",
     "s_iid.csv": "f12ca356a6c25f4416fdd673cd9670a5e4606f4d68655102043b3043225122b6",
-    "s_wilson_estimated.csv": "b1f89af2d04d982e8cbc06119663dd66f6004d6ddac6d4b433af50278958436e",
+    "s_wilson_estimated.csv": "4b9f0b67246ddb8381434240a08ae9a72acf2a048bc446ac40afb9b9a65717bc",
     "s_wilson_exact.csv": "51de6de009d4b9566642328632d7dfe0204b6949541fea4249795a5ef8a3e43a",
     "s_wilson_none.csv": "a65b6d12602e74ad1ebb44b0a553e535ffbcca6a61193129b0cd379c9c91a22e",
     "x.csv": "7e0822ae1ca2140cfe0a9bd444b58370d511f35997b8ec9a365f96f0867ff635",

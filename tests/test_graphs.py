@@ -19,7 +19,7 @@ from graphdpp import (
 from graphdpp.errors import InvalidParams, OutOfRange
 from graphdpp.graphs import _decode_triangular
 
-from conftest import assert_same_edges
+from conftest import assert_same_edges, edge_lists
 
 
 class TestGraph:
@@ -237,17 +237,6 @@ class TestSbmGenerate:
         g = sbm_generate(p, 3)
         assert time.perf_counter() - t0 < 10.0
         assert abs(2.0 * g.num_edges / g.n - 16.0) < 0.5
-
-
-@st.composite
-def edge_lists(draw):
-    """Graphs with isolated nodes, several components and weighted edges,
-    as (n, [(i, j, w)]) with i < j."""
-    n = draw(st.integers(1, 12))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
-    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(chosen), max_size=len(chosen)))
-    return n, [(i, j, w) for (i, j), w in zip(chosen, weights)]
 
 
 @settings(max_examples=200, deadline=None)
