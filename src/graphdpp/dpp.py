@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, NumericalDegeneracy, OutOfRange, ZeroMarginal
-from .graphs import index_array
+from .graphs import bandlimit, index_array
 from .spectral import SpectralBasis
 
 _EIGENVALUE_SLACK = 1e-10
@@ -97,10 +97,8 @@ class MarginalKernel:
 
 def ideal_lowpass_kernel(basis: SpectralBasis, k: int) -> MarginalKernel:
     """Rank-k projector onto the k lowest graph frequencies."""
-    if not 1 <= k <= basis.n:
-        raise OutOfRange(f"k must lie in [1, {basis.n}], got {k}")
     mu = np.zeros(basis.n)
-    mu[:k] = 1.0
+    mu[: bandlimit(k, basis.n)] = 1.0
     return MarginalKernel(eigenvalues=mu, vectors=basis.vectors)
 
 

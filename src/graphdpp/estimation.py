@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import InvalidParams, OutOfRange
-from .graphs import LaplacianView, count, index_array
+from .errors import InvalidParams
+from .graphs import LaplacianView, bandlimit, count, index_array
 from .spectral import DENSE_EIGEN_GUARD, _vector_eval, eigendecompose, largest_eigenvalue_estimate
 
 ZERO_PROBABILITY_FLOOR = 1e-12
@@ -295,9 +295,7 @@ def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray
     sketch.
     Returns a probability vector (nonnegative, summing to one).
     """
-    k = int(index_array(k, "bandlimit k"))
-    if not 1 <= k <= lap.n:
-        raise OutOfRange(f"k must lie in [1, {lap.n}], got {k}")
+    k = bandlimit(k, lap.n)
     rng = np.random.default_rng(rng)
     d, n = FILTER_DEGREE, default_sketch_width(lap.n)
     if k == lap.n:

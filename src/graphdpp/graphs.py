@@ -25,12 +25,26 @@ def index_array(values, what: str, n=None) -> np.ndarray:
 
 def count(value, what: str, minimum: int = 1) -> int:
     """value as an int of at least `minimum`, through index_array: a
-    fractional, NaN or non-numeric count, or one below the minimum, raises
-    InvalidParams."""
-    v = int(index_array(value, what))
+    fractional, NaN, non-numeric or non-scalar count, or one below the
+    minimum, raises InvalidParams."""
+    v = index_array(value, what)
+    if v.ndim:
+        raise InvalidParams(f"{what} must be a single integer")
     if v < minimum:
         raise InvalidParams(f"{what} must be at least {minimum}")
-    return v
+    return int(v)
+
+
+def bandlimit(k, n: int) -> int:
+    """k, a number of lowest graph frequencies, as an int: a fractional,
+    non-numeric or non-scalar k raises InvalidParams, as a count does, and
+    a whole k outside [1, n] OutOfRange."""
+    v = index_array(k, "k")
+    if v.ndim:
+        raise InvalidParams("k must be a single integer")
+    if not 1 <= v <= n:
+        raise OutOfRange(f"k must lie in [1, {n}], got {k}")
+    return int(v)
 
 
 class Graph:

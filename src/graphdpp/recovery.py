@@ -6,7 +6,6 @@ matrix-free Jacobi-preconditioned conjugate gradient otherwise)."""
 
 from __future__ import annotations
 
-import contextlib
 import warnings
 from dataclasses import dataclass
 
@@ -163,16 +162,16 @@ def recover_unknown_basis_path(lap: LaplacianView, meas: Measurement, params_seq
     distinct sampled nodes (merging repeats keeps a bounded as gamma -> 0),
     with G = (L^r)^+ and N the normalized component indicators cached on
     the view. The gammas share every block but the diagonal gamma W, so
-    their systems are stacked into one batched solve (when it raises, each
-    gamma is retried alone). Row z = G[:, S] a + N c is kept when its
-    residual is within tolerance * |b| plus the round-off an accurate z
-    carries, n eps gamma |L^r| (|z| + |G| |a|). That slack matters when
-    gamma L^r is large or G is ill-conditioned: on a 154-node SBM of two
-    barely linked blocks (gamma = 1, r = 4) the residual was 63 times the
-    1e-8 tolerance for a z within 4e-10 of an extended-precision solve.
-    Larger graphs, and gammas whose bordered solve fails (a component
-    without samples makes the system singular), go one at a time to
-    Jacobi-preconditioned conjugate gradient (_conjugate_gradient).
+    their systems are stacked into one batched solve. Row z = G[:, S] a +
+    N c is kept when its residual is within tolerance * |b| plus the
+    round-off an accurate z carries, n eps gamma |L^r| (|z| + |G| |a|).
+    That slack matters when gamma L^r is large or G is ill-conditioned: on
+    a 154-node SBM of two barely linked blocks (gamma = 1, r = 4) the
+    residual was 63 times the 1e-8 tolerance for a z within 4e-10 of an
+    extended-precision solve. Larger graphs, gammas failing that check,
+    and all of them when a component has no sample (each system is then
+    singular) go one at a time to Jacobi-preconditioned conjugate gradient
+    (_conjugate_gradient).
     """
     params_seq = list(params_seq)
     try:
@@ -229,12 +228,9 @@ def _bordered_solve(lap, r, gammas, sampled, b, target, out) -> np.ndarray:
     try:
         sol = np.linalg.solve(border, rhs)
     except np.linalg.LinAlgError:
-        # one singular system fails the whole batch: solve each alone, and
-        # leave a failed row NaN, which fails the residual check below
-        sol = np.full((k, size), np.nan)
-        for i in range(k):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                sol[i] = np.linalg.solve(border[i], rhs)
+        # G_SS + gamma W is positive definite, so the system is singular
+        # exactly when a component has no sample, whatever the gamma
+        return np.arange(k)
     pinv_s = pinv[:, s]
     for i, a in enumerate(sol):
         out[i] = pinv_s @ a[:m] + null @ a[m:]

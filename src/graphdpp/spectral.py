@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, OutOfRange, TooLarge
-from .graphs import LaplacianView
+from .graphs import LaplacianView, bandlimit
 
 DENSE_EIGEN_GUARD = 5000
 
@@ -46,9 +46,7 @@ def eigendecompose(L: LaplacianView) -> SpectralBasis:
 
 def fourier_basis_k(basis: SpectralBasis, k: int) -> np.ndarray:
     """First k columns of the Fourier basis (lowest graph frequencies)."""
-    if not 1 <= k <= basis.n:
-        raise OutOfRange(f"k must lie in [1, {basis.n}], got {k}")
-    return basis.vectors[:, :k]
+    return basis.vectors[:, : bandlimit(k, basis.n)]
 
 
 def generate_bandlimited_signal(u_k: np.ndarray, seed=None) -> np.ndarray:
@@ -56,15 +54,16 @@ def generate_bandlimited_signal(u_k: np.ndarray, seed=None) -> np.ndarray:
 
     Coefficients are standard normal, renormalized to unit length, so the
     signal itself has unit norm whenever the columns are orthonormal.
+    A basis without columns spans no unit signal and raises OutOfRange.
     """
-    rng = np.random.default_rng(seed)
     k = u_k.shape[1]
+    if k == 0:
+        raise OutOfRange("the basis must have at least one column")
+    rng = np.random.default_rng(seed)
     alpha = rng.standard_normal(k)
-    norm = np.linalg.norm(alpha)
-    while norm == 0.0:
+    while not alpha.any():
         alpha = rng.standard_normal(k)
-        norm = np.linalg.norm(alpha)
-    return u_k @ (alpha / norm)
+    return u_k @ (alpha / np.linalg.norm(alpha))
 
 
 def _vector_eval(f, lam):

@@ -30,6 +30,8 @@ HANDOVER = 512
 MAX_ROUNDS = 24
 MIN_ROOTS = 4
 TUNE_RUNS = 64  # walk runs per tune_q probe, also the CLI's --runs default
+# exact_q's probe cap: doubling or halving crosses the floats in 2098 probes
+_EXACT_PROBES = 2200
 
 
 def _arrows(g: Graph, nodes: np.ndarray, q: float, rng) -> np.ndarray:
@@ -217,82 +219,25 @@ def expected_sample_size(basis: SpectralBasis, q: float) -> float:
     return float(np.sum(wilson_kernel_explicit(basis, q).eigenvalues))
 
 
-def exact_q(g: Graph, basis: SpectralBasis, target_k: float) -> float:
-    """Absorption rate whose expected sample size s(q) = sum q / (q + lambda_i)
-    over the basis eigenvalues (expected_sample_size) is target_k within
-    1e-9 target_k. The search is tune_q's, on exact sizes: start at target_k
-    times the mean degree (the mean eigenvalue) over n, double or halve q
-    until the target is bracketed, then bisect on log q. s rises from the
-    component count to n, both met in the limit (an edgeless graph has
-    s = n at every q); a target below the component count raises
-    NoConvergence, as in tune_q.
-    """
+def _search_q(g: Graph, target_k, band: float, mean_size, max_probes: int) -> float:
+    """The first q whose mean_size(q), which rises with q from the component
+    count to n, lies within band of target_k. Starts at target_k times the
+    mean degree over n (at least 1e-12), doubles or halves q until the
+    target is bracketed, then bisects on log q. Raises NoConvergence after
+    max_probes probes, once q leaves the positive floats or the bisection
+    stalls, and without a probe for a target plus band below the component
+    count (every connected component keeps a root)."""
     if not 1 <= target_k <= g.n:
         raise InvalidParams(f"target_k must lie in [1, {g.n}]")
-    if basis.n != g.n:
-        raise ShapeMismatch(f"basis has {basis.n} eigenvalues for a graph of {g.n} nodes")
-    components = int(np.count_nonzero(component_labels(g) == np.arange(g.n)))
-    if target_k < components:
-        raise NoConvergence(f"mean size {target_k} is below the {components} connected components")
-    lam = basis.eigenvalues
-    band = 1e-9 * target_k
-    x = math.log(target_k * float(lam.mean()) / g.n or 1.0)  # log q
-    lo = hi = None
-    # exp stays finite and nonzero on the range
-    while -700.0 < x < 700.0:
-        q = math.exp(x)
-        gap = float(np.sum(q / (q + lam))) - target_k
-        if abs(gap) <= band:
-            return q
-        if gap < 0:
-            lo = x
-        else:
-            hi = x
-        if hi is None:
-            x += math.log(2.0)
-        elif lo is None:
-            x -= math.log(2.0)
-        else:
-            x = 0.5 * (lo + hi)
-            if x in (lo, hi):
-                break
-    raise NoConvergence(f"no q reached mean size {target_k} +/- {band:.3g}")
-
-
-def tune_q(
-    g: Graph,
-    target_k: int,
-    rng=None,
-    runs_per_probe: int = TUNE_RUNS,
-    tol: float = 0.1,
-    max_probes: int = 30,
-) -> float:
-    """Find an absorption rate whose mean sample size matches target_k.
-
-    The expected size is monotone increasing in q, so the search doubles
-    or halves q until the target is bracketed, then bisects on log q;
-    every probe estimates the mean over `runs_per_probe` fresh walk runs.
-    Accepts the first q whose probe mean lands within tol * target_k of
-    the target. Every connected component keeps at least one root, so a
-    target below the component count raises NoConvergence at once.
-    """
-    if not 1 <= target_k <= g.n:
-        raise InvalidParams(f"target_k must lie in [1, {g.n}]")
-    runs_per_probe = count(runs_per_probe, "runs_per_probe")
-    max_probes = count(max_probes, "max_probes")
-    if not 0 < tol < np.inf:
-        raise InvalidParams("tol must be positive and finite")
-    band = tol * target_k
     components = int(np.count_nonzero(component_labels(g) == np.arange(g.n)))
     if target_k + band < components:
         raise NoConvergence(
             f"mean size {target_k} +/- {band:.3g} is below the {components} connected components"
         )
-    rng = np.random.default_rng(rng)
     q = max(target_k * float(g.degrees().mean()) / g.n, 1e-12)
     lo = hi = None
     for probes in range(1, max_probes + 1):
-        mean = sum(len(wilson_sample(g, q, rng)) for _ in range(runs_per_probe)) / runs_per_probe
+        mean = mean_size(q)
         if abs(mean - target_k) <= band:
             return q
         if mean < target_k:
@@ -304,5 +249,46 @@ def tune_q(
         elif lo is None:
             q /= 2.0
         else:
-            q = float(np.sqrt(lo * hi))
+            # sqrt(lo * hi) bit for bit, scaled by 2^-e so the product stays finite
+            e = math.frexp(hi)[1]
+            q = math.ldexp(math.sqrt(math.ldexp(lo, -e) * math.ldexp(hi, -e)), e)
+        if not 0.0 < q < np.inf or q in (lo, hi):
+            break
     raise NoConvergence(f"no q reached mean size {target_k} +/- {band:.3g} in {probes} probes")
+
+
+def exact_q(g: Graph, basis: SpectralBasis, target_k: float) -> float:
+    """Absorption rate whose expected sample size s(q) = sum q / (q + lambda_i)
+    over the basis eigenvalues (expected_sample_size) is target_k within
+    1e-9 target_k: tune_q's search (_search_q) on exact sizes. s rises
+    from the component count to n, both met in the limit (an edgeless
+    graph has s = n at every q). Its probe cap lets q cross the floats.
+    """
+    if basis.n != g.n:
+        raise ShapeMismatch(f"basis has {basis.n} eigenvalues for a graph of {g.n} nodes")
+    lam = basis.eigenvalues
+    return _search_q(g, target_k, 1e-9 * target_k, lambda q: float(np.sum(q / (q + lam))), _EXACT_PROBES)
+
+
+def tune_q(
+    g: Graph,
+    target_k: int,
+    rng=None,
+    runs_per_probe: int = TUNE_RUNS,
+    tol: float = 0.1,
+    max_probes: int = 30,
+) -> float:
+    """Find an absorption rate whose mean sample size matches target_k:
+    the first q of the search (_search_q) whose probe mean over
+    `runs_per_probe` fresh walk runs lands within tol * target_k of it.
+    """
+    runs_per_probe = count(runs_per_probe, "runs_per_probe")
+    max_probes = count(max_probes, "max_probes")
+    if not 0 < tol < np.inf:
+        raise InvalidParams("tol must be positive and finite")
+    rng = np.random.default_rng(rng)
+
+    def mean_size(q):
+        return sum(len(wilson_sample(g, q, rng)) for _ in range(runs_per_probe)) / runs_per_probe
+
+    return _search_q(g, target_k, tol * target_k, mean_size, max_probes)

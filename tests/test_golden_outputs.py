@@ -31,7 +31,7 @@ FIG1B_GRID_SHA256 = "e68da74a59a7f7fc5fee8a5cce426a6cbf04d2ae54bb61ddecc37b43b29
 GOLDEN = {
     "fig1a.csv": "78b3fa77b17a841447f936a03eb9a01ab9bc300b4d7a8a9240c5bcf59b5e4b90",
     "fig1b.csv": "a3e19d023f31655d455b6f2a68962082c03bb418a135e6ac51544e2edb87d18c",
-    "fig1c.csv": "899b4a48e17d4d7368186387b92ccbf261232b20625315886679116fa33184f3",
+    "fig1c.csv": "2e79424aae65440be5e03cfbcebe1833926612bcfa383dd5f7c194e0c4c41e92",
     "g.mtx": "8e26abbcf3b55248581922948e2f6236325718b624a1a826153b53d4adacbb52",
     "labels.csv": "218ea8d6ba0c2d3ccd92c2d12afc7b287e4ba5e629f0e9e77d51072d36a1da4a",
     "pi.csv": "ca8192db77a81c8dd75a4e2d115c28103e6b5eae9eb3f2eea22d5c91130f34d3",

@@ -140,6 +140,8 @@ COUNT_CONSUMERS = {
     "gaussian_sketch[n_nodes]": lambda v: gaussian_sketch(v, 3, 0),
     "estimate_leverage_scores": lambda v: estimate_leverage_scores(LAP3, v, 0),
     "run_scalability_check": lambda v: run_scalability_check(40, 0.5, runs=v),
+    "fourier_basis_k": lambda v: fourier_basis_k(eigendecompose(LAP3), v),
+    "ideal_lowpass_kernel": lambda v: ideal_lowpass_kernel(eigendecompose(LAP3), v),
     **{
         f"ExperimentConfig[{name}]": (lambda name: lambda v: ExperimentConfig(**{name: v}))(name)
         for name in (
@@ -150,11 +152,14 @@ COUNT_CONSUMERS = {
 
 
 @pytest.mark.parametrize("name", list(COUNT_CONSUMERS))
-@pytest.mark.parametrize("bad", [2.5, float("nan"), "2"], ids=["fraction", "nan", "string"])
+@pytest.mark.parametrize(
+    "bad", [2.5, float("nan"), "2", [2, 3]], ids=["fraction", "nan", "string", "list"]
+)
 def test_non_integer_count_rejected(name, bad):
     # a fractional count raised a raw TypeError or IndexError, or (in
     # ExperimentConfig) was accepted and failed later in range(); a
-    # fractional seed was truncated, so seeds 2 and 2.7 gave one table
+    # fractional seed was truncated, so seeds 2 and 2.7 gave one table;
+    # a list raised a raw TypeError
     with pytest.raises(InvalidParams):
         COUNT_CONSUMERS[name](bad)
 

@@ -109,6 +109,12 @@ class TestBandlimitedSignal:
         x = generate_bandlimited_signal(fourier_basis_k(basis, 1), 0)
         np.testing.assert_allclose(np.abs(x), 1.0 / np.sqrt(3.0), atol=1e-12)
 
+    def test_basis_without_columns_rejected(self):
+        # an empty coefficient vector has norm 0 at every redraw, so the
+        # renormalization loop never ended
+        with pytest.raises(OutOfRange):
+            generate_bandlimited_signal(np.zeros((5, 0)), 0)
+
 
 class TestApplyFilter:
     def test_identity_response(self, sbm_basis):

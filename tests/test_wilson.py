@@ -541,6 +541,26 @@ class TestExactQ:
         with pytest.raises(ShapeMismatch):
             exact_q(p3, _basis(k2), 2)
 
+    def test_huge_weight_path_meets_or_stops_promptly(self):
+        # eigenvalues 0, 1, 1 and 2e300: s(q) = 4 within 4e-9 needs q near
+        # 5e308, above the largest float, so the search stops once doubling
+        # leaves the floats, after fewer than 100 probes
+        g = Graph(4, [(0, 1, 1.0), (1, 2, 1e300), (2, 3, 1.0)])
+        basis = _basis(g)
+        for target in (1, 2.5):
+            q = exact_q(g, basis, target)
+            assert abs(expected_sample_size(basis, q) - target) <= 1e-9 * target
+        with pytest.raises(NoConvergence, match=r" in \d{1,2} probes$"):
+            exact_q(g, basis, 4)
+
+    @pytest.mark.parametrize("w", [1e300, 1e-300])
+    def test_bisection_at_the_ends_of_the_float_range(self, w):
+        # q near 1e300 or 1e-300 brackets, where lo * hi over- or underflows
+        g = Graph(4, [(0, 1, w), (1, 2, w), (2, 3, w)])
+        basis = _basis(g)
+        q = exact_q(g, basis, 2.5)
+        assert abs(expected_sample_size(basis, q) - 2.5) <= 2.5e-9
+
 
 def reference_tune_q(
     g, target_k, rng=None, runs_per_probe=64, tol=0.1, max_probes=30, probed=None
