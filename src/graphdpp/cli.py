@@ -67,7 +67,7 @@ def _cmd_generate_graph(args):
 
 def _cmd_generate_signal(args):
     g = load_graph(args.graph)
-    basis = eigendecompose(laplacian(g))
+    basis = eigendecompose(laplacian(g), args.k)
     x = generate_bandlimited_signal(fourier_basis_k(basis, args.k), args.seed)
     save_signal(x, args.out)
     print(f"wrote {args.out}: bandlimit {args.k}, unit norm")
@@ -92,7 +92,7 @@ def _cmd_sample(args):
             sample.weights = floor_zero_probabilities(pi, sample.nodes)
     else:
         k = _require_k(args)
-        basis = eigendecompose(laplacian(g))
+        basis = eigendecompose(laplacian(g), k)
         u_k = fourier_basis_k(basis, k)
         if method == "dpp-ideal":
             sample = dpp_sample(ideal_lowpass_kernel(basis, k), rng)
@@ -133,7 +133,7 @@ def _cmd_recover(args):
     if args.known_basis:
         if args.k is None:
             raise InvalidParams("--k is required with --known-basis")
-        u_k = fourier_basis_k(eigendecompose(laplacian(g)), args.k)
+        u_k = fourier_basis_k(eigendecompose(laplacian(g), args.k), args.k)
         x_rec = recover_known_basis_weighted(u_k, meas)
     else:
         params = RecoveryParams(gamma=args.gamma, r=args.r, tolerance=args.tol)

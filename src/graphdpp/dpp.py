@@ -96,16 +96,19 @@ class MarginalKernel:
 
 
 def ideal_lowpass_kernel(basis: SpectralBasis, k: int) -> MarginalKernel:
-    """Rank-k projector onto the k lowest graph frequencies."""
+    """Rank-k projector onto the k lowest graph frequencies; a partial
+    basis with at least k pairs does (eigendecompose(L, k))."""
     mu = np.zeros(basis.n)
     mu[: bandlimit(k, basis.n)] = 1.0
     return MarginalKernel(eigenvalues=mu, vectors=basis.vectors)
 
 
 def wilson_kernel_explicit(basis: SpectralBasis, q: float) -> MarginalKernel:
-    """Kernel of the absorbing-walk process: eigenvalues q / (q + lambda)."""
+    """Kernel of the absorbing-walk process: eigenvalues q / (q + lambda),
+    over a complete basis."""
     if not 0 < q < np.inf:
         raise InvalidParams("q must be positive and finite")
+    basis.require_complete("wilson_kernel_explicit")
     mu = q / (q + basis.eigenvalues)
     return MarginalKernel(eigenvalues=mu, vectors=basis.vectors)
 

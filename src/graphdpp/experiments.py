@@ -18,7 +18,12 @@ from .recovery import RecoveryParams, measure, recover_known_basis_weighted, \
     recover_unknown_basis_path, relative_error
 from .selection import greedy_select, iid_leverage_sample, maxvol_select
 from .serialization import read_csv, write_csv
-from .spectral import eigendecompose, fourier_basis_k, generate_bandlimited_signal
+from .spectral import (
+    eigendecompose,
+    fourier_basis_k,
+    generate_bandlimited_signal,
+    largest_eigenvalue_estimate,
+)
 from .wilson import exact_q, wilson_sample
 
 log = logging.getLogger(__name__)
@@ -167,16 +172,20 @@ def parse_result_csv(path) -> list[ResultRow]:
     return [ResultRow(*row) for row in zip(*read_csv(path, RESULT_HEADER, kinds))]
 
 
-def _check_bandlimit_gap(basis, k, n):
+def _check_bandlimit_gap(basis, k, lap):
+    """Warn when the bandlimit splits a repeated eigenvalue. The tie
+    tolerance scales with the edge bound on |L|, which a partial basis
+    (k + 1 pairs) does not reach."""
     lam = basis.eigenvalues
-    if k < n and lam[k] - lam[k - 1] <= 1e-12 * max(lam[-1], 1.0):
+    scale = max(largest_eigenvalue_estimate(lap), 1.0)
+    if k < lap.n and lam[k] - lam[k - 1] <= 1e-12 * scale:
         warnings.warn(
             f"bandlimit {k} falls inside a repeated eigenvalue; the signal span "
             "depends on eigensolver tie-breaking",
             DegenerateCutoffWarning,
             stacklevel=3,
         )
-    components = int(np.sum(lam <= 1e-10 * max(lam[-1], 1.0)))
+    components = int(np.sum(lam <= 1e-10 * scale))
     log.debug("graph connectivity flag: %d zero eigenvalue(s)", components)
 
 
@@ -199,8 +208,9 @@ def run_experiment_known_basis(cfg: ExperimentConfig) -> list[ResultRow]:
             graph = sbm_generate(
                 cfg.sbm_params(frac * eps_c), stream(cfg.seed, point, g_idx, _TAG_GRAPH)
             )
-            basis = eigendecompose(laplacian(graph))
-            _check_bandlimit_gap(basis, k, graph.n)
+            lap = laplacian(graph)
+            basis = eigendecompose(lap, k)
+            _check_bandlimit_gap(basis, k, lap)
             u_k = fourier_basis_k(basis, k)
             kernel = ideal_lowpass_kernel(basis, k)
             fixed = {
@@ -283,7 +293,7 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
             )
             lap = laplacian(graph)
             basis = eigendecompose(lap)
-            _check_bandlimit_gap(basis, k, graph.n)
+            _check_bandlimit_gap(basis, k, lap)
             u_k = fourier_basis_k(basis, k)
             q = exact_q(graph, basis, target)
             kernel = wilson_kernel_explicit(basis, q)

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, OutOfRange, TooLarge
-from .graphs import LaplacianView, bandlimit
+from .errors import NoConvergence, OutOfRange, ShapeMismatch, TooLarge
+from .graphs import LaplacianView, bandlimit, count
 
 DENSE_EIGEN_GUARD = 5000
 
@@ -17,7 +17,8 @@ class SpectralBasis:
     """Eigenpairs of a graph Laplacian, eigenvalues ascending.
 
     `vectors` has orthonormal columns; `eigenvalues[0]` is zero for any
-    graph (the constant mode), with rounding noise clamped away.
+    graph (the constant mode), with rounding noise clamped away. A partial
+    basis holds only the lowest pairs: fewer columns than rows.
     """
 
     eigenvalues: np.ndarray
@@ -27,18 +28,41 @@ class SpectralBasis:
     def n(self):
         return len(self.eigenvalues)
 
+    def require_complete(self, what: str) -> None:
+        """Raise ShapeMismatch unless the basis holds one pair per node:
+        `what` needs every mode, and a partial basis would drop some."""
+        rows = self.vectors.shape[0]
+        if self.n < rows:
+            raise ShapeMismatch(f"{what} needs all {rows} eigenpairs, the basis holds {self.n}")
 
-def eigendecompose(L: LaplacianView) -> SpectralBasis:
-    """Full dense symmetric eigendecomposition of the Laplacian.
 
+def eigendecompose(L: LaplacianView, k=None) -> SpectralBasis:
+    """Dense symmetric eigendecomposition of the Laplacian: every pair, or
+    with k < n only the k + 1 lowest, whose last eigenvalue bounds the
+    gap above the k-th.
+
+    The partial basis comes from LAPACK's subset solver (MRRR, Dhillon,
+    Parlett and Voemel 2006), which computes only the wanted eigenvectors.
     Guarded at DENSE_EIGEN_GUARD nodes: beyond desk scale the whole point
-    of the random-walk sampler is to avoid this call. Computed once per
-    view and cached on it read-only, for every later caller.
+    of the random-walk sampler is to avoid this call. Each form is
+    computed once per view and cached on it read-only, for every later
+    caller.
     """
     if L.n > DENSE_EIGEN_GUARD:
         raise TooLarge(f"dense eigendecomposition guarded at n <= {DENSE_EIGEN_GUARD}, got {L.n}")
+    k = L.n if k is None else count(k, "k")
+    if k < L.n:
+
+        def compute():
+            import scipy.linalg  # here, not at the top: `import graphdpp` stays light
+
+            return tuple(scipy.linalg.eigh(L.dense(), subset_by_index=[0, k]))
+
+        key = ("eigh", k)
+    else:
+        key, compute = "eigh", lambda: tuple(np.linalg.eigh(L.dense()))
     try:
-        lam, vecs = L.cached("eigh", lambda: tuple(np.linalg.eigh(L.dense())))
+        lam, vecs = L.cached(key, compute)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
     return SpectralBasis(eigenvalues=np.clip(lam, 0.0, None), vectors=vecs)
@@ -80,7 +104,9 @@ def _vector_eval(f, lam):
 
 
 def apply_filter(basis: SpectralBasis, h, x: np.ndarray) -> np.ndarray:
-    """Apply the spectral filter with frequency response h to a signal."""
+    """Apply the spectral filter with frequency response h to a signal
+    (a complete basis only)."""
+    basis.require_complete("apply_filter")
     u = basis.vectors
     return u @ (_vector_eval(h, basis.eigenvalues) * (u.T @ x))
 

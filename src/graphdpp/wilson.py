@@ -219,21 +219,26 @@ def expected_sample_size(basis: SpectralBasis, q: float) -> float:
     return float(np.sum(wilson_kernel_explicit(basis, q).eigenvalues))
 
 
-def _search_q(g: Graph, target_k, band: float, mean_size, max_probes: int) -> float:
-    """The first q whose mean_size(q), which rises with q from the component
-    count to n, lies within band of target_k. Starts at target_k times the
-    mean degree over n (at least 1e-12), doubles or halves q until the
-    target is bracketed, then bisects on log q. Raises NoConvergence after
-    max_probes probes, once q leaves the positive floats or the bisection
-    stalls, and without a probe for a target plus band below the component
-    count (every connected component keeps a root)."""
+def _search_q(
+    g: Graph, target_k, band: float, mean_size, max_probes: int, zero_modes: int = 0
+) -> float:
+    """The first q whose mean_size(q), which rises with q from its floor to
+    n, lies within band of target_k. Starts at target_k times the mean
+    degree over n (at least 1e-12), doubles or halves q until the target is
+    bracketed, then bisects on log q. Raises NoConvergence after max_probes
+    probes, once q leaves the positive floats or the bisection stalls, and
+    without a probe for a target plus band below the floor: the component
+    count (every connected component keeps a root) or `zero_modes`, the
+    zero eigenvalues that exact sizes count in full, if more (a link below
+    round-off leaves a connected graph a second zero eigenvalue)."""
     if not 1 <= target_k <= g.n:
         raise InvalidParams(f"target_k must lie in [1, {g.n}]")
     components = int(np.count_nonzero(component_labels(g) == np.arange(g.n)))
-    if target_k + band < components:
-        raise NoConvergence(
-            f"mean size {target_k} +/- {band:.3g} is below the {components} connected components"
-        )
+    if target_k + band < max(components, zero_modes):
+        floor = f"{components} connected components"
+        if zero_modes > components:
+            floor = f"{zero_modes} zero eigenvalues"
+        raise NoConvergence(f"mean size {target_k} +/- {band:.3g} is below the {floor}")
     q = max(target_k * float(g.degrees().mean()) / g.n, 1e-12)
     lo = hi = None
     for probes in range(1, max_probes + 1):
@@ -261,13 +266,19 @@ def exact_q(g: Graph, basis: SpectralBasis, target_k: float) -> float:
     """Absorption rate whose expected sample size s(q) = sum q / (q + lambda_i)
     over the basis eigenvalues (expected_sample_size) is target_k within
     1e-9 target_k: tune_q's search (_search_q) on exact sizes. s rises
-    from the component count to n, both met in the limit (an edgeless
-    graph has s = n at every q). Its probe cap lets q cross the floats.
+    from the count of zero eigenvalues (the component count, up to
+    round-off) to n, both met in the limit (an edgeless graph has s = n at
+    every q). Its probe cap lets q cross the floats.
     """
     if basis.n != g.n:
         raise ShapeMismatch(f"basis has {basis.n} eigenvalues for a graph of {g.n} nodes")
     lam = basis.eigenvalues
-    return _search_q(g, target_k, 1e-9 * target_k, lambda q: float(np.sum(q / (q + lam))), _EXACT_PROBES)
+    zero_modes = int(np.count_nonzero(lam == 0.0))
+
+    def mean_size(q):
+        return float(np.sum(q / (q + lam)))
+
+    return _search_q(g, target_k, 1e-9 * target_k, mean_size, _EXACT_PROBES, zero_modes)
 
 
 def tune_q(

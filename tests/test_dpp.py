@@ -21,7 +21,7 @@ from graphdpp import (
     wilson_kernel_explicit,
     wilson_sample,
 )
-from graphdpp.errors import InvalidParams, OutOfRange, ZeroMarginal
+from graphdpp.errors import InvalidParams, OutOfRange, ShapeMismatch, ZeroMarginal
 
 from conftest import dpp_exact_law, empirical_tv
 
@@ -54,6 +54,20 @@ class TestKernels:
     def test_ideal_lowpass_out_of_range(self, k2_basis):
         with pytest.raises(OutOfRange):
             ideal_lowpass_kernel(k2_basis, 3)
+
+    def test_ideal_lowpass_from_partial_basis(self):
+        lap = laplacian(sbm_generate(SbmParams(n=40, k_comm=2, c=6.0, eps=0.2), 2))
+        part = ideal_lowpass_kernel(eigendecompose(lap, 3), 3)
+        full = ideal_lowpass_kernel(eigendecompose(lap), 3)
+        assert part.n == 40 and len(part.eigenvalues) == 4
+        np.testing.assert_allclose(part.matrix(), full.matrix(), atol=1e-10)
+        sample = dpp_sample(part, 0)
+        assert len(np.unique(sample.nodes)) == 3
+
+    def test_wilson_kernel_needs_every_mode(self):
+        lap = laplacian(sbm_generate(SbmParams(n=40, k_comm=2, c=6.0, eps=0.2), 2))
+        with pytest.raises(ShapeMismatch):
+            wilson_kernel_explicit(eigendecompose(lap, 3), 1.0)
 
     def test_wilson_kernel_hand_case(self, k2_basis):
         kernel = wilson_kernel_explicit(k2_basis, 2.0)

@@ -29,25 +29,25 @@ FIG1B_GRID_CONFIG = FIG1B_CONFIG.replace(
 FIG1B_GRID_SHA256 = "e68da74a59a7f7fc5fee8a5cce426a6cbf04d2ae54bb61ddecc37b43b2901f16"
 
 GOLDEN = {
-    "fig1a.csv": "78b3fa77b17a841447f936a03eb9a01ab9bc300b4d7a8a9240c5bcf59b5e4b90",
+    "fig1a.csv": "93c1cdbafc491c82cb91044fdddc758efab0e9980fbb2943146fd99ff466f715",
     "fig1b.csv": "a3e19d023f31655d455b6f2a68962082c03bb418a135e6ac51544e2edb87d18c",
     "fig1c.csv": "2e79424aae65440be5e03cfbcebe1833926612bcfa383dd5f7c194e0c4c41e92",
     "g.mtx": "8e26abbcf3b55248581922948e2f6236325718b624a1a826153b53d4adacbb52",
     "labels.csv": "218ea8d6ba0c2d3ccd92c2d12afc7b287e4ba5e629f0e9e77d51072d36a1da4a",
     "pi.csv": "ca8192db77a81c8dd75a4e2d115c28103e6b5eae9eb3f2eea22d5c91130f34d3",
-    "rec_known.csv": "506e4f21bf1a5736711289b5ecdf5dfe17fc1441703b8a4b281ccfbb74c3de92",
-    "rec_wilson_exact.csv": "26bccee0ff6e8493fba84cb9dfc0659c7634a8efb894bee7c370d2e26a2ca111",
-    "rec_wilson_none.csv": "aeee7b4cdf5b6da14970b7407512cbc2f9bcde52348f51ac7458ae7d655e67a8",
-    "s_dpp.csv": "2cd490d870733983eb0ee3bec8d442e9823011a0a30596057418cc4a69f77c48",
+    "rec_known.csv": "bfce7f187b2ba945350fa1952504ef7f42ae6355d951f87e86b9b639d2723f2f",
+    "rec_wilson_exact.csv": "13973c474a9e74283652128789dd7e5373dcfd80e8e9e11613c91e7cd56584c9",
+    "rec_wilson_none.csv": "0d8f707c84bfc4fd7b7217ecdb558917a3a1d1d09a60702491b6677e496e08e2",
+    "s_dpp.csv": "558282ba6845b60d892a093e96d4eab33c408dda9bd65a6ecf2f01db118b38bd",
     "s_greedy.csv": "fe36e1fac372cf1ed3aa9820a7bf3633b9498fa49bfe79c5de0cd274613be3fa",
-    "s_iid.csv": "f12ca356a6c25f4416fdd673cd9670a5e4606f4d68655102043b3043225122b6",
+    "s_iid.csv": "e8833ab6bacd72c9bcaba505c1d7cc07ccaeae713fbcec14c39fa52377070c50",
     "s_wilson_estimated.csv": "4b9f0b67246ddb8381434240a08ae9a72acf2a048bc446ac40afb9b9a65717bc",
     "s_wilson_exact.csv": "51de6de009d4b9566642328632d7dfe0204b6949541fea4249795a5ef8a3e43a",
     "s_wilson_none.csv": "a65b6d12602e74ad1ebb44b0a553e535ffbcca6a61193129b0cd379c9c91a22e",
-    "x.csv": "7e0822ae1ca2140cfe0a9bd444b58370d511f35997b8ec9a365f96f0867ff635",
-    "y_dpp.csv": "f93625ce84d4a4576ee54efd00ed8ae95b6b98f6cecfe276083cf2377e04ba22",
-    "y_wilson_exact.csv": "b532ac037a04701b3e880184aa9ce9803d69271a5d115da0e0e55d66963a55e2",
-    "y_wilson_none.csv": "6529fb30ed320784b4beeb8172dc8e5887bf31ee3871d827bdac8648bff5eddf",
+    "x.csv": "f3fd32d1728a1490f910bf7092613424ce92a6085c102eeeb353c7d32484873f",
+    "y_dpp.csv": "f100e5ed5dc7dbd4d47a18256766a945405fe669b3a35f1a441aae9b52b59240",
+    "y_wilson_exact.csv": "eee1553656c13f489e1d244355754792d61eb72504c3e126a72a96fec8a2aea8",
+    "y_wilson_none.csv": "a34a347b12d5707ff87d8a1f2e0d9d74872de34faaadf6c620ef90e3c62601d2",
 }
 
 

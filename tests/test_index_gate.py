@@ -140,6 +140,7 @@ COUNT_CONSUMERS = {
     "gaussian_sketch[n_nodes]": lambda v: gaussian_sketch(v, 3, 0),
     "estimate_leverage_scores": lambda v: estimate_leverage_scores(LAP3, v, 0),
     "run_scalability_check": lambda v: run_scalability_check(40, 0.5, runs=v),
+    "eigendecompose": lambda v: eigendecompose(LAP3, v),
     "fourier_basis_k": lambda v: fourier_basis_k(eigendecompose(LAP3), v),
     "ideal_lowpass_kernel": lambda v: ideal_lowpass_kernel(eigendecompose(LAP3), v),
     **{

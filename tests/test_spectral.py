@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdpp import (
     Graph,
@@ -18,7 +19,7 @@ from graphdpp import (
     sbm_generate,
 )
 from graphdpp import spectral
-from graphdpp.errors import OutOfRange, TooLarge
+from graphdpp.errors import InvalidParams, OutOfRange, ShapeMismatch, TooLarge
 
 from conftest import edge_lists
 
@@ -64,8 +65,85 @@ class TestEigendecompose:
 
     def test_guard(self, k2, monkeypatch):
         monkeypatch.setattr(spectral, "DENSE_EIGEN_GUARD", 1)
-        with pytest.raises(TooLarge):
-            eigendecompose(laplacian(k2))
+        for k in (None, 1):
+            with pytest.raises(TooLarge):
+                eigendecompose(laplacian(k2), k)
+
+
+@pytest.fixture(scope="module", params=[0.05, 1.0], ids=["frac0.05", "frac1.0"])
+def sbm20(request):
+    """The known-k20 graph shape: n = 1000, 20 communities, c = 16; at
+    frac 1.0 the gap lam[20] - lam[19] is a few hundredths."""
+    eps = request.param * critical_epsilon(16.0, 20)
+    return laplacian(sbm_generate(SbmParams(n=1000, k_comm=20, c=16.0, eps=eps), 1))
+
+
+def _projector(u):
+    return u @ u.T
+
+
+class TestPartialEigendecompose:
+    def test_matches_full_eigh_on_sbm20(self, sbm20):
+        k = 20
+        part, full = eigendecompose(sbm20, k), eigendecompose(sbm20)
+        bound = largest_eigenvalue_estimate(sbm20)
+        assert part.vectors.shape == (1000, k + 1)
+        np.testing.assert_allclose(
+            part.eigenvalues, full.eigenvalues[: k + 1], rtol=0, atol=1e-10 * bound
+        )
+        np.testing.assert_allclose(part.vectors.T @ part.vectors, np.eye(k + 1), atol=1e-10)
+        np.testing.assert_allclose(
+            _projector(fourier_basis_k(part, k)), _projector(fourier_basis_k(full, k)), atol=1e-10
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_lists(), st.integers(1, 12))
+    def test_lowest_pairs_of_any_graph(self, graph, k):
+        n, edges = graph
+        lap = laplacian(Graph(n, edges))
+        part, full = eigendecompose(lap, k), eigendecompose(lap)
+        m = min(k + 1, n)
+        assert part.n == m and part.vectors.shape == (n, m)
+        scale = max(largest_eigenvalue_estimate(lap), 1.0)
+        np.testing.assert_allclose(
+            part.eigenvalues, full.eigenvalues[:m], rtol=0, atol=1e-12 * scale
+        )
+        u = part.vectors
+        np.testing.assert_allclose(u.T @ u, np.eye(m), atol=1e-10)
+        residual = lap.dense() @ u - u * part.eigenvalues
+        np.testing.assert_allclose(residual, 0.0, rtol=0, atol=1e-10 * scale)
+        if k < n:
+            # the span of the k lowest is defined by the gap above it
+            # (Davis-Kahan: round-off over the gap)
+            gap = full.eigenvalues[k] - full.eigenvalues[k - 1]
+            if gap > 1e-6 * scale:
+                np.testing.assert_allclose(
+                    _projector(u[:, :k]), _projector(full.vectors[:, :k]), atol=1e-9 * scale / gap
+                )
+
+    @pytest.mark.parametrize("extra", [0, 1, 50])
+    def test_k_at_least_n_is_the_full_basis(self, sbm_basis, extra):
+        lap, full = sbm_basis
+        basis = eigendecompose(lap, lap.n + extra)
+        assert basis.vectors is full.vectors
+        np.testing.assert_array_equal(basis.eigenvalues, full.eigenvalues)
+
+    def test_cached_read_only_under_its_own_key(self, sbm_basis):
+        lap, full = sbm_basis
+        part = eigendecompose(lap, 3)
+        assert eigendecompose(lap, 3).vectors is part.vectors and not part.vectors.flags.writeable
+        assert eigendecompose(lap).vectors is full.vectors
+        assert eigendecompose(lap, 4).n == 5
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k2, k):
+        with pytest.raises(InvalidParams):
+            eigendecompose(laplacian(k2), k)
+
+    def test_apply_filter_needs_every_mode(self, sbm_basis):
+        lap, _ = sbm_basis
+        with pytest.raises(ShapeMismatch):
+            apply_filter(eigendecompose(lap, 5), lambda lam: 1.0, np.ones(lap.n))
 
 
 class TestFourierBasis:

@@ -541,6 +541,24 @@ class TestExactQ:
         with pytest.raises(ShapeMismatch):
             exact_q(p3, _basis(k2), 2)
 
+    def test_partial_basis_rejected(self):
+        g = sbm_generate(SbmParams(n=30, k_comm=2, c=5.0, eps=0.4), 0)
+        with pytest.raises(ShapeMismatch):
+            exact_q(g, eigendecompose(laplacian(g), 3), 4)
+
+    def test_link_below_round_off_fails_fast(self):
+        # one component, but the degree 1 + 1e-100 rounds to 1, so the
+        # eigenvalues are 0, 0, 2, 2 and s(q) >= 2: a target of 1.5 cannot
+        # be met, and the search raises before its first probe instead of
+        # halving q until it underflows
+        g = Graph(4, [(0, 1, 1.0), (1, 2, 1e-100), (2, 3, 1.0)])
+        basis = _basis(g)
+        assert np.count_nonzero(basis.eigenvalues == 0.0) == 2
+        with pytest.raises(NoConvergence, match="below the 2 zero eigenvalues"):
+            exact_q(g, basis, 1.5)
+        q = exact_q(g, basis, 2.5)
+        assert abs(expected_sample_size(basis, q) - 2.5) <= 1e-9 * 2.5
+
     def test_huge_weight_path_meets_or_stops_promptly(self):
         # eigenvalues 0, 1, 1 and 2e300: s(q) = 4 within 4e-9 needs q near
         # 5e308, above the largest float, so the search stops once doubling
