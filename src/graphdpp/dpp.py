@@ -117,31 +117,41 @@ def dpp_sample(kernel: MarginalKernel, rng=None) -> SamplingSet:
     """Draw one sample of the determinantal process with the given kernel.
 
     Two phases: a Bernoulli draw over the kernel's eigenvalues fixes the
-    sample size and selects a column subspace; then the projection process
-    on that subspace is sampled by the chain rule. Each node is drawn with
-    probability proportional to the squared row residuals of the subspace
-    basis, after the span of the rows already drawn is projected out, and
-    the residuals take one rank-one update per pick. Node selection is
+    sample size and selects a column subspace V; then the projection
+    process on that subspace is sampled by the chain rule (Tremblay,
+    Barthelme and Amblard 2018). Each node is drawn with probability
+    proportional to its row's squared residual against the span of the
+    rows already drawn. Only those squared residuals and the orthonormal
+    directions Q of the drawn rows are kept: a pick at node i takes its
+    direction q from v_i - Q'Q v_i, and since q is orthogonal to the
+    earlier directions every residual's component along q is V q, so the
+    update is one product with V per pick, O(nk) instead of rewriting an
+    n x k residual. Round-off below zero is clipped, and the drawn row's
+    residual is set to zero, so no node is drawn twice. Node selection is
     inverse-CDF in index order, so draws are reproducible under a fixed
     seed.
     """
     rng = np.random.default_rng(rng)
     mu = kernel.eigenvalues
     keep = rng.random(len(mu)) < mu
-    res = kernel.vectors[:, keep].copy()
+    v = kernel.vectors[:, keep]
+    size = v.shape[1]
+    r2 = np.einsum("ij,ij->i", v, v)
+    q = np.zeros((size, size))
     nodes = []
-    for remaining in range(res.shape[1], 0, -1):
-        r2 = np.einsum("ij,ij->i", res, res)
-        p = r2 / remaining
-        mass = p.sum()
+    for t in range(size):
+        cdf = np.cumsum(r2)
+        mass = cdf[-1] / (size - t)
         if abs(mass - 1.0) > _MASS_TOL:
             raise NumericalDegeneracy(f"selection mass {mass:.8f} drifted from 1")
-        cdf = np.cumsum(p)
         i = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
         i = min(i, kernel.n - 1)
         nodes.append(i)
-        q = res[i] / np.sqrt(r2[i])
-        res -= np.outer(res @ q, q)
+        row = v[i] - (q @ v[i]) @ q
+        q[t] = row / np.sqrt(row @ row)
+        r2 -= (v @ q[t]) ** 2
+        np.maximum(r2, 0.0, out=r2)
+        r2[i] = 0.0
     nodes = np.asarray(nodes, dtype=np.int64)
     return SamplingSet(nodes=nodes, weights=dpp_weight_matrix(kernel, nodes), method="dpp")
 

@@ -1,8 +1,9 @@
 """Sketch-based estimation of inclusion probabilities and leverage scores.
 
 Everything here works through repeated sparse Laplacian applications to a
-Gaussian sketch; the spectral basis is never touched, which is what makes
-these estimators usable where a dense eigendecomposition is not.
+Gaussian sketch. The inclusion probabilities never touch the spectral
+basis, which is what makes them usable where a dense eigendecomposition
+is not; the leverage scores read the dense eigenvalues for their cutoff.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from numpy.polynomial import chebyshev
 
 from .errors import InvalidParams
 from .graphs import LaplacianView, bandlimit, count, index_array
-from .spectral import DENSE_EIGEN_GUARD, _vector_eval, eigendecompose, largest_eigenvalue_estimate
+from .spectral import _vector_eval, eigendecompose, largest_eigenvalue_estimate
 
 ZERO_PROBABILITY_FLOOR = 1e-12
 FILTER_DEGREE = 30  # default Chebyshev degree of the fitted filters
@@ -286,18 +287,17 @@ def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray
     The exact distribution is the squared row norms of the first k Fourier
     basis columns, normalized by k. Here the rank-k projector is
     approximated by a smoothed low-pass polynomial of degree FILTER_DEGREE,
-    applied to a sketch of the default width: up to DENSE_EIGEN_GUARD
-    nodes the cutoff between the k-th and (k+1)-th eigenvalue is exact,
-    above it the cutoff is located by bisection on sketched eigenvalue
-    counts. Every sketch pass, the bisection's included, is drawn and
-    filtered in panels of about 640 KB, in single precision on L / b for
-    the edge-degree bound b, as in estimate_pi: no pass holds its whole
-    sketch.
+    applied to a sketch of the default width, with the cutoff midway
+    between the k-th and (k+1)-th eigenvalue. Those come from the dense
+    eigendecomposition, so above DENSE_EIGEN_GUARD nodes a graph with
+    edges and k < n raises TooLarge, as eigendecompose does. The sketch is
+    drawn and filtered in panels of about 640 KB, in single precision on
+    L / b for the edge-degree bound b, as in estimate_pi: it is never held
+    whole.
     Returns a probability vector (nonnegative, summing to one).
     """
     k = bandlimit(k, lap.n)
     rng = np.random.default_rng(rng)
-    d, n = FILTER_DEGREE, default_sketch_width(lap.n)
     if k == lap.n:
         return np.full(lap.n, 1.0 / lap.n)
 
@@ -306,27 +306,12 @@ def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray
         # no edges: every frequency is zero, any k rows carry equal mass
         return np.full(lap.n, 1.0 / lap.n)
 
-    if lap.n <= DENSE_EIGEN_GUARD:
-        lam = eigendecompose(lap).eigenvalues
-        gap = lam[k] - lam[k - 1]
-        cutoff = (lam[k] + lam[k - 1]) / 2.0
-        width = gap / 9.2 if gap > 1e-12 * lmax else lmax * 1e-4
-    else:
-        lo, hi = 0.0, lmax
-        cutoff = lmax / 2.0
-        for _ in range(25):
-            cutoff = (lo + hi) / 2.0
-            step = _smooth_step(cutoff, (hi - lo) / 16.0)
-            below = _sketched_diagonal(lap, step, d, n, rng, lmax).sum()
-            if abs(below - k) <= 0.25:
-                break
-            if below < k:
-                lo = cutoff
-            else:
-                hi = cutoff
-        width = max((hi - lo) / 9.2, lmax * 1e-4)
-
-    scores = _sketched_diagonal(lap, _smooth_step(cutoff, width), d, n, rng, lmax)
+    lam = eigendecompose(lap).eigenvalues
+    gap = lam[k] - lam[k - 1]
+    cutoff = (lam[k] + lam[k - 1]) / 2.0
+    width = gap / 9.2 if gap > 1e-12 * lmax else lmax * 1e-4
+    n = default_sketch_width(lap.n)
+    scores = _sketched_diagonal(lap, _smooth_step(cutoff, width), FILTER_DEGREE, n, rng, lmax)
     total = scores.sum()
     if total <= 0.0:
         raise InvalidParams("filtered sketch vanished; cannot normalize scores")

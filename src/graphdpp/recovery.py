@@ -81,32 +81,43 @@ def measure(x: np.ndarray, sampling: SamplingSet, noise_sigma: float = 0.0, rng=
     return Measurement(y=y, sampling=sampling)
 
 
-def _pinv_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares solve through the SVD with a relative singular cutoff;
-    warns when the cutoff drops a singular value."""
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+def _known_basis_factor(u_k, nodes, scale: np.ndarray):
+    """Factor the least squares in the span of the basis columns read at
+    the nodes, measurement row i scaled by scale[i]: an SVD of the scaled
+    restriction with a relative singular cutoff, which warns when it drops
+    a singular value. Returns the solve y -> u_k z, two GEMVs through the
+    factors and one with u_k per measurement vector."""
+    u_k = np.asarray(u_k, dtype=float)
+    nodes = index_array(nodes, "sampled node indices", u_k.shape[0])
+    u, s, vt = np.linalg.svd(scale[:, None] * u_k[nodes, :], full_matrices=False)
     keep = s > _SINGULAR_CUTOFF * (s[0] if len(s) else 1.0)
     if len(s) == 0 or not keep.all():
         warnings.warn(
             "restricted basis is numerically singular; recovery is a least-norm guess",
             IllConditionedWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return vt.T @ (inv * (u.T @ rhs))
+    return lambda y: u_k @ (vt.T @ (inv * (u.T @ (scale * y))))
 
 
-def _known_basis_solve(u_k, meas: Measurement, scale: np.ndarray) -> np.ndarray:
-    """Least squares in the span of the basis columns, measurement row i scaled by scale[i]."""
-    u_k = np.asarray(u_k, dtype=float)
-    nodes = index_array(meas.sampling.nodes, "sampled node indices", u_k.shape[0])
-    restricted = scale[:, None] * u_k[nodes, :]
-    return u_k @ _pinv_solve(restricted, scale * meas.y)
+def _weight_scale(sampling: SamplingSet) -> np.ndarray:
+    if sampling.weights is None:
+        raise MissingWeights("sampling set carries no weights")
+    return 1.0 / np.sqrt(sampling.weights)
+
+
+def known_basis_solver(u_k: np.ndarray, sampling: SamplingSet):
+    """recover_known_basis_weighted factored once for a sampling set:
+    returns y -> x_rec for measurement vectors y read at sampling.nodes,
+    bit for bit what recover_known_basis_weighted returns for them, so a
+    selection measured many times pays for one SVD."""
+    return _known_basis_factor(u_k, sampling.nodes, _weight_scale(sampling))
 
 
 def recover_known_basis(u_k: np.ndarray, meas: Measurement) -> np.ndarray:
     """Least-squares recovery in the span of the basis columns: the weighted solve, unit weights."""
-    return _known_basis_solve(u_k, meas, np.ones(len(meas.y)))
+    return _known_basis_factor(u_k, meas.sampling.nodes, np.ones(len(meas.y)))(meas.y)
 
 
 def recover_known_basis_weighted(u_k: np.ndarray, meas: Measurement) -> np.ndarray:
@@ -116,9 +127,7 @@ def recover_known_basis_weighted(u_k: np.ndarray, meas: Measurement) -> np.ndarr
     weight, which makes random sampling sets behave like unbiased designs.
     Equal weights reduce exactly to the unweighted recovery.
     """
-    if meas.sampling.weights is None:
-        raise MissingWeights("sampling set carries no weights")
-    return _known_basis_solve(u_k, meas, 1.0 / np.sqrt(meas.sampling.weights))
+    return _known_basis_factor(u_k, meas.sampling.nodes, _weight_scale(meas.sampling))(meas.y)
 
 
 def _kernel_form(lap: LaplacianView, r: int):

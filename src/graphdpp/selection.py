@@ -72,12 +72,15 @@ def _step_scores(kind: ObjectiveKind, u_k: np.ndarray, nodes, cand, r2) -> np.nd
 def greedy_select(u_k: np.ndarray, objective) -> SamplingSet:
     """Grow a size-k node set one node at a time, maximizing the objective.
 
-    The rows' residuals after projecting out the span of the chosen rows
-    are kept for all n rows and updated by one rank-one term per pick, so
-    every step scores all candidates at once. A row whose squared residual
-    is at most the rank tolerance adds no rank and is never picked; when no
-    unused row adds rank, DegenerateBasis is raised. Ties break to the
-    lowest node index, so the output is deterministic.
+    Every row's squared residual against the span of the chosen rows is
+    kept, so every step scores all candidates at once. As in dpp_sample,
+    only those squared residuals and the orthonormal directions Q of the
+    chosen rows are stored: a pick's direction q is its row minus the
+    row's projection on Q, normalized, and the residuals drop by the
+    squares of u_k q, one product with u_k per pick. A row whose squared
+    residual is at most the rank tolerance adds no rank and is never
+    picked; when no unused row adds rank, DegenerateBasis is raised. Ties
+    break to the lowest node index, so the output is deterministic.
     """
     try:
         kind = ObjectiveKind(objective)
@@ -87,19 +90,20 @@ def greedy_select(u_k: np.ndarray, objective) -> SamplingSet:
     n, k = u_k.shape
     if k > n:
         raise InvalidParams("cannot select more nodes than the graph has")
-    res = u_k.copy()
+    r2 = np.einsum("ij,ij->i", u_k, u_k)
+    q = np.zeros((k, k))
     chosen = np.zeros(n, dtype=bool)
     nodes = []
-    for _ in range(k):
-        r2 = np.einsum("ij,ij->i", res, res)
+    for t in range(k):
         cand = np.flatnonzero(~chosen & (r2 > _RANK_TOL))
         if len(cand) == 0:
             raise DegenerateBasis("no unused node adds rank to the greedy selection")
         best = int(cand[np.argmax(_step_scores(kind, u_k, nodes, cand, r2[cand]))])
         chosen[best] = True
         nodes.append(best)
-        q = res[best] / np.sqrt(r2[best])
-        res -= np.outer(res @ q, q)
+        row = u_k[best] - (q @ u_k[best]) @ q
+        q[t] = row / np.sqrt(row @ row)
+        r2 -= (u_k @ q[t]) ** 2
     if singular_values_restriction(u_k, nodes)[0] <= _RANK_TOL:
         raise DegenerateBasis("greedy selection ended with a singular restriction")
     return SamplingSet(

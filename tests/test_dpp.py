@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdpp import (
     Graph,
     MarginalKernel,
     SamplingSet,
     SbmParams,
+    critical_epsilon,
     dpp_sample,
     dpp_weight_matrix,
     eigendecompose,
@@ -21,12 +24,37 @@ from graphdpp import (
     wilson_kernel_explicit,
     wilson_sample,
 )
-from graphdpp.errors import InvalidParams, OutOfRange, ShapeMismatch, ZeroMarginal
+from graphdpp.errors import (
+    InvalidParams,
+    NumericalDegeneracy,
+    OutOfRange,
+    ShapeMismatch,
+    ZeroMarginal,
+)
 
 from conftest import dpp_exact_law, empirical_tv
 
 # hand computation on the single-edge graph at q=2, from U = [(1,1),(1,-1)]/sqrt(2)
 K2_Q2_KERNEL = np.array([[0.75, 0.25], [0.25, 0.75]])
+
+
+def rank_one_dpp_sample(kernel, rng):
+    """The chain rule with every row's residual held and updated by one
+    rank-one term per pick; same random draws as dpp_sample. Returns the
+    node sequence."""
+    mu = kernel.eigenvalues
+    keep = rng.random(len(mu)) < mu
+    res = kernel.vectors[:, keep].copy()
+    nodes = []
+    for remaining in range(res.shape[1], 0, -1):
+        r2 = np.einsum("ij,ij->i", res, res)
+        cdf = np.cumsum(r2 / remaining)
+        i = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+        i = min(i, kernel.n - 1)
+        nodes.append(i)
+        q = res[i] / np.sqrt(r2[i])
+        res -= np.outer(res @ q, q)
+    return nodes
 
 
 @pytest.fixture
@@ -261,12 +289,57 @@ class TestSamplerDegenerateKernels:
 
 class TestSamplerConsistencyGuard:
     def test_mass_drift_raises(self):
-        from graphdpp.errors import NumericalDegeneracy
-
         # non-orthonormal vectors break the selection-mass invariant
         broken = MarginalKernel(eigenvalues=np.array([1.0, 0.0, 0.0]), vectors=np.eye(3) * 0.5)
         with pytest.raises(NumericalDegeneracy):
             dpp_sample(broken, 0)
+
+    def test_mass_drift_raises_after_first_pick(self):
+        # two unit columns at inner product 1/2: the first pick's mass is 1,
+        # but after it the residual mass is 1 - q1 q2 for the picked row's
+        # unit direction q, and every row here has |q1 q2| of about 0.4 or
+        # more, far above the 1e-6 tolerance
+        u1 = np.ones(3) / np.sqrt(3.0)
+        u2 = 0.5 * u1 + np.sqrt(0.75) * np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        v = np.column_stack([u1, u2])
+        assert np.sum(v**2) / 2.0 == pytest.approx(1.0, abs=1e-12)
+        rows = v / np.linalg.norm(v, axis=1)[:, None]
+        assert np.all(np.abs(rows[:, 0] * rows[:, 1]) >= 0.39)
+        kernel = MarginalKernel(eigenvalues=np.ones(2), vectors=v)
+        for seed in range(10):
+            with pytest.raises(NumericalDegeneracy, match="drifted"):
+                dpp_sample(kernel, seed)
+
+
+def _node_sequences(kernel, seed, draws):
+    """Nodes of `draws` dpp_sample draws and of as many reference draws
+    from the same seed."""
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = [dpp_sample(kernel, fast).nodes.tolist() for _ in range(draws)]
+    want = [rank_one_dpp_sample(kernel, slow) for _ in range(draws)]
+    return got, want
+
+
+class TestMatchesRankOneSampler:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_random_projection(self, n, data, seed):
+        k = data.draw(st.integers(0, n))
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        kernel = MarginalKernel(eigenvalues=np.ones(k), vectors=q[:, :k])
+        got, want = _node_sequences(kernel, seed, 5)
+        assert got == want
+        assert all(len(set(nodes)) == len(nodes) == k for nodes in got)
+
+    @pytest.mark.parametrize("frac", [0.05, 1.0])
+    def test_sbm_partial_basis(self, frac):
+        # the fig1a setting: n = 1000, 20 communities, bandlimit 20
+        eps = frac * critical_epsilon(16.0, 20)
+        g = sbm_generate(SbmParams(n=1000, k_comm=20, c=16.0, eps=eps), 3)
+        kernel = ideal_lowpass_kernel(eigendecompose(laplacian(g), 20), 20)
+        got, want = _node_sequences(kernel, 11, 200)
+        assert got == want
+        assert all(len(set(nodes)) == 20 for nodes in got)
 
 
 class TestSamplerLaws:

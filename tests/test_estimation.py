@@ -24,7 +24,7 @@ from graphdpp import (
     sbm_generate,
     wilson_kernel_explicit,
 )
-from graphdpp import LaplacianView, estimation
+from graphdpp import LaplacianView, estimation, spectral
 from graphdpp.errors import InvalidParams, OutOfRange, TooLarge
 from graphdpp.estimation import default_sketch_width
 
@@ -359,13 +359,6 @@ class TestSinglePrecision:
         lap = laplacian(graph)
         self.assert_close(*self.both(monkeypatch, lambda: estimate_pi(lap, q, rng=5)))
 
-    def test_leverage_scores_bisected(self, monkeypatch, graph):
-        # 5000 nodes would take the exact-cutoff path through eigh; the
-        # bisection path makes every sketch pass of the scale route
-        lap = laplacian(graph)
-        monkeypatch.setattr(estimation, "DENSE_EIGEN_GUARD", 10)
-        self.assert_close(*self.both(monkeypatch, lambda: estimate_leverage_scores(lap, 10, rng=6)))
-
     def test_extreme_weights(self, monkeypatch, graph):
         # weights over 60 decades: L / lambda_max has entries far below
         # float32's smallest normal number, and the fitted coefficients are tiny
@@ -493,18 +486,12 @@ class TestLeverageScores:
         est = estimate_leverage_scores(lap, 2, rng=9)
         assert 0.5 * np.abs(est - exact).sum() < 0.1
 
-    def test_bisected_cutoff_path(self, monkeypatch):
-        # force the large-scale path on a desk-size graph
-        eps = critical_epsilon(16.0, 2) / 5.0
-        g = sbm_generate(SbmParams(n=100, k_comm=2, c=16.0, eps=eps), 8)
-        lap = laplacian(g)
-        u_k = fourier_basis_k(eigendecompose(lap), 2)
-        exact = np.einsum("ij,ij->i", u_k, u_k) / 2.0
-        monkeypatch.setattr(estimation, "DENSE_EIGEN_GUARD", 10)
-        est = estimate_leverage_scores(lap, 2, rng=10)
-        assert np.all(est >= 0.0)
-        assert est.sum() == pytest.approx(1.0, abs=1e-12)
-        assert 0.5 * np.abs(est - exact).sum() < 0.25
+    def test_above_dense_guard_raises(self, monkeypatch):
+        # the cutoff needs the dense eigenvalues, guarded as eigendecompose is
+        g = sbm_generate(SbmParams(n=100, k_comm=2, c=16.0, eps=0.1), 8)
+        monkeypatch.setattr(spectral, "DENSE_EIGEN_GUARD", 10)
+        with pytest.raises(TooLarge):
+            estimate_leverage_scores(laplacian(g), 2, rng=10)
 
     def test_out_of_range(self, k2):
         with pytest.raises(OutOfRange):

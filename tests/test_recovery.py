@@ -21,6 +21,7 @@ from graphdpp import (
     generate_bandlimited_signal,
     greedy_select,
     laplacian,
+    maxvol_select,
     measure,
     recover_known_basis,
     recover_known_basis_weighted,
@@ -31,6 +32,7 @@ from graphdpp import (
 )
 from graphdpp import experiments, recovery
 from graphdpp.graphs import component_labels
+from graphdpp.recovery import known_basis_solver
 from graphdpp.errors import (
     IllConditionedWarning,
     InvalidParams,
@@ -257,6 +259,52 @@ class TestKnownBasisWeighted:
         with pytest.warns(IllConditionedWarning) as record:
             solve(u, meas)
         assert record[0].filename == __file__
+
+
+class TestKnownBasisSolver:
+    """A factored selection, applied to many measurement vectors, returns
+    bit for bit the per-measurement solve."""
+
+    @staticmethod
+    def selections(u_k):
+        rng = np.random.default_rng(12)
+        nodes = rng.choice(len(u_k), size=6, replace=False)
+        return [
+            greedy_select(u_k, "wce"),
+            greedy_select(u_k, "mse"),
+            greedy_select(u_k, "mv"),
+            maxvol_select(u_k),
+            SamplingSet(nodes=nodes, weights=rng.uniform(0.05, 0.9, size=6), method="t"),
+        ]
+
+    def test_bit_identical_to_weighted_solve(self, instance):
+        _, _, _, u_k, x = instance
+        rng = np.random.default_rng(13)
+        for s in self.selections(u_k):
+            solve = known_basis_solver(u_k, s)
+            for _ in range(5):
+                meas = measure(x, s, 1e-3, rng)
+                np.testing.assert_array_equal(
+                    solve(meas.y), recover_known_basis_weighted(u_k, meas)
+                )
+
+    def test_missing_weights(self, instance):
+        _, _, _, u_k, _ = instance
+        with pytest.raises(MissingWeights):
+            known_basis_solver(u_k, SamplingSet(nodes=np.array([0, 1, 2]), method="t"))
+
+    def test_singular_selection_warns_once_per_factor(self):
+        u = np.zeros((4, 2))
+        u[0, 0] = 1.0
+        s = unit_weight_sampling([2, 3])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve = known_basis_solver(u, s)
+            outs = [solve(np.array([1.0, -1.0])) for _ in range(3)]
+        assert [w.category for w in caught] == [IllConditionedWarning]
+        assert caught[0].filename == __file__
+        for out in outs:
+            np.testing.assert_array_equal(out, np.zeros(4))
 
 
 class TestUnknownBasis:

@@ -9,6 +9,7 @@ from graphdpp import (
     ObjectiveKind,
     eigendecompose,
     SbmParams,
+    critical_epsilon,
     fourier_basis_k,
     greedy_select,
     iid_leverage_sample,
@@ -18,6 +19,7 @@ from graphdpp import (
     singular_values_restriction,
 )
 from graphdpp.errors import DegenerateBasis, InvalidDistribution, InvalidParams, OutOfRange
+from graphdpp.selection import _step_scores
 
 from conftest import exhaustive_best_volume
 
@@ -73,6 +75,24 @@ def reference_greedy(u_k, kind):
                 best_val, best_node = val, cand
         nodes.append(best_node)
         gram += np.outer(u_k[best_node, :], u_k[best_node, :])
+    return nodes
+
+
+def rank_one_greedy(u_k, kind):
+    """greedy_select's scoring with every row's residual held and updated
+    by one rank-one term per pick."""
+    n, k = u_k.shape
+    res = u_k.copy()
+    chosen = np.zeros(n, dtype=bool)
+    nodes = []
+    for _ in range(k):
+        r2 = np.einsum("ij,ij->i", res, res)
+        cand = np.flatnonzero(~chosen & (r2 > _RANK_TOL))
+        best = int(cand[np.argmax(_step_scores(kind, u_k, nodes, cand, r2[cand]))])
+        chosen[best] = True
+        nodes.append(best)
+        q = res[best] / np.sqrt(r2[best])
+        res -= np.outer(res @ q, q)
     return nodes
 
 
@@ -203,6 +223,30 @@ class TestGreedySelect:
         u = fourier_basis_k(eigendecompose(laplacian(g)), 8)
         for kind in ObjectiveKind:
             assert greedy_select(u, kind).nodes.tolist() == reference_greedy(u, kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 20),
+        extra=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_rank_one_update(self, k, extra, seed):
+        u = random_orthonormal(k + extra, k, seed)
+        for kind in ObjectiveKind:
+            assert greedy_select(u, kind).nodes.tolist() == rank_one_greedy(u, kind)
+
+    @pytest.mark.parametrize("frac", [0.05, 1.0])
+    def test_matches_rank_one_update_on_fig1a_basis(self, frac):
+        eps = frac * critical_epsilon(16.0, 20)
+        g = sbm_generate(SbmParams(n=1000, k_comm=20, c=16.0, eps=eps), 3)
+        u = fourier_basis_k(eigendecompose(laplacian(g), 20), 20)
+        for kind in ObjectiveKind:
+            assert greedy_select(u, kind).nodes.tolist() == rank_one_greedy(u, kind)
+
+    def test_duplicate_row_matches_rank_one_update(self):
+        u = duplicated_row_basis()
+        for kind in ObjectiveKind:
+            assert greedy_select(u, kind).nodes.tolist() == rank_one_greedy(u, kind)
 
     def test_equal_norm_ties_go_to_lowest_index(self):
         # rows 0 and 2 are e1 / sqrt(2), rows 1 and 3 are e2 / sqrt(2)
