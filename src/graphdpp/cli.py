@@ -51,6 +51,7 @@ _EXPERIMENT_PRESETS = {
     },
     "fig1c": {"sweep": "m", "grid": (2.0, 3.0, 4.0, 6.0, 8.0), "eps_frac": 0.1},
 }
+_SCALE_N, _SCALE_Q = 100_000, 5e-4  # the scale protocol's node count and absorption rate
 
 
 def _cmd_generate_graph(args):
@@ -150,13 +151,23 @@ def _cmd_estimate_pi(args):
 
 
 def _cmd_experiment(args):
-    if args.protocol == "scale":
-        mean_size, mean_seconds = run_scalability_check(args.n, args.q, seed=args.seed or 0)
-        print(f"n={args.n} q={args.q:g}: mean samples {mean_size:.2f}, "
+    scale = args.protocol == "scale"
+    if scale:
+        flags = {"--config": args.config is not None, "--full": args.full}
+    else:
+        flags = {"--n": args.n is not None, "--q": args.q is not None}
+    unread = [flag for flag, given in flags.items() if given]
+    if unread:
+        raise InvalidParams(f"experiment {args.protocol} does not read {', '.join(unread)}")
+    if scale:
+        n = _SCALE_N if args.n is None else args.n
+        q = _SCALE_Q if args.q is None else args.q
+        mean_size, mean_seconds = run_scalability_check(n, q, seed=args.seed or 0)
+        print(f"n={n} q={q:g}: mean samples {mean_size:.2f}, "
               f"mean seconds per run {mean_seconds:.3f}")
         if args.out:
             write_csv(args.out, ["n", "q", "mean_samples", "mean_seconds"],
-                      [(args.n, args.q, mean_size, mean_seconds)])
+                      [(n, q, mean_size, mean_seconds)])
         return
     if args.config:
         cfg = parse_config(args.config)
@@ -250,8 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("protocol", choices=["fig1a", "fig1b", "fig1c", "scale"])
     p.add_argument("--config", default=None, help="key = value experiment config")
     p.add_argument("--full", action="store_true", help="paper-scale trial counts")
-    p.add_argument("--n", type=int, default=100_000, help="scale protocol: node count")
-    p.add_argument("--q", type=float, default=5e-4, help="scale protocol: absorption rate")
+    p.add_argument("--n", type=int, default=None,
+                   help=f"scale protocol: node count (default {_SCALE_N})")
+    p.add_argument("--q", type=float, default=None,
+                   help=f"scale protocol: absorption rate (default {_SCALE_Q:g})")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_experiment)

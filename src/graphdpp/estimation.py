@@ -9,8 +9,8 @@ is not; the leverage scores read the dense eigenvalues for their cutoff.
 from __future__ import annotations
 
 import os
-import threading
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -87,8 +87,8 @@ def fit_sqrt_filter(f, d: int, lambda_max: float) -> PolynomialFilter:
     The recorded sup-norm fit error is measured on a 1001-point grid.
     """
     d = count(d, "polynomial degree")
-    if lambda_max < 0:
-        raise InvalidParams("lambda_max must be nonnegative")
+    if not 0 <= lambda_max < np.inf:
+        raise InvalidParams("lambda_max must be nonnegative and finite")
     if lambda_max == 0.0:
         v = float(f(0.0))
         if v < 0:
@@ -126,45 +126,6 @@ def default_sketch_width(n_nodes: int) -> int:
     return int(20 * np.ceil(np.log(max(n_nodes, 2))))
 
 
-def _run_all(task, items, size: int) -> None:
-    """task(item) for every item of an iterable of `size` items, on up to
-    one thread per CPU in the process's affinity mask (all CPUs where the
-    OS has no mask).
-
-    Items are taken one at a time under a lock, so a lazy iterable makes
-    each item in order, when a thread takes it, while the others run
-    their tasks. The calling thread takes items too, so it starts at most
-    min(CPUs, size) - 1 helpers, none at all for a single item or CPU,
-    and joins them before it returns. A task or item that raises stops
-    the others from taking more, and its exception reaches the caller.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    helpers = min(cpus, size) - 1
-    todo, lock, failed = iter(items), threading.Lock(), threading.Event()
-
-    def drain():
-        try:
-            while not failed.is_set():
-                with lock:
-                    item = next(todo, None)
-                if item is None:
-                    return
-                task(item)
-        except BaseException:
-            failed.set()
-            raise
-
-    # the pool starts a thread per submitted drain only: none when helpers is 0
-    with ThreadPoolExecutor(max(helpers, 1)) as pool:
-        futures = [pool.submit(drain) for _ in range(helpers)]
-        drain()
-    for future in futures:
-        future.result()
-
-
 def _sketched_diagonal(lap, f, d, n, rng, lmax):
     """Estimated diagonal of f(L): squared row norms of a width-n Gaussian
     sketch filtered by the degree-d fit of sqrt(f) on [0, lmax], where
@@ -181,19 +142,19 @@ def _sketched_diagonal(lap, f, d, n, rng, lmax):
 
     The sketch is never held whole. It is cut into contiguous column
     panels of about _PANEL_BYTES, which keeps the Clenshaw blocks
-    cache-sized, and each panel is drawn when a worker takes it: from rng
-    in panel order, rng.standard_normal((rows, columns)) in float64,
-    divided by sqrt(n) and kept in float32. In order, the panels use up
-    rng's normals as one (rows, n) draw would, and a sketch that fits one
-    panel has gaussian_sketch's values. The panels are independent, so they are
-    filtered concurrently on the CPUs the process may run on (the draws,
-    the sparse products and the in-place updates release the interpreter
-    lock, so one worker draws while another filters), and memory is a
-    few panels per worker. Each panel's squared row norms, taken in
-    float64, are added to the output in panel order, as soon as every
-    earlier panel's are in; only the norms of panels that finish ahead of
-    an earlier one are held. The result is the same, bit for bit,
-    whatever the number of workers.
+    cache-sized. The calling thread draws the panels from rng in panel
+    order, rng.standard_normal((rows, columns)) in float64, divided by
+    sqrt(n) and kept in float32: in order they use up rng's normals as
+    one (rows, n) draw would, and a sketch that fits one panel has
+    gaussian_sketch's values. Each panel is filtered, and its squared
+    row norms taken in float64, on a pool of one thread per CPU the
+    process may run on, at most one per panel (the sparse products and
+    the in-place updates release the interpreter lock). At most
+    workers + 1 panels are in flight, so the caller draws the next panel
+    while the workers filter, and memory is a few panels per worker. The
+    norms are added to the output in panel order, so the result is the
+    same, bit for bit, whatever the number of workers. With one panel or
+    one CPU the panels run in a plain loop on the calling thread.
     """
     filt = fit_sqrt_filter(f, d, lmax)
     scale = np.ldexp(1.0, int(np.frexp(np.abs(filt.coefficients).max())[1]))
@@ -203,24 +164,33 @@ def _sketched_diagonal(lap, f, d, n, rng, lmax):
     step = max(8, _PANEL_BYTES // (4 * lap.n))
     starts = range(0, n, step)
     out = np.zeros(lap.n)
-    # panel starts whose norms are still to be added, the next one last
-    order, early, lock = list(reversed(starts)), {}, threading.Lock()
 
     def draw(j):
         x = rng.standard_normal((lap.n, min(step, n - j)))
         x /= np.sqrt(n)
-        return j, x.astype(np.float32)
+        return x.astype(np.float32)
 
-    def filter_panel(item):
-        j, sketch = item
+    def norms(sketch):
         panel = filt.apply(lap, sketch)
-        norms = np.einsum("ij,ij->i", panel, panel, dtype=np.float64)
-        with lock:
-            early[j] = norms
-            while order and order[-1] in early:
-                np.add(out, early.pop(order.pop()), out=out)
+        return np.einsum("ij,ij->i", panel, panel, dtype=np.float64)
 
-    _run_all(filter_panel, map(draw, starts), len(starts))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(starts))
+    if workers == 1:
+        for j in starts:
+            out += norms(draw(j))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            window = deque()
+            for j in starts:
+                window.append(pool.submit(norms, draw(j)))
+                if len(window) > workers:
+                    out += window.popleft().result()
+            while window:
+                out += window.popleft().result()
     return out * scale**2
 
 
@@ -239,14 +209,9 @@ def estimate_pi(
     row norms. Estimates are nonnegative by construction and concentrate
     around the true values at sketch widths of order log n. The cost is
     d sparse products per sketch column. The filter runs in single
-    precision on L / b, a float32 view made per call that shares L's CSR
-    index arrays; its round-off is about 1e-5 relative, far below the
-    sketch's sampling error. The sketch is never held
-    whole: each column panel of about 640 KB of float32 (16 columns at
-    n = 1e4, at least 8) is drawn from rng when a worker takes it, in
-    panel order, and filtered on one of the CPUs the process may run on.
-    The memory is a few panels per worker, with no n x width array, and
-    rng is left as one standard_normal((lap.n, n)) draw would leave it.
+    precision on L / b, on column panels of the sketch that is never held
+    whole (_sketched_diagonal); rng is left as one
+    standard_normal((lap.n, n)) draw would leave it.
     """
     if not 0 < q < np.inf:
         raise InvalidParams("q must be positive and finite")
@@ -291,9 +256,8 @@ def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray
     between the k-th and (k+1)-th eigenvalue. Those come from the dense
     eigendecomposition, so above DENSE_EIGEN_GUARD nodes a graph with
     edges and k < n raises TooLarge, as eigendecompose does. The sketch is
-    drawn and filtered in panels of about 640 KB, in single precision on
-    L / b for the edge-degree bound b, as in estimate_pi: it is never held
-    whole.
+    drawn and filtered in panels, in single precision on L / b for the
+    edge-degree bound b, as in estimate_pi (_sketched_diagonal).
     Returns a probability vector (nonnegative, summing to one).
     """
     k = bandlimit(k, lap.n)

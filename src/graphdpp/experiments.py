@@ -282,9 +282,7 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
     rows = []
 
     if cfg.sweep == "m":
-        targets = [int(round(v)) for v in cfg.grid]
-        if any(t < 1 for t in targets):
-            raise InvalidParams("sample-size targets must be at least 1")
+        targets = [count(np.round(v), "sample-size target") for v in cfg.grid]
         gammas = [cfg.gamma]
     else:
         targets = [cfg.target_m]

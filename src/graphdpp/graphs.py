@@ -249,8 +249,9 @@ class SbmParams:
     eps: float
 
     def __post_init__(self):
-        if self.n < 1 or self.k_comm < 1:
-            raise InvalidParams("n and k_comm must be positive")
+        # frozen: the whole-number counts are stored as ints through object.__setattr__
+        object.__setattr__(self, "n", count(self.n, "n"))
+        object.__setattr__(self, "k_comm", count(self.k_comm, "k_comm"))
         if self.n % self.k_comm != 0:
             raise InvalidParams("n must be divisible by k_comm")
         if not 0.0 <= self.eps <= 1.0:

@@ -202,6 +202,27 @@ class TestExperimentCommand:
         assert code == 1
         assert "sweeps gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_m_grid_rejected(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"sweep = m\ngrid = {bad}, 2\ngraphs_per_point = 1\nsignals_per_graph = 1\n")
+        code = main(["experiment", "fig1c", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("protocol,flags,named", [
+        ("fig1a", ["--n", "500"], "--n"),
+        ("fig1b", ["--q", "0.1"], "--q"),
+        ("fig1c", ["--n", "500", "--q", "0.1"], "--n, --q"),
+        ("scale", ["--full"], "--full"),
+        ("scale", ["--config", "cfg.txt", "--n", "500"], "--config"),
+    ])
+    def test_unread_flags_rejected(self, tmp_path, capsys, protocol, flags, named):
+        code = main(["experiment", protocol, *flags, "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert f"does not read {named}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_scale_protocol(self, tmp_path):
         out = tmp_path / "scale.csv"
         run("experiment", "scale", "--n", 500, "--q", 0.001, "--out", out)

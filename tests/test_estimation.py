@@ -29,6 +29,15 @@ from graphdpp.errors import InvalidParams, OutOfRange, TooLarge
 from graphdpp.estimation import default_sketch_width
 
 
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves a Python thread alive, such as a sketch worker."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left alive: {left}"
+
+
 class TestFitSqrtFilter:
     def test_constant_response_is_exact(self):
         filt = fit_sqrt_filter(lambda lam: np.ones_like(lam), 8, 5.0)
@@ -61,6 +70,11 @@ class TestFitSqrtFilter:
     def test_rejects_zero_degree(self):
         with pytest.raises(InvalidParams):
             fit_sqrt_filter(lambda lam: 1.0, 0, 2.0)
+
+    @pytest.mark.parametrize("lambda_max", [np.nan, np.inf])
+    def test_rejects_non_finite_interval(self, lambda_max):
+        with pytest.raises(InvalidParams):
+            fit_sqrt_filter(lambda lam: 1.0 / (1.0 + lam), 5, lambda_max)
 
     def test_operator_apply_matches_dense(self):
         g = sbm_generate(SbmParams(n=40, k_comm=2, c=6.0, eps=0.3), 0)
@@ -263,6 +277,31 @@ class TestSketchPanels:
             estimation._sketched_diagonal(lap, self.f, 30, 180, np.random.default_rng(4), 40.0)
         assert threading.active_count() == before
         assert len(calls) < 4 * 30  # the other worker stopped after its panel in hand
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_draw_error_reaches_caller(self, monkeypatch, workers):
+        class DrawFailure(RuntimeError):
+            pass
+
+        class FailingRng:
+            """A generator whose third panel draw raises."""
+
+            def __init__(self):
+                self.rng, self.draws = np.random.default_rng(4), 0
+
+            def standard_normal(self, shape):
+                self.draws += 1
+                if self.draws == 3:
+                    raise DrawFailure("draw failed")
+                return self.rng.standard_normal(shape)
+
+        lap = laplacian(self.graph(5000, False))  # six 32-column panels
+        rng, before = FailingRng(), threading.active_count()
+        _force_cpus(monkeypatch, workers)
+        with pytest.raises(DrawFailure):
+            estimation._sketched_diagonal(lap, self.f, 30, 180, rng, 40.0)
+        assert rng.draws == 3
+        assert threading.active_count() == before
 
     def test_single_panel_starts_no_thread(self, monkeypatch):
         lap = laplacian(self.graph(100, False))  # width 100 fits one panel

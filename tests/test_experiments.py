@@ -212,6 +212,11 @@ class TestUnknownBasisExperiment:
         table = run_experiment_unknown_basis(tiny_unknown_cfg(estimated_weights=True))
         assert len(table) == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.4])
+    def test_m_grid_must_round_to_a_count(self, bad):
+        with pytest.raises(InvalidParams):
+            run_experiment_unknown_basis(tiny_unknown_cfg(grid=(bad, 2.0)))
+
     def test_deterministic(self):
         cfg = tiny_unknown_cfg()
         t1 = run_experiment_unknown_basis(cfg)

@@ -181,6 +181,18 @@ class TestSbmParams:
         with pytest.raises(InvalidParams):
             SbmParams(n=10, k_comm=5, c=9.0, eps=0.0)
 
+    def test_whole_float_counts_become_ints(self):
+        p = SbmParams(n=100.0, k_comm=2.0, c=16.0, eps=0.12)
+        assert type(p.n) is int and type(p.k_comm) is int
+        assert p == SbmParams(n=100, k_comm=2, c=16.0, eps=0.12)
+        g = sbm_generate(p, 0)
+        assert g.n == 100 and set(g.communities) == {0, 1}
+
+    @pytest.mark.parametrize("n,k_comm", [(100, 2.5), (100.5, 2), (np.nan, 2), (100, 0)])
+    def test_rejects_bad_counts(self, n, k_comm):
+        with pytest.raises(InvalidParams):
+            SbmParams(n=n, k_comm=k_comm, c=16.0, eps=0.12)
+
 
 class TestSbmGenerate:
     def test_unit_weights_and_labels(self):
