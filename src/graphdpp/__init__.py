@@ -39,6 +39,7 @@ from .recovery import (
     recover_known_basis,
     recover_known_basis_weighted,
     recover_unknown_basis,
+    recover_unknown_basis_batch,
     recover_unknown_basis_path,
     relative_error,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "recover_known_basis",
     "recover_known_basis_weighted",
     "recover_unknown_basis",
+    "recover_unknown_basis_batch",
     "recover_unknown_basis_path",
     "relative_error",
 ]

@@ -3,6 +3,7 @@ aggregation into CSV tables, and deterministic seed management."""
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 import warnings
@@ -16,10 +17,11 @@ from .estimation import estimate_leverage_scores, estimate_pi, floor_zero_probab
 from .graphs import SbmParams, count, critical_epsilon, laplacian, sbm_generate
 from .recovery import (
     RecoveryParams,
+    _relative_errors,
     known_basis_solver,
     measure,
     recover_known_basis_weighted,
-    recover_unknown_basis_path,
+    recover_unknown_basis_batch,
     relative_error,
 )
 from .selection import greedy_select, iid_leverage_sample, maxvol_select
@@ -87,6 +89,8 @@ class ExperimentConfig:
             raise InvalidParams(f"unknown sweep variable {self.sweep!r}")
         if len(self.grid) == 0:
             raise InvalidParams("sweep grid must be non-empty")
+        if len(set(self.grid)) != len(self.grid):
+            raise InvalidParams(f"sweep grid repeats a value: {tuple(self.grid)}")
         for name in ("n", "k_comm", "bandlimit", "graphs_per_point", "signals_per_graph"):
             setattr(self, name, count(getattr(self, name), name))
         for name in ("target_m", "seed"):
@@ -149,22 +153,29 @@ class ResultRow:
             raise InvalidParams("percentiles out of order")
 
 
-def _aggregate(rows: list[ResultRow], sweep_value, sampler, errors, sizes):
-    """Append the row of one sweep point and sampler. The percentiles are
-    nearest-rank: the ceil(p n / 100)-th smallest error."""
-    errors = np.asarray(errors, dtype=float)
-    p10, p90 = np.percentile(errors, [10, 90], method="inverted_cdf")
-    rows.append(
-        ResultRow(
-            sweep_value=float(sweep_value),
-            sampler=sampler,
-            mean_error=float(errors.mean()),
-            p10=float(p10),
-            p90=float(p90),
-            mean_samples=float(np.mean(sizes)),
-            trials=len(errors),
+def _aggregate(rows: list[ResultRow], sweep_values, samplers, errors, sizes):
+    """Append a row per sweep value and sampler, values outermost. errors
+    and sizes are (values, samplers, trials) arrays, every pair with the
+    same trial count, or (trials,) for a single value and sampler. The
+    percentiles are nearest-rank: the ceil(p n / 100)-th smallest error."""
+    values, names = np.atleast_1d(sweep_values), np.atleast_1d(samplers)
+    shape = (len(values) * len(names), -1)
+    errors = np.reshape(np.asarray(errors, dtype=float), shape)
+    sizes = np.reshape(sizes, shape)
+    p10, p90 = np.percentile(errors, [10, 90], axis=1, method="inverted_cdf")
+    means, mean_sizes = errors.mean(axis=1), sizes.mean(axis=1)
+    for i, (value, name) in enumerate(itertools.product(values, names)):
+        rows.append(
+            ResultRow(
+                sweep_value=float(value),
+                sampler=str(name),
+                mean_error=float(means[i]),
+                p10=float(p10[i]),
+                p90=float(p90[i]),
+                mean_samples=float(mean_sizes[i]),
+                trials=errors.shape[1],
+            )
         )
-    )
 
 
 def emit_csv(rows: list[ResultRow], path) -> None:
@@ -206,10 +217,9 @@ def run_experiment_known_basis(cfg: ExperimentConfig) -> list[ResultRow]:
         raise InvalidParams("known-basis experiment sweeps epsilon")
     eps_c = critical_epsilon(cfg.c, cfg.k_comm)
     k = cfg.bandlimit
-    rows = []
+    shape = (len(cfg.grid), len(KNOWN_BASIS_SAMPLERS), cfg.graphs_per_point * cfg.signals_per_graph)
+    errors, sizes = np.empty(shape), np.empty(shape, dtype=int)
     for point, frac in enumerate(cfg.grid):
-        errors = {name: [] for name in KNOWN_BASIS_SAMPLERS}
-        sizes = {name: [] for name in KNOWN_BASIS_SAMPLERS}
         for g_idx in range(cfg.graphs_per_point):
             graph = sbm_generate(
                 cfg.sbm_params(frac * eps_c), stream(cfg.seed, point, g_idx, _TAG_GRAPH)
@@ -231,7 +241,8 @@ def run_experiment_known_basis(cfg: ExperimentConfig) -> list[ResultRow]:
                 x = generate_bandlimited_signal(
                     u_k, stream(cfg.seed, point, g_idx, s_idx, _TAG_SIGNAL)
                 )
-                for name in KNOWN_BASIS_SAMPLERS:
+                trial = g_idx * cfg.signals_per_graph + s_idx
+                for col, name in enumerate(KNOWN_BASIS_SAMPLERS):
                     sid = _SAMPLER_ID[name]
                     if name == "dpp-ideal":
                         sample = dpp_sample(
@@ -249,10 +260,10 @@ def run_experiment_known_basis(cfg: ExperimentConfig) -> list[ResultRow]:
                         x_rec = solvers[name](meas.y)
                     else:
                         x_rec = recover_known_basis_weighted(u_k, meas)
-                    errors[name].append(relative_error(x, x_rec))
-                    sizes[name].append(len(sample))
-        for name in KNOWN_BASIS_SAMPLERS:
-            _aggregate(rows, frac, name, errors[name], sizes[name])
+                    errors[point, col, trial] = relative_error(x, x_rec)
+                    sizes[point, col, trial] = len(sample)
+    rows = []
+    _aggregate(rows, cfg.grid, KNOWN_BASIS_SAMPLERS, errors, sizes)
     return rows
 
 
@@ -270,16 +281,16 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
     eigenvalues of its Fourier basis (exact_q). Each walk draw is paired
     with an i.i.d. draw of exactly the same size, and for the gamma sweep
     the same draws and measurements are reused at every grid value, so
-    curves differ only in what is being swept: each measurement is
-    recovered for the whole gamma grid in one recover_unknown_basis_path
-    call, whose rows equal the one-gamma solves.
+    curves differ only in what is being swept. A graph's draws and
+    measurements are all made first, each from its own stream, then
+    recovered for the whole gamma grid in one recover_unknown_basis_batch
+    call, whose rows equal the one-measurement, one-gamma solves.
     """
     if cfg.sweep not in ("m", "gamma"):
         raise InvalidParams("unknown-basis experiment sweeps m or gamma")
     eps_c = critical_epsilon(cfg.c, cfg.k_comm)
     eps = cfg.eps_frac * eps_c
     k = cfg.bandlimit
-    rows = []
 
     if cfg.sweep == "m":
         targets = [count(np.round(v), "sample-size target") for v in cfg.grid]
@@ -289,13 +300,14 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
         gammas = list(cfg.grid)
 
     grid_params = [RecoveryParams(gamma=g, r=cfg.r, tolerance=cfg.tolerance) for g in gammas]
-    results = {
-        (value, name): [] for value in cfg.grid for name in UNKNOWN_BASIS_SAMPLERS
-    }
-    sizes = {key: [] for key in results}
+    signals = cfg.signals_per_graph
+    shape = (len(cfg.grid), len(UNKNOWN_BASIS_SAMPLERS), cfg.graphs_per_point * signals)
+    errors, sizes = np.empty(shape), np.empty(shape, dtype=int)
 
     for t_idx, target in enumerate(targets):
         point = t_idx
+        # the grid rows filled from this point: its m, or every gamma
+        values = slice(t_idx, t_idx + len(gammas))
         for g_idx in range(cfg.graphs_per_point):
             graph = sbm_generate(
                 cfg.sbm_params(eps), stream(cfg.seed, point, g_idx, _TAG_GRAPH)
@@ -313,7 +325,8 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
             else:
                 pi_hat = None
                 p_star = np.einsum("ij,ij->i", u_k, u_k) / k
-            for s_idx in range(cfg.signals_per_graph):
+            xs, meas, m_ts = [], [], []
+            for s_idx in range(signals):
                 x = generate_bandlimited_signal(
                     u_k, stream(cfg.seed, point, g_idx, s_idx, _TAG_SIGNAL)
                 )
@@ -327,24 +340,27 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
                     p_star, m_t, stream(cfg.seed, point, g_idx, s_idx, iid, _TAG_DRAW)
                 )
                 pair = {"wilson": w_sample, "iid": i_sample}
-                meas = {
-                    name: measure(
+                meas += [
+                    measure(
                         x,
                         pair[name],
                         cfg.noise_sigma,
                         stream(cfg.seed, point, g_idx, s_idx, _SAMPLER_ID[name], _TAG_NOISE),
                     )
                     for name in UNKNOWN_BASIS_SAMPLERS
-                }
-                values = [cfg.grid[t_idx]] if cfg.sweep == "m" else gammas
-                for name in UNKNOWN_BASIS_SAMPLERS:
-                    x_recs = recover_unknown_basis_path(lap, meas[name], grid_params)
-                    for value, x_rec in zip(values, x_recs):
-                        results[(value, name)].append(relative_error(x, x_rec))
-                        sizes[(value, name)].append(m_t)
-    for value in cfg.grid:
-        for name in UNKNOWN_BASIS_SAMPLERS:
-            _aggregate(rows, value, name, results[(value, name)], sizes[(value, name)])
+                ]
+                xs.append(x)
+                m_ts.append(m_t)
+            # (signals, samplers, gammas, n)
+            x_recs = recover_unknown_basis_batch(lap, meas, grid_params).reshape(
+                signals, len(UNKNOWN_BASIS_SAMPLERS), len(gammas), -1
+            )
+            errs = _relative_errors(np.array(xs)[:, None, None], x_recs)
+            trials = slice(g_idx * signals, (g_idx + 1) * signals)
+            errors[values, :, trials] = errs.transpose(2, 1, 0)
+            sizes[values, :, trials] = m_ts
+    rows = []
+    _aggregate(rows, cfg.grid, UNKNOWN_BASIS_SAMPLERS, errors, sizes)
     return rows
 
 

@@ -165,22 +165,33 @@ def recover_unknown_basis_path(lap: LaplacianView, meas: Measurement, params_seq
     """recover_unknown_basis for each entry of a penalty grid: row i of the
     (len(params_seq), n) result is, bit for bit, the solve of the grid of
     params_seq[i] alone. The entries must share r, tolerance and max_iter.
+    The one-measurement case of recover_unknown_basis_batch, which
+    describes the solvers."""
+    return recover_unknown_basis_batch(lap, [meas], params_seq)[0]
+
+
+def recover_unknown_basis_batch(lap: LaplacianView, meas_seq, params_seq) -> np.ndarray:
+    """recover_unknown_basis_path for each of a graph's measurements: entry
+    [j, i] of the (len(meas_seq), len(params_seq), n) result is, bit for
+    bit, row i of the path of meas_seq[j].
 
     Graphs of up to _DIRECT_MAX_N = 500 nodes solve the bordered kernel
     system [[G_SS + gamma W, N_S], [N_S', 0]] [a; c] = [y; 0] over the
     distinct sampled nodes (merging repeats keeps a bounded as gamma -> 0),
     with G = (L^r)^+ and N the normalized component indicators cached on
-    the view. The gammas share every block but the diagonal gamma W, so
-    their systems are stacked into one batched solve. Row z = G[:, S] a +
-    N c is kept when its residual is within tolerance * |b| plus the
+    the view. The gammas share every block but the diagonal gamma W, and
+    measurements of as many distinct nodes share the system's size, so
+    each such group is stacked into one batched solve (systems of other
+    sizes are not padded: that changes the answer's bits). Row z = G[:, S]
+    a + N c is kept when its residual is within tolerance * |b| plus the
     round-off an accurate z carries, n eps gamma |L^r| (|z| + |G| |a|).
     That slack matters when gamma L^r is large or G is ill-conditioned: on
     a 154-node SBM of two barely linked blocks (gamma = 1, r = 4) the
     residual was 63 times the 1e-8 tolerance for a z within 4e-10 of an
-    extended-precision solve. Larger graphs, gammas failing that check,
-    and all of them when a component has no sample (each system is then
-    singular) go one at a time to Jacobi-preconditioned conjugate gradient
-    (_conjugate_gradient).
+    extended-precision solve. Larger graphs, (measurement, gamma) pairs
+    failing that check, and all of a measurement's gammas when a component
+    has no sample (each system is then singular) go one at a time to
+    Jacobi-preconditioned conjugate gradient (_conjugate_gradient).
     """
     params_seq = list(params_seq)
     try:
@@ -190,71 +201,106 @@ def recover_unknown_basis_path(lap: LaplacianView, meas: Measurement, params_seq
     if len(shared) != 1:
         raise InvalidParams("a penalty grid is non-empty, its entries sharing r, tolerance and max_iter")
     ((r, tolerance, max_iter),) = shared
-    w = meas.sampling.weights
-    if w is None:
-        raise MissingWeights("sampling set carries no weights")
     n = lap.n
-    nodes = index_array(meas.sampling.nodes, "sampled node indices", n)
-    inv_w = 1.0 / w
     gammas = np.array([p.gamma for p in params_seq], dtype=float)
-    sampled = np.bincount(nodes, inv_w, minlength=n)
-    b = np.bincount(nodes, meas.y * inv_w, minlength=n)
-    out = np.zeros((len(gammas), n))
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return out
-    target = tolerance * b_norm
+    systems = {}
+    for j, meas in enumerate(meas_seq):
+        w = meas.sampling.weights
+        if w is None:
+            raise MissingWeights("sampling set carries no weights")
+        nodes = index_array(meas.sampling.nodes, "sampled node indices", n)
+        inv_w = 1.0 / w
+        sampled = np.bincount(nodes, inv_w, minlength=n)
+        b = np.bincount(nodes, meas.y * inv_w, minlength=n)
+        b_norm = np.linalg.norm(b)
+        if b_norm != 0.0:
+            systems[j] = (sampled, b, tolerance * b_norm)
+    out = np.zeros((len(meas_seq), len(gammas), n))
 
-    todo = range(len(gammas))
+    todo = [(j, i) for j in systems for i in range(len(gammas))]
     if n <= _DIRECT_MAX_N:
-        todo = _bordered_solve(lap, r, gammas, sampled, b, target, out)
+        todo = _bordered_solve(lap, r, gammas, systems, out)
     if max_iter is None:
         max_iter = 10 * n
-    for i in todo:
-        out[i] = _conjugate_gradient(lap, r, gammas[i], sampled, b, target, max_iter)
+    for j, i in todo:
+        out[j, i] = _conjugate_gradient(lap, r, gammas[i], *systems[j], max_iter)
     return out
 
 
-def _bordered_solve(lap, r, gammas, sampled, b, target, out) -> np.ndarray:
-    """Write the bordered kernel system's answer for each gamma into its row
-    of out; return the rows whose answer misses the residual target."""
+def _bordered_solve(lap, r, gammas, systems, out) -> list:
+    """Write the bordered kernel system's answer for each measurement j of
+    systems, {j: (sampled, b, target)}, and each gamma i into out[j, i];
+    return the (j, i) pairs whose answer misses the residual target."""
     try:
-        pinv, null, round_off, pinv_norm = lap.cached(("kernel", r), lambda: _kernel_form(lap, r))
+        kernel = lap.cached(("kernel", r), lambda: _kernel_form(lap, r))
     except np.linalg.LinAlgError:
-        return np.arange(len(gammas))
-    s = np.flatnonzero(sampled)
-    m, c0 = len(s), null.shape[1]
-    k, size = len(gammas), m + c0
+        return [(j, i) for j in systems for i in range(len(gammas))]
+    stacks = {}
+    for j, (sampled, _, _) in systems.items():
+        stacks.setdefault(np.count_nonzero(sampled), []).append(j)
+    stacks, todo = list(stacks.values()), []
+    while stacks:
+        rows = stacks.pop()
+        try:
+            out[rows], miss = _solve_stack(lap, r, gammas, systems, rows, kernel)
+        except np.linalg.LinAlgError:
+            # G_SS + gamma W is positive definite, so a system is singular
+            # exactly when a component has no sample, whatever the gamma:
+            # a singular stack is split, a singular system goes to CG
+            if len(rows) > 1:
+                stacks += [[j] for j in rows]
+            else:
+                todo += [(rows[0], i) for i in range(len(gammas))]
+        else:
+            todo += [(rows[a], i) for a, i in zip(*np.nonzero(miss))]
+    return todo
+
+
+def _solve_stack(lap, r, gammas, systems, rows, kernel):
+    """The bordered kernel systems of the measurements rows, all of m
+    distinct sampled nodes, for every gamma: one (len(rows), len(gammas),
+    m + c0, m + c0) stack and one solve. Returns the (len(rows),
+    len(gammas), n) answers and where they miss the residual target;
+    raises LinAlgError when a system is singular."""
+    pinv, null, round_off, pinv_norm = kernel
+    sampled = np.array([systems[j][0] for j in rows])
+    b = np.array([systems[j][1] for j in rows])
+    target = np.array([systems[j][2] for j in rows])
+    t, k, c0 = len(rows), len(gammas), null.shape[1]
+    m = np.count_nonzero(sampled[0])
+    size = m + c0
+    # every row has m nonzeros, so the masked entries reshape to (t, m)
+    mask = sampled != 0.0
+    s = np.nonzero(mask)[1].reshape(t, m)
+    w_s = sampled[mask].reshape(t, m)
     null_s = null[s]
-    border = np.zeros((k, size, size))
-    border[:, :m, :m] = pinv[s[:, None], s]
-    border[:, :m, m:] = null_s
-    border[:, m:, :m] = null_s.T
+    border = np.zeros((t, k, size, size))
+    border[:, :, :m, :m] = pinv[s[:, :, None], s[:, None, :]][:, None]
+    border[:, :, :m, m:] = null_s[:, None]
+    border[:, :, m:, :m] = null_s.transpose(0, 2, 1)[:, None]
     # the first m diagonal entries of each system, through a flat view
-    border.reshape(k, -1)[:, : m * (size + 1) : size + 1] += gammas[:, None] / sampled[s]
-    rhs = np.zeros(size)
-    rhs[:m] = b[s] / sampled[s]
-    try:
-        sol = np.linalg.solve(border, rhs)
-    except np.linalg.LinAlgError:
-        # G_SS + gamma W is positive definite, so the system is singular
-        # exactly when a component has no sample, whatever the gamma
-        return np.arange(k)
-    pinv_s = pinv[:, s]
-    for i, a in enumerate(sol):
-        out[i] = pinv_s @ a[:m] + null @ a[m:]
+    border.reshape(t, k, -1)[..., : m * (size + 1) : size + 1] += gammas[:, None] / w_s[:, None]
+    rhs = np.zeros((t, 1, size, 1))
+    rhs[:, 0, :m, 0] = b[mask].reshape(t, m) / w_s
+    sol = np.linalg.solve(border, rhs)
+    # pinv[:, s] as a single system reads it, its columns strided: the
+    # GEMV then runs the same kernel and gives the same bits
+    x = np.matmul(pinv.T[s].transpose(0, 2, 1)[:, None], np.ascontiguousarray(sol[..., :m, :]))
+    x = (x + np.matmul(null, sol[..., m:, :]))[..., 0]
     power = lap.cached(("power", r), lambda: np.linalg.matrix_power(lap.dense(), r))
     # round-off an accurate x still shows in its residual: evaluating
     # gamma L^r x, and forming x through G = (L^r)^+, whose error of
     # about eps |G| |a| lies in every direction, gamma L^r included
-    slack = gammas * round_off * (_row_norms(out) + pinv_norm * _row_norms(sol[:, :m]))
-    residual = gammas[:, None] * (out @ power.T) + sampled * out - b
+    slack = gammas * round_off * (_row_norms(x) + pinv_norm * _row_norms(sol[..., :m, 0]))
+    residual = gammas[:, None] * np.matmul(x, power.T) + sampled[:, None] * x - b[:, None]
     # not "above": a NaN row fails the check too
-    return np.flatnonzero(~(_row_norms(residual) <= target + slack))
+    return x, ~(_row_norms(residual) <= target[:, None] + slack)
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", a, a))
+    """Euclidean norms along the last axis."""
+    rows = a.reshape(-1, a.shape[-1])
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows)).reshape(a.shape[:-1])
 
 
 def _conjugate_gradient(lap, r, gamma, sampled, b, target, max_iter) -> np.ndarray:
@@ -316,8 +362,15 @@ def relative_error(x: np.ndarray, x_rec: np.ndarray) -> float:
     x_rec = np.asarray(x_rec, dtype=float)
     if x.shape != x_rec.shape:
         raise ShapeMismatch("signals must have equal length")
-    diff = np.linalg.norm(x_rec - x)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        return 0.0 if diff == 0.0 else np.inf
-    return float(diff / norm)
+    return float(_relative_errors(x, x_rec))
+
+
+def _relative_errors(x: np.ndarray, x_rec: np.ndarray) -> np.ndarray:
+    """relative_error along the last axis of x and x_rec, which broadcast:
+    0 for a zero signal recovered as zero, inf for a zero signal recovered
+    as anything else. The norms are square roots of dot products, as
+    np.linalg.norm takes them, so each entry is relative_error's bits."""
+    d = x_rec - x
+    diff, norm = np.sqrt(np.vecdot(d, d)), np.sqrt(np.vecdot(x, x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(norm == 0.0, np.where(diff == 0.0, 0.0, np.inf), diff / norm)

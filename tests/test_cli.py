@@ -210,6 +210,19 @@ class TestExperimentCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("protocol,sweep,grid", [
+        ("fig1a", "epsilon", "0.1, 0.1"),
+        ("fig1b", "gamma", "1e-5, 1e-3, 1e-5"),
+        ("fig1c", "m", "3, 3"),
+    ])
+    def test_repeated_grid_value_rejected(self, tmp_path, capsys, protocol, sweep, grid):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"sweep = {sweep}\ngrid = {grid}\ngraphs_per_point = 1\nsignals_per_graph = 2\n")
+        code = main(["experiment", protocol, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "repeats a value" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("protocol,flags,named", [
         ("fig1a", ["--n", "500"], "--n"),
         ("fig1b", ["--q", "0.1"], "--q"),

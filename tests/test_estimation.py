@@ -260,23 +260,39 @@ class TestSketchPanels:
         class PanelFailure(RuntimeError):
             pass
 
-        lap = laplacian(self.graph(5000, False))
+        class CountingRng:
+            """Counts the panels drawn, all of them on the calling thread."""
+
+            def __init__(self):
+                self.rng, self.draws = np.random.default_rng(4), 0
+
+            def standard_normal(self, shape):
+                self.draws += 1
+                return self.rng.standard_normal(shape)
+
+        lap = laplacian(self.graph(5000, False))  # width 180: 6 panels, 30 applies each
         apply, calls, lock = LaplacianView.apply, [], threading.Lock()
 
         def failing(self, y):
             with lock:
                 calls.append(None)
-                if len(calls) == 45:  # inside the second panel filtered
+                if len(calls) == 1:  # the first or the second panel fails
                     raise PanelFailure("panel failed")
             return apply(self, y)
 
         before = threading.active_count()
         _force_cpus(monkeypatch, 2)
         monkeypatch.setattr(LaplacianView, "apply", failing)
+        rng = CountingRng()
         with pytest.raises(PanelFailure):
-            estimation._sketched_diagonal(lap, self.f, 30, 180, np.random.default_rng(4), 40.0)
+            estimation._sketched_diagonal(lap, self.f, 30, 180, rng, 40.0)
         assert threading.active_count() == before
-        assert len(calls) < 4 * 30  # the other worker stopped after its panel in hand
+        # the in-order window of workers + 1 = 3 futures bounds the work:
+        # the error surfaces when the caller takes the failed panel's
+        # result, by then having drawn at most 3 panels past the first,
+        # and the panels drawn but not taken still run to completion
+        assert rng.draws <= 4
+        assert len(calls) <= 1 + 3 * 30
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_draw_error_reaches_caller(self, monkeypatch, workers):

@@ -78,6 +78,15 @@ class TestConfig:
         with pytest.raises(InvalidParams):
             ExperimentConfig(sweep="q")
 
+    @pytest.mark.parametrize(
+        "sweep,grid",
+        [("epsilon", (0.1, 0.2, 0.1)), ("m", (3.0, 3.0)), ("gamma", (1e-5, 1e-5))],
+    )
+    def test_repeated_grid_value_rejected(self, sweep, grid):
+        # a repeated value would be one sweep point run, and counted, twice
+        with pytest.raises(InvalidParams, match="repeats"):
+            ExperimentConfig(sweep=sweep, grid=grid, signals_per_graph=2)
+
 
 class TestResultTable:
     def test_emit_parse_bit_exact(self, tmp_path):

@@ -26,6 +26,7 @@ from graphdpp import (
     recover_known_basis,
     recover_known_basis_weighted,
     recover_unknown_basis,
+    recover_unknown_basis_batch,
     recover_unknown_basis_path,
     relative_error,
     sbm_generate,
@@ -721,8 +722,8 @@ class TestUnknownBasisPath:
 
         def one_row_off(a, b):
             sol = real_solve(a, b)
-            if sol.ndim == 2:
-                sol[2] *= 1.001  # FIG1B_GAMMAS[2] misses its residual check
+            if sol.ndim == 4:  # (measurements, gammas, size, 1)
+                sol[:, 2] *= 1.001  # FIG1B_GAMMAS[2] misses its residual check
             return sol
 
         monkeypatch.setattr(np.linalg, "solve", one_row_off)
@@ -787,22 +788,84 @@ class TestUnknownBasisPath:
         with pytest.raises(InvalidParams):
             recover_unknown_basis_path(lap, Measurement(y=x[[3, 40]], sampling=s), grid)
 
-    def test_fig1b_sweep_calls_the_path_once_per_signal_and_sampler(self, monkeypatch):
+    def test_fig1b_sweep_makes_one_batch_call_per_graph(self, monkeypatch):
         calls = []
-        real = experiments.recover_unknown_basis_path
+        real = experiments.recover_unknown_basis_batch
 
-        def spy(lap, meas, params_seq):
-            calls.append(len(params_seq))
-            return real(lap, meas, params_seq)
+        def spy(lap, meas_seq, params_seq):
+            calls.append((len(meas_seq), len(params_seq)))
+            return real(lap, meas_seq, params_seq)
 
-        monkeypatch.setattr(experiments, "recover_unknown_basis_path", spy)
+        monkeypatch.setattr(experiments, "recover_unknown_basis_batch", spy)
         cfg = experiments.ExperimentConfig(
             n=40, c=6.0, bandlimit=2, sweep="gamma", grid=FIG1B_GAMMAS, target_m=4,
             graphs_per_point=2, signals_per_graph=3, seed=2,
         )
         rows = experiments.run_experiment_unknown_basis(cfg)
-        assert calls == [len(FIG1B_GAMMAS)] * (2 * 3 * 2)
+        # every signal's walk and i.i.d. measurement, the whole grid
+        assert calls == [(3 * 2, len(FIG1B_GAMMAS))] * 2
         assert all(row.trials == 2 * 3 for row in rows)
+
+
+def measurement(nodes, weights, y):
+    return Measurement(y=y, sampling=SamplingSet(nodes=np.asarray(nodes), weights=weights, method="t"))
+
+
+@st.composite
+def sbm_batch_problems(draw):
+    """Measurements on one SBM of up to 120 nodes, optionally with edge
+    weights in [0.25, 4]: few nodes each, with repeats, so that several
+    measurements share a distinct-sample count; at times all in the first
+    block of blocks without links between them (a component without
+    samples), at times all zero (a zero right-hand side). The mean degree
+    is 6 to 12, so that most graphs have no isolated node, which would be
+    a component without samples for almost every measurement."""
+    k_comm = draw(st.integers(1, 3))
+    n = k_comm * draw(st.integers(10, 120 // k_comm))
+    eps = draw(st.just(0.0) | st.floats(0.05, 1.0))
+    params = SbmParams(n=n, k_comm=k_comm, c=draw(st.floats(6.0, 12.0)), eps=eps)
+    graph = sbm_generate(params, draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        i, j, w = graph.edges()
+        w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.25, 4.0, len(w))
+        graph = Graph.from_arrays(n, i, j, w)
+    meas_seq = []
+    for _ in range(draw(st.integers(1, 8))):
+        m = draw(st.integers(1, 5))
+        high = draw(st.sampled_from([n, n // k_comm]))
+        nodes = draw(st.lists(st.integers(0, high - 1), min_size=m, max_size=m))
+        weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+        y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)))
+        meas_seq.append(measurement(nodes, weights, y * (draw(st.integers(0, 9)) > 0)))
+    return laplacian(graph), meas_seq, grid_params(FIG1B_GAMMAS, r=draw(st.sampled_from([1, 2, 4])))
+
+
+def above_direct_size_problem():
+    """Measurements of one to three nodes on a 600-node SBM: all go to CG."""
+    lap = laplacian(sbm_generate(SbmParams(n=600, k_comm=2, c=10.0, eps=0.15), 4))
+    x = np.random.default_rng(11).standard_normal(600)
+    meas_seq = [
+        measurement(nodes, np.linspace(0.2, 0.6, len(nodes)), x[nodes])
+        for nodes in ([9, 503], [24, 24, 377], [160, 487], [44])
+    ]
+    return lap, meas_seq, grid_params((1e-3, 1e-1), r=2, tolerance=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sbm_batch_problems())
+@example(above_direct_size_problem())
+def test_batch_rows_equal_path_rows(problem):
+    lap, meas_seq, params_seq = problem
+    try:
+        paths = [recover_unknown_basis_path(lap, meas, params_seq) for meas in meas_seq]
+    except SolverDiverged:
+        with pytest.raises(SolverDiverged):
+            recover_unknown_basis_batch(lap, meas_seq, params_seq)
+        return
+    out = recover_unknown_basis_batch(lap, meas_seq, params_seq)
+    assert out.shape == (len(meas_seq), len(params_seq), lap.n)
+    for got, want in zip(out, paths):
+        np.testing.assert_array_equal(got, want)
 
 
 class TestRelativeError:
@@ -821,3 +884,30 @@ class TestRelativeError:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             relative_error(np.zeros(2), np.zeros(3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        zero_signal=st.booleans(),
+        scales=st.lists(st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 1e3]), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_errors_equal_relative_error(self, n, zero_signal, scales, seed):
+        # signals (2, 1, n) against recoveries (2, 3, n), one recovery of
+        # each signal exact (scale 0), or zero where the signal is zero
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, 1, n)) * 10.0 ** rng.integers(-6, 6, (2, 1, 1))
+        if zero_signal:
+            x[1] = 0.0
+        x_rec = x + rng.standard_normal((2, 3, n)) * np.array(scales)[:, None]
+        got = recovery._relative_errors(x, x_rec)
+        assert got.shape == (2, 3)
+        for a in range(2):
+            for i in range(3):
+                # relative_error, and the np.linalg.norm ratio it was first taken as
+                diff, norm = np.linalg.norm(x_rec[a, i] - x[a, 0]), np.linalg.norm(x[a, 0])
+                want = diff / norm if norm else (0.0 if diff == 0.0 else np.inf)
+                assert got[a, i] == relative_error(x[a, 0], x_rec[a, i]) == want
+        if zero_signal:
+            want = [0.0 if scale == 0.0 else np.inf for scale in scales]
+            assert list(got[1]) == want
