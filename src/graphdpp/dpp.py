@@ -67,8 +67,11 @@ class MarginalKernel:
 
     def __post_init__(self):
         mu = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(mu < -_EIGENVALUE_SLACK) or np.any(mu > 1.0 + _EIGENVALUE_SLACK):
+        # written so that NaN fails the range test
+        if not np.all((mu >= -_EIGENVALUE_SLACK) & (mu <= 1.0 + _EIGENVALUE_SLACK)):
             raise InvalidParams("kernel eigenvalues must lie in [0, 1]")
+        if not np.isfinite(self.vectors).all():
+            raise InvalidParams("kernel eigenvectors must be finite")
         self.eigenvalues = np.clip(mu, 0.0, 1.0)
 
     @property
@@ -142,7 +145,7 @@ def dpp_sample(kernel: MarginalKernel, rng=None) -> SamplingSet:
     for t in range(size):
         cdf = np.cumsum(r2)
         mass = cdf[-1] / (size - t)
-        if abs(mass - 1.0) > _MASS_TOL:
+        if not abs(mass - 1.0) <= _MASS_TOL:
             raise NumericalDegeneracy(f"selection mass {mass:.8f} drifted from 1")
         i = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
         i = min(i, kernel.n - 1)

@@ -11,11 +11,18 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .dpp import dpp_sample, dpp_weight_matrix, ideal_lowpass_kernel, wilson_kernel_explicit
+from .dpp import (
+    SamplingSet,
+    dpp_sample,
+    dpp_weight_matrix,
+    ideal_lowpass_kernel,
+    wilson_kernel_explicit,
+)
 from .errors import DegenerateCutoffWarning, InvalidParams, ParseError
 from .estimation import estimate_leverage_scores, estimate_pi, floor_zero_probabilities
 from .graphs import SbmParams, count, critical_epsilon, laplacian, sbm_generate
 from .recovery import (
+    Measurement,
     RecoveryParams,
     _relative_errors,
     known_basis_solver,
@@ -30,9 +37,10 @@ from .spectral import (
     eigendecompose,
     fourier_basis_k,
     generate_bandlimited_signal,
+    generate_bandlimited_signals,
     largest_eigenvalue_estimate,
 )
-from .wilson import exact_q, wilson_sample
+from .wilson import exact_q, wilson_draws, wilson_sample
 
 log = logging.getLogger(__name__)
 
@@ -49,15 +57,17 @@ _SAMPLER_ID = {
     "wilson": 6,
     "iid": 7,
 }
-# _TAG_TUNE is no longer drawn (q is solved from the spectrum); the tags keep
-# their numbers so the other streams do not move
-_TAG_GRAPH, _TAG_SIGNAL, _TAG_DRAW, _TAG_NOISE, _TAG_TUNE, _TAG_WEIGHTS = range(6)
+_TAG_GRAPH, _TAG_SIGNAL, _TAG_DRAW, _TAG_NOISE, _TAG_WEIGHTS = range(5)
 
 RESULT_HEADER = ["sweep_value", "sampler", "mean_error", "p10", "p90", "mean_samples", "trials"]
 
 
 def stream(master: int, *path: int) -> np.random.Generator:
-    """Independent generator for one (point, graph, signal, sampler, use) slot."""
+    """Independent generator for one slot: (point, graph, signal, sampler,
+    use) in fig1a, (point, graph, sampler, use) or (point, graph, use) in
+    fig1b and fig1c. SeedSequence pads short entropy with zeros, so paths
+    that differ only by trailing zeros share a stream: (p, g, _TAG_GRAPH)
+    is (p, g)."""
     return np.random.default_rng(np.random.SeedSequence([int(master), *map(int, path)]))
 
 
@@ -267,10 +277,19 @@ def run_experiment_known_basis(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def _unknown_basis_weights(cfg, kernel, pi_hat, sample):
-    if cfg.estimated_weights:
-        return floor_zero_probabilities(pi_hat, sample.nodes)
-    return dpp_weight_matrix(kernel, sample.nodes)
+def _measurements(xs, nodes, weights, sizes, noise_sigma, rng, method) -> list[Measurement]:
+    """measure's readings of draws t = 0, 1, ... of sizes[t] nodes each, held
+    concatenated in nodes and weights, draw t reading signal xs[t]. The
+    noise is one block from rng, which equals sequential draws of the
+    sizes from it."""
+    y = xs[np.repeat(np.arange(len(sizes)), sizes), nodes]
+    y += noise_sigma * rng.standard_normal(len(nodes))
+    return [
+        Measurement(y_t, SamplingSet(nodes_t, weights_t, method))
+        for y_t, nodes_t, weights_t in zip(
+            *(np.split(a, np.cumsum(sizes)[:-1]) for a in (y, nodes, weights))
+        )
+    ]
 
 
 def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -281,10 +300,17 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
     eigenvalues of its Fourier basis (exact_q). Each walk draw is paired
     with an i.i.d. draw of exactly the same size, and for the gamma sweep
     the same draws and measurements are reused at every grid value, so
-    curves differ only in what is being swept. A graph's draws and
-    measurements are all made first, each from its own stream, then
-    recovered for the whole gamma grid in one recover_unknown_basis_batch
-    call, whose rows equal the one-measurement, one-gamma solves.
+    curves differ only in what is being swept.
+
+    A graph makes its draws as blocks, one stream per (point, graph,
+    sampler, use): its signals as one block of coefficients
+    (generate_bandlimited_signals), its walks as one wilson_sample call on
+    disjoint copies of the graph, one per signal (wilson_draws), its
+    i.i.d. draws as one leverage draw of the walks' total size cut into
+    their sizes, each part weighted by its own m_t p, and each sampler's
+    noise as one block. The measurements are then recovered for the whole
+    gamma grid in one recover_unknown_basis_batch call, whose rows equal
+    the one-measurement, one-gamma solves.
     """
     if cfg.sweep not in ("m", "gamma"):
         raise InvalidParams("unknown-basis experiment sweeps m or gamma")
@@ -317,45 +343,42 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
             _check_bandlimit_gap(basis, k, lap)
             u_k = fourier_basis_k(basis, k)
             q = exact_q(graph, basis, target)
-            kernel = wilson_kernel_explicit(basis, q)
+            wid, iid = _SAMPLER_ID["wilson"], _SAMPLER_ID["iid"]
+            xs = generate_bandlimited_signals(
+                u_k, signals, stream(cfg.seed, point, g_idx, _TAG_SIGNAL)
+            )
+            walks = wilson_draws(graph, q, signals, stream(cfg.seed, point, g_idx, wid, _TAG_DRAW))
+            m_ts = np.array([len(w) for w in walks])
+            w_nodes = np.concatenate(walks)
             if cfg.estimated_weights:
                 wrng = stream(cfg.seed, point, g_idx, _TAG_WEIGHTS)
                 pi_hat = estimate_pi(lap, q, rng=wrng)
                 p_star = estimate_leverage_scores(lap, k, rng=wrng)
+                w_weights = floor_zero_probabilities(pi_hat, w_nodes)
             else:
-                pi_hat = None
                 p_star = np.einsum("ij,ij->i", u_k, u_k) / k
-            xs, meas, m_ts = [], [], []
-            for s_idx in range(signals):
-                x = generate_bandlimited_signal(
-                    u_k, stream(cfg.seed, point, g_idx, s_idx, _TAG_SIGNAL)
+                w_weights = dpp_weight_matrix(wilson_kernel_explicit(basis, q), w_nodes)
+            # one i.i.d. draw of the walks' total size, cut into draws of their sizes
+            i_nodes = iid_leverage_sample(
+                p_star, len(w_nodes), stream(cfg.seed, point, g_idx, iid, _TAG_DRAW)
+            ).nodes
+            i_weights = np.repeat(m_ts, m_ts) * p_star[i_nodes]
+            w_meas, i_meas = (
+                _measurements(
+                    xs, nodes, weights, m_ts, cfg.noise_sigma,
+                    stream(cfg.seed, point, g_idx, sid, _TAG_NOISE), name,
                 )
-                wid, iid = _SAMPLER_ID["wilson"], _SAMPLER_ID["iid"]
-                w_sample = wilson_sample(
-                    graph, q, stream(cfg.seed, point, g_idx, s_idx, wid, _TAG_DRAW)
+                for name, sid, nodes, weights in (
+                    ("wilson", wid, w_nodes, w_weights), ("iid", iid, i_nodes, i_weights)
                 )
-                w_sample.weights = _unknown_basis_weights(cfg, kernel, pi_hat, w_sample)
-                m_t = len(w_sample)
-                i_sample = iid_leverage_sample(
-                    p_star, m_t, stream(cfg.seed, point, g_idx, s_idx, iid, _TAG_DRAW)
-                )
-                pair = {"wilson": w_sample, "iid": i_sample}
-                meas += [
-                    measure(
-                        x,
-                        pair[name],
-                        cfg.noise_sigma,
-                        stream(cfg.seed, point, g_idx, s_idx, _SAMPLER_ID[name], _TAG_NOISE),
-                    )
-                    for name in UNKNOWN_BASIS_SAMPLERS
-                ]
-                xs.append(x)
-                m_ts.append(m_t)
+            )
+            # signal-major, in UNKNOWN_BASIS_SAMPLERS order within a signal
+            meas = [m for pair in zip(w_meas, i_meas) for m in pair]
             # (signals, samplers, gammas, n)
             x_recs = recover_unknown_basis_batch(lap, meas, grid_params).reshape(
                 signals, len(UNKNOWN_BASIS_SAMPLERS), len(gammas), -1
             )
-            errs = _relative_errors(np.array(xs)[:, None, None], x_recs)
+            errs = _relative_errors(xs[:, None, None], x_recs)
             trials = slice(g_idx * signals, (g_idx + 1) * signals)
             errors[values, :, trials] = errs.transpose(2, 1, 0)
             sizes[values, :, trials] = m_ts

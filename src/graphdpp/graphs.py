@@ -142,6 +142,32 @@ class Graph:
     def has_unit_weights(self) -> bool:
         return self._unit_weights
 
+    def disjoint_copies(self, copies: int) -> Graph:
+        """The disjoint union of `copies` copies of this graph, copy c on
+        nodes [c n, (c + 1) n). Its CSR adjacency is this one's tiled, each
+        copy's column indices shifted by c n, so rows keep their entry order
+        and no edge list is rebuilt or validated again; the degrees,
+        community labels and unit-weight flag are tiled too."""
+        copies = count(copies, "copies")
+        adj, n = self._adj, self.n
+        # int32 where it fits: scipy scans and copies int64 indices down to it,
+        # 0.66 against 0.10 ms for 50 copies of an n = 100 SBM (2-core Xeon)
+        fits = copies * max(n, adj.nnz) <= np.iinfo(np.int32).max
+        offsets = np.arange(copies, dtype=np.int32 if fits else np.int64)[:, None]
+        indices = (adj.indices + offsets * n).ravel()
+        indptr = np.append((adj.indptr[:-1] + offsets * adj.nnz).ravel(), copies * adj.nnz)
+        union = Graph.__new__(Graph)
+        union.n = copies * n
+        union._adj = sp.csr_matrix(
+            (np.tile(adj.data, copies), indices, indptr), shape=(union.n, union.n)
+        )
+        union.communities = None if self.communities is None else np.tile(self.communities, copies)
+        union._unit_weights = self._unit_weights
+        union._degrees = np.tile(self.degrees(), copies)
+        union._degrees.flags.writeable = False
+        union._running_sums = None
+        return union
+
 
 class LaplacianView:
     """Combinatorial Laplacian of a graph, applied as an operator.

@@ -42,7 +42,8 @@ def _step_scores(kind: ObjectiveKind, u_k: np.ndarray, nodes, cand, r2) -> np.nd
     one batched eigvalsh. That eigenvalue is at most min(lambda_min(C), r2),
     as C' interlaces C and the corner of C'^-1 is 1/r2. So only candidates
     whose bound reaches the exact value of the best mean-square-error
-    candidate are scored; the others cannot win and score -inf.
+    candidate are scored, and only theirs and that candidate's bordered
+    matrices are built; the others cannot win and score -inf.
     """
     if kind is ObjectiveKind.MV:
         return r2
@@ -55,17 +56,21 @@ def _step_scores(kind: ObjectiveKind, u_k: np.ndarray, nodes, cand, r2) -> np.nd
         return mse
     s = len(nodes)
     sq_norms = np.einsum("ij,ij->i", u_k[cand, :], u_k[cand, :])
-    stack = np.empty((len(cand), s + 1, s + 1))
-    stack[:, :s, :s] = gram
-    stack[:, :s, s] = cross.T
-    stack[:, s, :s] = cross.T
-    stack[:, s, s] = sq_norms
+
+    def smallest_bordered(rows):
+        # smallest eigenvalue of C' for each of the candidates at `rows`
+        stack = np.empty((len(rows), s + 1, s + 1))
+        stack[:, :s, :s] = gram
+        stack[:, :s, s] = stack[:, s, :s] = cross.T[rows]
+        stack[:, s, s] = sq_norms[rows]
+        return np.linalg.eigvalsh(stack)[:, 0]
+
     bound = np.minimum(np.linalg.eigvalsh(gram).min(initial=np.inf), r2)
     # slack far above eigvalsh round-off, which scales with |C'| <= trace C'
     slack = _PRUNE_SLACK * (np.trace(gram) + sq_norms.max())
-    live = bound >= np.linalg.eigvalsh(stack[np.argmax(mse)])[0] - slack
+    live = np.flatnonzero(bound >= smallest_bordered([np.argmax(mse)])[0] - slack)
     scores = np.full(len(cand), -np.inf)
-    scores[live] = np.linalg.eigvalsh(stack[live])[:, 0]
+    scores[live] = smallest_bordered(live)
     return scores
 
 

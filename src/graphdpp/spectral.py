@@ -90,6 +90,24 @@ def generate_bandlimited_signal(u_k: np.ndarray, seed=None) -> np.ndarray:
     return u_k @ (alpha / np.linalg.norm(alpha))
 
 
+def generate_bandlimited_signals(u_k: np.ndarray, signals: int, seed=None) -> np.ndarray:
+    """`signals` independent signals of generate_bandlimited_signal's law,
+    as the rows of a (signals, n) array: the coefficients are drawn as one
+    (signals, k) standard normal block, an all-zero row is drawn again
+    until it is not, and each row is renormalized to unit length."""
+    signals = count(signals, "signal count")
+    k = u_k.shape[1]
+    if k == 0:
+        raise OutOfRange("the basis must have at least one column")
+    rng = np.random.default_rng(seed)
+    alpha = rng.standard_normal((signals, k))
+    zero = ~alpha.any(axis=1)
+    while zero.any():
+        alpha[zero] = rng.standard_normal((np.count_nonzero(zero), k))
+        zero = ~alpha.any(axis=1)
+    return (alpha / np.linalg.norm(alpha, axis=1, keepdims=True)) @ u_k.T
+
+
 def _vector_eval(f, lam):
     """Frequency response f at every entry of lam; scalar-only callables
     are evaluated entry by entry."""

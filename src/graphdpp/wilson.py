@@ -214,6 +214,18 @@ def wilson_sample(g: Graph, q: float, rng=None) -> SamplingSet:
     return SamplingSet(nodes=np.asarray(roots, dtype=np.int64), weights=None, method="wilson")
 
 
+def wilson_draws(g: Graph, q: float, draws: int, rng=None) -> list[np.ndarray]:
+    """The nodes of `draws` independent wilson_sample draws on g, from one
+    wilson_sample call on as many disjoint copies of g (Graph.disjoint_copies).
+    Components pop only their own cycles (Propp and Wilson 1998), so the
+    roots in copy c, node // n == c, are a draw of g's law, and each copy
+    keeps at least one root. On both walk paths the roots come grouped by
+    copy in ascending copy order, so the split is by position."""
+    draws = count(draws, "draws")
+    copy, nodes = np.divmod(wilson_sample(g.disjoint_copies(draws), q, rng).nodes, g.n)
+    return np.split(nodes, np.searchsorted(copy, np.arange(1, draws)))
+
+
 def expected_sample_size(basis: SpectralBasis, q: float) -> float:
     """Exact expected output size, the trace of the rate-q walk kernel (desk-scale oracle)."""
     return float(np.sum(wilson_kernel_explicit(basis, q).eigenvalues))

@@ -7,12 +7,14 @@ test. The tracer is loaded from its file and never modified.
 
 import importlib
 import inspect
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import graphdpp
+import graphdpp.experiments  # noqa: F401  (the workloads reach it as an attribute)
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -70,3 +72,46 @@ def test_recorder_installs_and_restores(tracer):
     assert graphdpp.LaplacianView.apply is apply
     for (layer, name), orig in originals.items():
         assert getattr(importlib.import_module(f"graphdpp.{layer}"), name) is orig
+
+
+WORKLOADS_PATH = TRACER_PATH.with_name("workloads.py")
+
+
+@pytest.fixture(scope="module")
+def workloads(tracer):
+    # workloads.py imports its CheckFailed from `tracer`; hand it the copy above
+    module = types.ModuleType("perfbench_workloads")
+    saved = sys.modules.get("tracer")
+    sys.modules["tracer"] = tracer
+    try:
+        exec(compile(WORKLOADS_PATH.read_text(), str(WORKLOADS_PATH), "exec"), module.__dict__)
+    finally:
+        if saved is None:
+            del sys.modules["tracer"]
+        else:
+            sys.modules["tracer"] = saved
+    return module
+
+
+@pytest.mark.parametrize("name", ["known-k20", "unknown-gamma"])
+def test_every_bench_check_sees_traffic(tracer, workloads, name):
+    # the bench installs its output checks by replacing package functions;
+    # a protocol that stops calling one of them would drop its check silently
+    workload = workloads.WORKLOADS[name](graphdpp)
+    layer_of = {f: layer for layer, funcs in tracer.TRACED_FUNCTIONS.items() for f in funcs}
+    calls = dict.fromkeys(workload.checks(), 0)
+    assert calls, f"{name} declares no checks"
+
+    def counted(check_name, check):
+        def run(args, kwargs, out):
+            calls[check_name] += 1
+            check(args, kwargs, out)
+
+        return run
+
+    with tracer.Patcher() as patcher:
+        for check_name, check in workload.checks().items():
+            patcher.function(layer_of[check_name], check_name, tracer.checked(counted(check_name, check)))
+        workload.setup(1)
+        workload.request(0)
+    assert all(calls.values()), calls

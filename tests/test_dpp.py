@@ -132,6 +132,19 @@ class TestKernels:
         with pytest.raises(InvalidParams):
             MarginalKernel(eigenvalues=np.array([1.1, 0.0]), vectors=v)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eigenvalue_rejected(self, bad):
+        # NaN passes the comparisons of a range test written as two rejections
+        with pytest.raises(InvalidParams, match="eigenvalues"):
+            MarginalKernel(eigenvalues=np.array([bad, 0.5]), vectors=np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        v = np.eye(3)
+        v[1, 2] = bad
+        with pytest.raises(InvalidParams, match="finite"):
+            MarginalKernel(eigenvalues=np.ones(3), vectors=v)
+
 
 class TestInclusionProbability:
     def test_empty_set(self, sbm_kernel):
@@ -288,6 +301,17 @@ class TestSamplerDegenerateKernels:
 
 
 class TestSamplerConsistencyGuard:
+    def test_nan_mass_raises(self):
+        # a NaN entry set after construction makes the selection mass NaN,
+        # which a drift test written as `drift > tol` lets through: this
+        # kernel then drew the node 5 twice
+        v = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))[0]
+        kernel = MarginalKernel(eigenvalues=np.array([1.0, 1.0, 0, 0, 0, 0]), vectors=v)
+        kernel.vectors = v.copy()
+        kernel.vectors[0, 0] = np.nan
+        with pytest.raises(NumericalDegeneracy):
+            dpp_sample(kernel, 0)
+
     def test_mass_drift_raises(self):
         # non-orthonormal vectors break the selection-mass invariant
         broken = MarginalKernel(eigenvalues=np.array([1.0, 0.0, 0.0]), vectors=np.eye(3) * 0.5)

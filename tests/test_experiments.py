@@ -242,6 +242,28 @@ class TestUnknownBasisExperiment:
         cfg = tiny_unknown_cfg(sweep=sweep, grid=grid, graphs_per_point=1, signals_per_graph=2)
         assert len(run_experiment_unknown_basis(cfg)) == 4
 
+    def test_one_walk_and_one_iid_draw_per_graph(self, monkeypatch):
+        # a graph's walks run on disjoint copies of it, one per signal, and its
+        # i.i.d. draws are one draw of the walks' total size
+        calls = {"wilson_sample": 0, "iid_leverage_sample": 0}
+
+        def counted(module, name):
+            orig = getattr(module, name)
+
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, run)
+
+        counted(wilson_module, "wilson_sample")
+        counted(experiments_module, "wilson_sample")
+        counted(experiments_module, "iid_leverage_sample")
+        cfg = tiny_unknown_cfg(grid=(2.0, 3.0), graphs_per_point=3, signals_per_graph=5)
+        table = run_experiment_unknown_basis(cfg)
+        assert calls == {"wilson_sample": 6, "iid_leverage_sample": 6}
+        assert all(r.trials == 15 for r in table)
+
     def test_walk_sizes_average_to_the_target(self):
         # q is exact for each graph, so every draw has mean size m; a DPP
         # size has variance at most its mean, so the mean of 200 draws lies

@@ -26,12 +26,12 @@ FIG1C_CONFIG = (
 FIG1B_GRID_CONFIG = FIG1B_CONFIG.replace(
     "grid = 1e-5,1e-1", "grid = 1e-7,1e-6,1e-5,1e-3,1e-1,1e1,1e2"
 )
-FIG1B_GRID_SHA256 = "e68da74a59a7f7fc5fee8a5cce426a6cbf04d2ae54bb61ddecc37b43b2901f16"
+FIG1B_GRID_SHA256 = "d636cffdc28b3a22ceb4cd33bd85a77d3d691566e1b11a81c6f18ac4a94f3a62"
 
 GOLDEN = {
     "fig1a.csv": "93c1cdbafc491c82cb91044fdddc758efab0e9980fbb2943146fd99ff466f715",
-    "fig1b.csv": "a3e19d023f31655d455b6f2a68962082c03bb418a135e6ac51544e2edb87d18c",
-    "fig1c.csv": "2e79424aae65440be5e03cfbcebe1833926612bcfa383dd5f7c194e0c4c41e92",
+    "fig1b.csv": "67e038a5fe66487fd7d3248803bbc64003825921fd0258ddd1a462988ffc9344",
+    "fig1c.csv": "37efe384cefa7669a26483036f4964970e440fd76d4f01ed53c82519de88aeff",
     "g.mtx": "8e26abbcf3b55248581922948e2f6236325718b624a1a826153b53d4adacbb52",
     "labels.csv": "218ea8d6ba0c2d3ccd92c2d12afc7b287e4ba5e629f0e9e77d51072d36a1da4a",
     "pi.csv": "ca8192db77a81c8dd75a4e2d115c28103e6b5eae9eb3f2eea22d5c91130f34d3",

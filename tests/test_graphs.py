@@ -287,6 +287,35 @@ def test_degrees_and_laplacian_apply_match_dense(graph, cols, seed):
     assert np.all(np.abs(lap.apply(x) - dense @ x) <= slack)
 
 
+@settings(max_examples=100, deadline=None)
+@given(graph=edge_lists(), copies=st.integers(1, 4))
+def test_disjoint_copies_match_the_union_built_from_edges(graph, copies):
+    n, edges = graph
+    g = Graph(n, edges)
+    union = g.disjoint_copies(copies)
+    i, j, w = g.edges()
+    shift = np.repeat(np.arange(copies) * n, len(i))
+    tiled = np.tile(i, copies) + shift, np.tile(j, copies) + shift, np.tile(w, copies)
+    built = Graph.from_arrays(copies * n, *tiled)
+    assert union.n == built.n and union.num_edges == built.num_edges
+    np.testing.assert_array_equal(union.adjacency().toarray(), built.adjacency().toarray())
+    np.testing.assert_array_equal(union.degrees(), np.tile(g.degrees(), copies))
+    np.testing.assert_allclose(union.degrees(), built.degrees(), rtol=1e-14)
+    assert union.has_unit_weights() == built.has_unit_weights()
+    # rows keep their entry order, so the walk's running sums are g's tiled
+    np.testing.assert_array_equal(union.running_sums(), np.tile(g.running_sums(), copies))
+    assert union.communities is None
+
+
+def test_disjoint_copies_keep_unit_weights_and_labels():
+    g = sbm_generate(SbmParams(n=20, k_comm=2, c=4.0, eps=0.2), 1)
+    union = g.disjoint_copies(3)
+    assert union.has_unit_weights()
+    np.testing.assert_array_equal(union.communities, np.tile(g.communities, 3))
+    with pytest.raises(InvalidParams):
+        g.disjoint_copies(0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(s=st.integers(2, 300))
 @example(s=500_000)

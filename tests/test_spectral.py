@@ -19,6 +19,7 @@ from graphdpp import (
     sbm_generate,
 )
 from graphdpp import spectral
+from graphdpp.spectral import generate_bandlimited_signals
 from graphdpp.errors import InvalidParams, OutOfRange, ShapeMismatch, TooLarge
 
 from conftest import edge_lists
@@ -192,6 +193,47 @@ class TestBandlimitedSignal:
         # renormalization loop never ended
         with pytest.raises(OutOfRange):
             generate_bandlimited_signal(np.zeros((5, 0)), 0)
+
+
+class _FirstBlockZeroRows(np.random.Generator):
+    """A generator whose first standard-normal block has rows 0 and 2 zeroed."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+        self.sizes = []
+
+    def standard_normal(self, size=None, **kwargs):
+        out = super().standard_normal(size, **kwargs)
+        if not self.sizes:
+            out[[0, 2]] = 0.0
+        self.sizes.append(size)
+        return out
+
+
+class TestBandlimitedSignals:
+    def test_rows_are_unit_norm_signals_in_the_span(self, sbm_basis):
+        _, basis = sbm_basis
+        u_k = fourier_basis_k(basis, 4)
+        xs = generate_bandlimited_signals(u_k, 7, 3)
+        assert xs.shape == (7, basis.n)
+        np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0, atol=1e-12)
+        assert np.linalg.norm(xs - (xs @ u_k) @ u_k.T) <= 1e-12
+
+    def test_zero_rows_are_drawn_again(self, sbm_basis):
+        _, basis = sbm_basis
+        rng = _FirstBlockZeroRows()
+        xs = generate_bandlimited_signals(fourier_basis_k(basis, 3), 5, rng)
+        assert rng.sizes == [(5, 3), (2, 3)]
+        np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0, atol=1e-12)
+
+    def test_basis_without_columns_rejected(self):
+        with pytest.raises(OutOfRange):
+            generate_bandlimited_signals(np.zeros((5, 0)), 2, 0)
+
+    @pytest.mark.parametrize("signals", [0, -1, 1.5])
+    def test_bad_signal_count_rejected(self, signals):
+        with pytest.raises(InvalidParams):
+            generate_bandlimited_signals(np.eye(3)[:, :2], signals, 0)
 
 
 class TestApplyFilter:

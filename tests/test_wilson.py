@@ -311,6 +311,57 @@ class TestVectorizedRounds:
         assert empirical_tv(samples, law) <= 0.03
 
 
+def _weighted_sbm():
+    g = sbm_generate(SbmParams(n=30, k_comm=2, c=6.0, eps=0.3), 12)
+    w = np.random.default_rng(12).uniform(0.1, 5.0, g.num_edges)
+    return Graph.from_arrays(g.n, *g.edges()[:2], w)
+
+
+class TestWilsonDraws:
+    """wilson_draws splits one walk on disjoint copies into draws of g's law."""
+
+    @pytest.mark.parametrize("path", ["loop", "rounds"])
+    @pytest.mark.parametrize("graph, q", [("weighted", 0.5), ("split", 0.3)])
+    def test_split_draws_follow_the_kernel(self, graph, q, path):
+        g = _weighted_sbm() if graph == "weighted" else SPLIT_GRAPH
+        # at most HANDOVER union nodes run the walk loop alone, more the rounds first
+        handover = wilson_module.HANDOVER
+        copies = handover // g.n if path == "loop" else 4 * handover // g.n
+        rng = np.random.default_rng(8)
+        draws = []
+        while len(draws) < 4000:
+            batch = wilson_module.wilson_draws(g, q, copies, rng)
+            assert len(batch) == copies
+            draws += batch
+        runs = len(draws)
+        labels = component_labels(g)
+        for nodes in draws:
+            assert len(np.unique(nodes)) == len(nodes)
+            assert np.all((nodes >= 0) & (nodes < g.n))
+            # every component of every copy keeps a root
+            assert set(labels[nodes].tolist()) == set(labels.tolist())
+        basis = eigendecompose(laplacian(g))
+        kernel = wilson_kernel_explicit(basis, q)
+        diag = kernel.diagonal()
+        # per-node inclusion frequencies within 4 standard errors (floored at 1 / runs)
+        counts = np.bincount(np.concatenate(draws), minlength=g.n)
+        se = np.maximum(np.sqrt(diag * (1 - diag) / runs), 1 / runs)
+        assert np.all(np.abs(counts / runs - diag) <= 4 * se)
+        # the mean split size within 4 standard errors of the expected size
+        mu = kernel.eigenvalues
+        sizes = np.array([len(d) for d in draws])
+        bound = 4 * np.sqrt((mu * (1 - mu)).sum() / runs)
+        assert abs(sizes.mean() - expected_sample_size(basis, q)) <= bound
+
+    def test_one_walk_per_call(self, monkeypatch):
+        calls = []
+        walk = wilson_module.wilson_sample
+        monkeypatch.setattr(wilson_module, "wilson_sample", lambda *a: calls.append(a) or walk(*a))
+        draws = wilson_module.wilson_draws(SPLIT_GRAPH, 0.3, 7, 0)
+        assert len(calls) == 1 and calls[0][0].n == 7 * SPLIT_GRAPH.n
+        assert len(draws) == 7 and all(5 in d for d in draws)
+
+
 class TestExpectedSampleSize:
     def test_k2_hand_value(self, k2):
         basis = eigendecompose(laplacian(k2))
