@@ -40,7 +40,6 @@ from .recovery import (
     recover_known_basis_weighted,
     recover_unknown_basis,
     recover_unknown_basis_batch,
-    recover_unknown_basis_path,
     relative_error,
 )
 from .selection import (
@@ -104,6 +103,5 @@ __all__ = [
     "recover_known_basis_weighted",
     "recover_unknown_basis",
     "recover_unknown_basis_batch",
-    "recover_unknown_basis_path",
     "relative_error",
 ]

@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise InvalidParams("sweep grid must be non-empty")
         if len(set(self.grid)) != len(self.grid):
             raise InvalidParams(f"sweep grid repeats a value: {tuple(self.grid)}")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise InvalidParams("noise_sigma must be finite and nonnegative")
         for name in ("n", "k_comm", "bandlimit", "graphs_per_point", "signals_per_graph"):
             setattr(self, name, count(getattr(self, name), name))
         for name in ("target_m", "seed"):
@@ -391,10 +393,10 @@ def run_scalability_check(n: int, q: float, runs: int = 10, seed: int = 0):
     """Mean walk-sampler output size and mean per-run wall time on one
     large SBM realisation (two communities, c = 16, eps at 0.2 of the
     detectability threshold); generation is excluded from the timing.
-    Above wilson.HANDOVER nodes each run is the vectorized draw and
-    cycle-popping rounds, then the walk loop for what they leave; at small
-    q (n = 1e5, q = 5e-4) the first draw absorbs too few arrows for rounds
-    to pay, and the time is mostly the walk loop's."""
+    Each run is the vectorized first draw and cycle-popping rounds, then
+    the walk loop for what they leave; at small q (n = 1e5, q = 5e-4) the
+    first draw absorbs too few arrows for rounds to pay, and the time is
+    mostly the walk loop's."""
     runs = count(runs, "runs")
     eps = 0.2 * critical_epsilon(16.0, 2)
     graph = sbm_generate(SbmParams(n=n, k_comm=2, c=16.0, eps=eps), stream(seed, 0, _TAG_GRAPH))

@@ -151,29 +151,23 @@ def recover_unknown_basis(
     """Recovery without the Fourier basis: high-frequency-penalized least squares.
 
     Solves the normal equations (gamma L^r + S' W^-1 S) z = S' W^-1 y of the
-    weighted data term plus gamma * z' L^r z; the one-gamma case of
-    recover_unknown_basis_path, which describes the solvers. Graphs of up
-    to _DIRECT_MAX_N = 500 nodes solve a bordered kernel system from one
-    cached eigendecomposition; larger graphs, and small ones where that
-    fails, run Jacobi-preconditioned conjugate gradient, which raises
-    SolverDiverged when the tolerance is not reached within max_iter.
+    weighted data term plus gamma * z' L^r z; the one-measurement,
+    one-gamma case of recover_unknown_basis_batch, which describes the
+    solvers. Graphs of up to _DIRECT_MAX_N = 500 nodes solve a bordered
+    kernel system from one cached eigendecomposition; larger graphs, and
+    small ones where that fails, run Jacobi-preconditioned conjugate
+    gradient, which raises SolverDiverged when the tolerance is not reached
+    within max_iter.
     """
-    return recover_unknown_basis_path(lap, meas, [params or RecoveryParams()])[0]
-
-
-def recover_unknown_basis_path(lap: LaplacianView, meas: Measurement, params_seq) -> np.ndarray:
-    """recover_unknown_basis for each entry of a penalty grid: row i of the
-    (len(params_seq), n) result is, bit for bit, the solve of the grid of
-    params_seq[i] alone. The entries must share r, tolerance and max_iter.
-    The one-measurement case of recover_unknown_basis_batch, which
-    describes the solvers."""
-    return recover_unknown_basis_batch(lap, [meas], params_seq)[0]
+    return recover_unknown_basis_batch(lap, [meas], [params or RecoveryParams()])[0, 0]
 
 
 def recover_unknown_basis_batch(lap: LaplacianView, meas_seq, params_seq) -> np.ndarray:
-    """recover_unknown_basis_path for each of a graph's measurements: entry
-    [j, i] of the (len(meas_seq), len(params_seq), n) result is, bit for
-    bit, row i of the path of meas_seq[j].
+    """recover_unknown_basis for each of a graph's measurements and each
+    entry of a penalty grid: entry [j, i] of the (len(meas_seq),
+    len(params_seq), n) result is, bit for bit, the solve of meas_seq[j]
+    with params_seq[i] alone. The grid's entries must share r, tolerance
+    and max_iter.
 
     Graphs of up to _DIRECT_MAX_N = 500 nodes solve the bordered kernel
     system [[G_SS + gamma W, N_S], [N_S', 0]] [a; c] = [y; 0] over the

@@ -18,14 +18,13 @@ from .spectral import SpectralBasis
 # step count grows like n (d_max + q) / q, so degree / q near 1e10 walks for minutes.
 WATCHDOG_STEPS = 10**9
 _RAND_BUFFER = 1 << 18
-# Graphs of more than HANDOVER nodes draw every node's arrow (its next step) at
-# once and pop cycles in vectorized rounds before the walk loop finishes; at or
-# below it the loop alone runs, drawing as it always has (there the numpy calls'
-# fixed cost outweighs what they save). Each round passes over every unresolved
-# node, so the loop takes over once at most HANDOVER nodes are unresolved, after
-# MAX_ROUNDS rounds, or at once when the first draw absorbs fewer than MIN_ROOTS
-# arrows: the forest then has so few roots that popping down to them takes
-# hundreds of rounds of a few cycles each.
+# Every node's arrow (its next step) is drawn at once, then cycles pop in
+# vectorized rounds before the walk loop finishes. Each round passes over every
+# unresolved node, so the loop takes over once at most HANDOVER nodes are
+# unresolved (a graph of at most HANDOVER nodes runs no round), after MAX_ROUNDS
+# rounds, or at once when the first draw absorbs fewer than MIN_ROOTS arrows:
+# the forest then has so few roots that popping down to them takes hundreds of
+# rounds of a few cycles each.
 HANDOVER = 512
 MAX_ROUNDS = 24
 MIN_ROOTS = 4
@@ -125,18 +124,16 @@ def wilson_sample(g: Graph, q: float, rng=None) -> SamplingSet:
     Algorithms 1998). It is the determinantal process with kernel
     eigenvalues q / (q + lambda) on the graph Fourier basis.
 
-    On graphs of at most HANDOVER nodes, walks start from the first
-    unvisited node in ascending index order and run until they hit
-    absorption or an already-retained node; each node keeps its latest
-    step, so a revisit erases the loop in O(1). Roots come in the order
-    the walks reach them. Larger graphs draw every node's arrow at once,
-    then run rounds in which pointer doubling finds the nodes whose arrows
-    lead to absorption and every node on a cycle draws again, popping all
-    current cycles together. The walks then finish the unresolved nodes
-    in ascending order (see HANDOVER for when), each taking its pending
-    arrow on its first departure and a fresh draw after that, and roots
-    come in ascending order. A call that draws more than WATCHDOG_STEPS
-    arrows (draws, not seconds) raises WatchdogExceeded.
+    Every node's arrow is drawn at once, then rounds run in which pointer
+    doubling finds the nodes whose arrows lead to absorption and every node
+    on a cycle draws again, popping all current cycles together. Walks
+    then finish the unresolved nodes in ascending order (see HANDOVER for
+    when), each taking its pending arrow on its first departure and a
+    fresh draw after that, until they hit absorption or an already
+    retained node; each node keeps its latest step, so a revisit erases
+    the loop in O(1). Roots come in ascending order. A call that draws
+    more than WATCHDOG_STEPS arrows (draws, not seconds) raises
+    WatchdogExceeded.
 
     Weights are left unfilled; recovery callers attach inclusion
     probabilities from an explicit kernel or from the sketch estimator.
@@ -146,33 +143,19 @@ def wilson_sample(g: Graph, q: float, rng=None) -> SamplingSet:
     rng = np.random.default_rng(rng)
     n = g.n
     adj = g.adjacency()
-    degrees = g.degrees()
+    arrow, unresolved, steps = _pop_cycles(g, q, rng)
     # per node: 0 draws its next step, 1 is retained, 2 holds an arrow left by the
-    # rounds for its first departure. Index n is absorption, which ends a walk as a
-    # retained node does.
-    state = bytearray(n + 1)
-    state[n] = 1
-    if n <= HANDOVER:
-        starts, nxt, steps = range(n), [n] * n, 0
-        # nnz-sized arrays stay numpy buffers behind memoryviews. indptr and the
-        # degrees, read every step, become O(n) lists: a list read takes about half
-        # the time of a memoryview read (25 against 42-65 ns for floats, 32-49
-        # against 55-61 for ints)
-        indptr, degree = adj.indptr.tolist(), degrees.tolist()
-    else:
-        arrow, unresolved, steps = _pop_cycles(g, q, rng)
-        status = np.ones(n, dtype=np.uint8)
-        status[unresolved] = 2
-        state[:n] = status.tobytes()
-        # here list copies cost more than their faster reads save, even at small q
-        # where the walks finish every node
-        starts, nxt = unresolved.tolist(), memoryview(arrow)
-        indptr, degree = memoryview(adj.indptr), memoryview(degrees)
+    # first draw or the rounds for its first departure. Index n is absorption,
+    # which ends a walk as a retained node does.
+    status = np.ones(n + 1, dtype=np.uint8)
+    status[unresolved] = 2
+    state = bytearray(status)
+    starts, nxt = unresolved.tolist(), memoryview(arrow)
+    indptr, degree = memoryview(adj.indptr), memoryview(g.degrees())
     indices = memoryview(adj.indices)
     cum = None if g.has_unit_weights() else memoryview(g.running_sums())
     watchdog = WATCHDOG_STEPS
 
-    roots = []
     # the buffer grows toward the cap so short runs stay cheap
     buf_size = min(max(4 * len(starts), 64), _RAND_BUFFER)
     buf = rng.random(buf_size).tolist()
@@ -205,13 +188,8 @@ def wilson_sample(g: Graph, q: float, rng=None) -> SamplingSet:
         u = start
         while not state[u]:
             state[u] = 1
-            v = nxt[u]
-            if v == n:
-                roots.append(u)
-            u = v
-    if n > HANDOVER:
-        roots = np.flatnonzero(arrow == n)
-    return SamplingSet(nodes=np.asarray(roots, dtype=np.int64), weights=None, method="wilson")
+            u = nxt[u]
+    return SamplingSet(nodes=np.flatnonzero(arrow == n), weights=None, method="wilson")
 
 
 def wilson_draws(g: Graph, q: float, draws: int, rng=None) -> list[np.ndarray]:
@@ -219,8 +197,8 @@ def wilson_draws(g: Graph, q: float, draws: int, rng=None) -> list[np.ndarray]:
     wilson_sample call on as many disjoint copies of g (Graph.disjoint_copies).
     Components pop only their own cycles (Propp and Wilson 1998), so the
     roots in copy c, node // n == c, are a draw of g's law, and each copy
-    keeps at least one root. On both walk paths the roots come grouped by
-    copy in ascending copy order, so the split is by position."""
+    keeps at least one root. The roots come in ascending order, so grouped
+    by copy in ascending copy order, and the split is by position."""
     draws = count(draws, "draws")
     copy, nodes = np.divmod(wilson_sample(g.disjoint_copies(draws), q, rng).nodes, g.n)
     return np.split(nodes, np.searchsorted(copy, np.arange(1, draws)))

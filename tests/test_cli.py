@@ -223,6 +223,16 @@ class TestExperimentCommand:
         assert "repeats a value" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("protocol,sweep", [("fig1a", "epsilon"), ("fig1b", "gamma"), ("fig1c", "m")])
+    def test_bad_noise_sigma_rejected(self, tmp_path, capsys, protocol, sweep, sigma):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"sweep = {sweep}\nnoise_sigma = {sigma}\ngraphs_per_point = 1\nsignals_per_graph = 1\n")
+        code = main(["experiment", protocol, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "noise_sigma" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("protocol,flags,named", [
         ("fig1a", ["--n", "500"], "--n"),
         ("fig1b", ["--q", "0.1"], "--q"),

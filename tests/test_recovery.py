@@ -27,7 +27,6 @@ from graphdpp import (
     recover_known_basis_weighted,
     recover_unknown_basis,
     recover_unknown_basis_batch,
-    recover_unknown_basis_path,
     relative_error,
     sbm_generate,
 )
@@ -646,6 +645,11 @@ def grid_params(gammas, **shared):
     return [RecoveryParams(gamma=g, **shared) for g in gammas]
 
 
+def path_rows(lap, meas, params_seq):
+    """One measurement's solves over a penalty grid, a (len(params_seq), n) array."""
+    return recover_unknown_basis_batch(lap, [meas], params_seq)[0]
+
+
 def one_gamma_rows(lap, meas, params_seq):
     """The grid solved one gamma at a time; SolverDiverged where CG gives up."""
     rows = []
@@ -662,9 +666,9 @@ def assert_rows_match(lap, meas, params_seq, rows):
     grid raises SolverDiverged where a one-gamma solve does)."""
     if any(row is None for row in rows):
         with pytest.raises(SolverDiverged):
-            recover_unknown_basis_path(lap, meas, params_seq)
+            path_rows(lap, meas, params_seq)
         return
-    out = recover_unknown_basis_path(lap, meas, params_seq)
+    out = path_rows(lap, meas, params_seq)
     assert out.shape == (len(params_seq), lap.n)
     for got, want in zip(out, rows):
         np.testing.assert_array_equal(got, want)
@@ -728,7 +732,7 @@ class TestUnknownBasisPath:
 
         monkeypatch.setattr(np.linalg, "solve", one_row_off)
         cg_gammas = self.spy_cg(monkeypatch)
-        out = recover_unknown_basis_path(lap, meas, params_seq)
+        out = path_rows(lap, meas, params_seq)
         assert cg_gammas == [FIG1B_GAMMAS[2]]
         for i, (got, want) in enumerate(zip(out, rows)):
             if i == 2:
@@ -762,7 +766,7 @@ class TestUnknownBasisPath:
     def test_zero_right_hand_side_gives_zero_rows(self, instance):
         _, lap, _, _, _ = instance
         s = SamplingSet(nodes=np.array([3, 40]), weights=np.array([0.5, 0.5]), method="t")
-        out = recover_unknown_basis_path(
+        out = path_rows(
             lap, Measurement(y=np.zeros(2), sampling=s), grid_params(FIG1B_GAMMAS)
         )
         np.testing.assert_array_equal(out, np.zeros((len(FIG1B_GAMMAS), lap.n)))
@@ -777,7 +781,7 @@ class TestUnknownBasisPath:
         s = SamplingSet(nodes=np.array([3, 40]), weights=np.array([0.5, 0.5]), method="t")
         meas = Measurement(y=x[[3, 40]], sampling=s)
         with pytest.raises(InvalidParams):
-            recover_unknown_basis_path(
+            path_rows(
                 lap, meas, [RecoveryParams(gamma=1e-5), RecoveryParams(gamma=1e-3, **other)]
             )
 
@@ -786,7 +790,7 @@ class TestUnknownBasisPath:
         _, lap, _, _, x = instance
         s = SamplingSet(nodes=np.array([3, 40]), weights=np.array([0.5, 0.5]), method="t")
         with pytest.raises(InvalidParams):
-            recover_unknown_basis_path(lap, Measurement(y=x[[3, 40]], sampling=s), grid)
+            path_rows(lap, Measurement(y=x[[3, 40]], sampling=s), grid)
 
     def test_fig1b_sweep_makes_one_batch_call_per_graph(self, monkeypatch):
         calls = []
@@ -821,7 +825,8 @@ def sbm_batch_problems(draw):
     is 6 to 12, so that most graphs have no isolated node, which would be
     a component without samples for almost every measurement."""
     k_comm = draw(st.integers(1, 3))
-    n = k_comm * draw(st.integers(10, 120 // k_comm))
+    # blocks of at least 13 nodes keep c < n and the in-block probability at most 1
+    n = k_comm * draw(st.integers(13, 120 // k_comm))
     eps = draw(st.just(0.0) | st.floats(0.05, 1.0))
     params = SbmParams(n=n, k_comm=k_comm, c=draw(st.floats(6.0, 12.0)), eps=eps)
     graph = sbm_generate(params, draw(st.integers(0, 2**32 - 1)))
@@ -857,7 +862,7 @@ def above_direct_size_problem():
 def test_batch_rows_equal_path_rows(problem):
     lap, meas_seq, params_seq = problem
     try:
-        paths = [recover_unknown_basis_path(lap, meas, params_seq) for meas in meas_seq]
+        paths = [path_rows(lap, meas, params_seq) for meas in meas_seq]
     except SolverDiverged:
         with pytest.raises(SolverDiverged):
             recover_unknown_basis_batch(lap, meas_seq, params_seq)
