@@ -74,11 +74,25 @@ def _cmd_generate_signal(args):
     print(f"wrote {args.out}: bandlimit {args.k}, unit norm")
 
 
+def _reject_unread(command, flags):
+    """Raise InvalidParams naming the given flags of {flag: given}: command reads none of them."""
+    unread = [flag for flag, given in flags.items() if given]
+    if unread:
+        raise InvalidParams(f"{command} does not read {', '.join(unread)}")
+
+
 def _cmd_sample(args):
+    method = args.method
+    walk = method == "wilson"
+    _reject_unread(f"sample --method {method}", {
+        "--k": walk and args.k is not None,
+        "--m": method != "iid" and args.m is not None,
+        "--q": not walk and args.q is not None,
+        "--target-k": not walk and args.target_k is not None,
+    })
     g = load_graph(args.graph)
     rng = np.random.default_rng(args.seed)
-    method = args.method
-    if method == "wilson":
+    if walk:
         if (args.q is None) == (args.target_k is None):
             raise InvalidParams("give exactly one of --q or --target-k")
         q = args.q if args.q is not None else tune_q(
@@ -92,7 +106,9 @@ def _cmd_sample(args):
             pi = estimate_pi(laplacian(g), q, rng=rng)
             sample.weights = floor_zero_probabilities(pi, sample.nodes)
     else:
-        k = _require_k(args)
+        k = args.k
+        if k is None:
+            raise InvalidParams(f"--k is required for method {method}")
         basis = eigendecompose(laplacian(g), k)
         u_k = fourier_basis_k(basis, k)
         if method == "dpp-ideal":
@@ -106,12 +122,6 @@ def _cmd_sample(args):
             sample = greedy_select(u_k, method.removeprefix("greedy-"))
     save_sampling(sample, args.out)
     print(f"wrote {args.out}: method={sample.method} m={len(sample)}")
-
-
-def _require_k(args):
-    if args.k is None:
-        raise InvalidParams(f"--k is required for method {args.method}")
-    return args.k
 
 
 def _cmd_measure(args):
@@ -156,9 +166,7 @@ def _cmd_experiment(args):
         flags = {"--config": args.config is not None, "--full": args.full}
     else:
         flags = {"--n": args.n is not None, "--q": args.q is not None}
-    unread = [flag for flag, given in flags.items() if given]
-    if unread:
-        raise InvalidParams(f"experiment {args.protocol} does not read {', '.join(unread)}")
+    _reject_unread(f"experiment {args.protocol}", flags)
     if scale:
         n = _SCALE_N if args.n is None else args.n
         q = _SCALE_Q if args.q is None else args.q

@@ -279,21 +279,6 @@ def run_experiment_known_basis(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def _measurements(xs, nodes, weights, sizes, noise_sigma, rng, method) -> list[Measurement]:
-    """measure's readings of draws t = 0, 1, ... of sizes[t] nodes each, held
-    concatenated in nodes and weights, draw t reading signal xs[t]. The
-    noise is one block from rng, which equals sequential draws of the
-    sizes from it."""
-    y = xs[np.repeat(np.arange(len(sizes)), sizes), nodes]
-    y += noise_sigma * rng.standard_normal(len(nodes))
-    return [
-        Measurement(y_t, SamplingSet(nodes_t, weights_t, method))
-        for y_t, nodes_t, weights_t in zip(
-            *(np.split(a, np.cumsum(sizes)[:-1]) for a in (y, nodes, weights))
-        )
-    ]
-
-
 def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
     """Sweep over the sample-size target m or over the penalty gamma,
     comparing walk-based determinantal draws against matched i.i.d. draws.
@@ -310,9 +295,11 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
     disjoint copies of the graph, one per signal (wilson_draws), its
     i.i.d. draws as one leverage draw of the walks' total size cut into
     their sizes, each part weighted by its own m_t p, and each sampler's
-    noise as one block. The measurements are then recovered for the whole
-    gamma grid in one recover_unknown_basis_batch call, whose rows equal
-    the one-measurement, one-gamma solves.
+    noise as one block. Both samplers' draws stay one ragged batch, nodes,
+    weights and readings concatenated with each draw's size, which is
+    validated once and recovered for the whole gamma grid in one
+    recover_unknown_basis_batch call, whose rows equal the one-draw,
+    one-gamma solves.
     """
     if cfg.sweep not in ("m", "gamma"):
         raise InvalidParams("unknown-basis experiment sweeps m or gamma")
@@ -332,10 +319,9 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
     shape = (len(cfg.grid), len(UNKNOWN_BASIS_SAMPLERS), cfg.graphs_per_point * signals)
     errors, sizes = np.empty(shape), np.empty(shape, dtype=int)
 
-    for t_idx, target in enumerate(targets):
-        point = t_idx
+    for point, target in enumerate(targets):
         # the grid rows filled from this point: its m, or every gamma
-        values = slice(t_idx, t_idx + len(gammas))
+        values = slice(point, point + len(gammas))
         for g_idx in range(cfg.graphs_per_point):
             graph = sbm_generate(
                 cfg.sbm_params(eps), stream(cfg.seed, point, g_idx, _TAG_GRAPH)
@@ -349,9 +335,11 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
             xs = generate_bandlimited_signals(
                 u_k, signals, stream(cfg.seed, point, g_idx, _TAG_SIGNAL)
             )
-            walks = wilson_draws(graph, q, signals, stream(cfg.seed, point, g_idx, wid, _TAG_DRAW))
-            m_ts = np.array([len(w) for w in walks])
-            w_nodes = np.concatenate(walks)
+            w_nodes, m_ts = wilson_draws(
+                graph, q, signals, stream(cfg.seed, point, g_idx, wid, _TAG_DRAW)
+            )
+            # the signal each node reads, for either sampler's draws
+            draw = np.repeat(np.arange(signals), m_ts)
             if cfg.estimated_weights:
                 wrng = stream(cfg.seed, point, g_idx, _TAG_WEIGHTS)
                 pi_hat = estimate_pi(lap, q, rng=wrng)
@@ -364,25 +352,24 @@ def run_experiment_unknown_basis(cfg: ExperimentConfig) -> list[ResultRow]:
             i_nodes = iid_leverage_sample(
                 p_star, len(w_nodes), stream(cfg.seed, point, g_idx, iid, _TAG_DRAW)
             ).nodes
-            i_weights = np.repeat(m_ts, m_ts) * p_star[i_nodes]
-            w_meas, i_meas = (
-                _measurements(
-                    xs, nodes, weights, m_ts, cfg.noise_sigma,
-                    stream(cfg.seed, point, g_idx, sid, _TAG_NOISE), name,
-                )
-                for name, sid, nodes, weights in (
-                    ("wilson", wid, w_nodes, w_weights), ("iid", iid, i_nodes, i_weights)
-                )
+            i_weights = m_ts[draw] * p_star[i_nodes]
+            nodes = np.concatenate([w_nodes, i_nodes])
+            # sampler-major; each sampler's noise is one block from its own stream
+            noise = np.concatenate([
+                stream(cfg.seed, point, g_idx, sid, _TAG_NOISE).standard_normal(len(w_nodes))
+                for sid in (wid, iid)
+            ])
+            meas = Measurement(
+                xs[np.tile(draw, 2), nodes] + cfg.noise_sigma * noise,
+                SamplingSet(nodes, np.concatenate([w_weights, i_weights])),
             )
-            # signal-major, in UNKNOWN_BASIS_SAMPLERS order within a signal
-            meas = [m for pair in zip(w_meas, i_meas) for m in pair]
-            # (signals, samplers, gammas, n)
-            x_recs = recover_unknown_basis_batch(lap, meas, grid_params).reshape(
-                signals, len(UNKNOWN_BASIS_SAMPLERS), len(gammas), -1
+            # (samplers, signals, gammas, n)
+            x_recs = recover_unknown_basis_batch(lap, meas, np.tile(m_ts, 2), grid_params).reshape(
+                len(UNKNOWN_BASIS_SAMPLERS), signals, len(gammas), -1
             )
-            errs = _relative_errors(xs[:, None, None], x_recs)
+            errs = _relative_errors(xs[:, None], x_recs)
             trials = slice(g_idx * signals, (g_idx + 1) * signals)
-            errors[values, :, trials] = errs.transpose(2, 1, 0)
+            errors[values, :, trials] = errs.transpose(2, 0, 1)
             sizes[values, :, trials] = m_ts
     rows = []
     _aggregate(rows, cfg.grid, UNKNOWN_BASIS_SAMPLERS, errors, sizes)

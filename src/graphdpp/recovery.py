@@ -151,41 +151,40 @@ def recover_unknown_basis(
     """Recovery without the Fourier basis: high-frequency-penalized least squares.
 
     Solves the normal equations (gamma L^r + S' W^-1 S) z = S' W^-1 y of the
-    weighted data term plus gamma * z' L^r z; the one-measurement,
-    one-gamma case of recover_unknown_basis_batch, which describes the
-    solvers. Graphs of up to _DIRECT_MAX_N = 500 nodes solve a bordered
-    kernel system from one cached eigendecomposition; larger graphs, and
-    small ones where that fails, run Jacobi-preconditioned conjugate
-    gradient, which raises SolverDiverged when the tolerance is not reached
-    within max_iter.
+    weighted data term plus gamma * z' L^r z: the one-draw, one-gamma case
+    of recover_unknown_basis_batch, which describes the solvers. It raises
+    SolverDiverged when conjugate gradient misses the tolerance in max_iter.
     """
-    return recover_unknown_basis_batch(lap, [meas], [params or RecoveryParams()])[0, 0]
+    return recover_unknown_basis_batch(lap, meas, [len(meas.y)], [params or RecoveryParams()])[0, 0]
 
 
-def recover_unknown_basis_batch(lap: LaplacianView, meas_seq, params_seq) -> np.ndarray:
-    """recover_unknown_basis for each of a graph's measurements and each
-    entry of a penalty grid: entry [j, i] of the (len(meas_seq),
-    len(params_seq), n) result is, bit for bit, the solve of meas_seq[j]
-    with params_seq[i] alone. The grid's entries must share r, tolerance
-    and max_iter.
+def recover_unknown_basis_batch(
+    lap: LaplacianView, meas: Measurement, sizes, params_seq
+) -> np.ndarray:
+    """recover_unknown_basis for each draw of a ragged batch and each entry
+    of a penalty grid. meas holds the draws concatenated, draw j its next
+    sizes[j] readings, sizes counts of at least 1 summing to len(meas.y).
+    Entry [j, i] of the (len(sizes), len(params_seq), n) result is, bit for
+    bit, the solve of draw j alone with params_seq[i] alone. The grid's
+    entries must share r, tolerance and max_iter.
 
     Graphs of up to _DIRECT_MAX_N = 500 nodes solve the bordered kernel
     system [[G_SS + gamma W, N_S], [N_S', 0]] [a; c] = [y; 0] over the
     distinct sampled nodes (merging repeats keeps a bounded as gamma -> 0),
     with G = (L^r)^+ and N the normalized component indicators cached on
     the view. The gammas share every block but the diagonal gamma W, and
-    measurements of as many distinct nodes share the system's size, so
-    each such group is stacked into one batched solve (systems of other
-    sizes are not padded: that changes the answer's bits). Row z = G[:, S]
-    a + N c is kept when its residual is within tolerance * |b| plus the
-    round-off an accurate z carries, n eps gamma |L^r| (|z| + |G| |a|).
-    That slack matters when gamma L^r is large or G is ill-conditioned: on
-    a 154-node SBM of two barely linked blocks (gamma = 1, r = 4) the
-    residual was 63 times the 1e-8 tolerance for a z within 4e-10 of an
-    extended-precision solve. Larger graphs, (measurement, gamma) pairs
-    failing that check, and all of a measurement's gammas when a component
-    has no sample (each system is then singular) go one at a time to
-    Jacobi-preconditioned conjugate gradient (_conjugate_gradient).
+    draws of as many distinct nodes share the system's size, so each such
+    group is stacked into one batched solve (systems of other sizes are
+    not padded: that changes the answer's bits). Row z = G[:, S] a + N c is
+    kept when its residual is within tolerance * |b| plus the round-off an
+    accurate z carries, n eps gamma |L^r| (|z| + |G| |a|). That slack
+    matters when gamma L^r is large or G is ill-conditioned: on a 154-node
+    SBM of two barely linked blocks (gamma = 1, r = 4) the residual was 63
+    times the 1e-8 tolerance for a z within 4e-10 of an extended-precision
+    solve. Larger graphs, (draw, gamma) pairs failing that check, and all
+    of a draw's gammas when a component has no sample (each system is then
+    singular) go one at a time to Jacobi-preconditioned conjugate gradient
+    (_conjugate_gradient).
     """
     params_seq = list(params_seq)
     try:
@@ -195,44 +194,46 @@ def recover_unknown_basis_batch(lap: LaplacianView, meas_seq, params_seq) -> np.
     if len(shared) != 1:
         raise InvalidParams("a penalty grid is non-empty, its entries sharing r, tolerance and max_iter")
     ((r, tolerance, max_iter),) = shared
+    w = meas.sampling.weights
+    if w is None:
+        raise MissingWeights("sampling set carries no weights")
     n = lap.n
+    nodes = index_array(meas.sampling.nodes, "sampled node indices", n)
+    sizes = index_array(sizes, "draw sizes")
+    if sizes.ndim != 1 or np.any(sizes < 1) or sizes.sum() != len(nodes):
+        raise InvalidParams("draw sizes must be counts of at least 1 summing to len(meas.y)")
     gammas = np.array([p.gamma for p in params_seq], dtype=float)
-    systems = {}
-    for j, meas in enumerate(meas_seq):
-        w = meas.sampling.weights
-        if w is None:
-            raise MissingWeights("sampling set carries no weights")
-        nodes = index_array(meas.sampling.nodes, "sampled node indices", n)
-        inv_w = 1.0 / w
-        sampled = np.bincount(nodes, inv_w, minlength=n)
-        b = np.bincount(nodes, meas.y * inv_w, minlength=n)
-        b_norm = np.linalg.norm(b)
-        if b_norm != 0.0:
-            systems[j] = (sampled, b, tolerance * b_norm)
-    out = np.zeros((len(meas_seq), len(gammas), n))
+    # bincount adds in input order per bin, so each row has a lone draw's bits
+    at = np.repeat(np.arange(len(sizes)) * n, sizes) + nodes
+    inv_w = 1.0 / w
+    sampled = np.bincount(at, inv_w, minlength=len(sizes) * n).reshape(-1, n)
+    b = np.bincount(at, meas.y * inv_w, minlength=len(sizes) * n).reshape(-1, n)
+    # np.linalg.norm's bits: the square root of the dot product
+    b_norm = np.sqrt(np.vecdot(b, b))
+    target = tolerance * b_norm
+    live = np.flatnonzero(b_norm != 0.0)
+    out = np.zeros((len(sizes), len(gammas), n))
 
-    todo = [(j, i) for j in systems for i in range(len(gammas))]
+    todo = [(j, i) for j in live for i in range(len(gammas))]
     if n <= _DIRECT_MAX_N:
-        todo = _bordered_solve(lap, r, gammas, systems, out)
+        todo = _bordered_solve(lap, r, gammas, (sampled, b, target), live, out)
     if max_iter is None:
         max_iter = 10 * n
     for j, i in todo:
-        out[j, i] = _conjugate_gradient(lap, r, gammas[i], *systems[j], max_iter)
+        out[j, i] = _conjugate_gradient(lap, r, gammas[i], sampled[j], b[j], target[j], max_iter)
     return out
 
 
-def _bordered_solve(lap, r, gammas, systems, out) -> list:
-    """Write the bordered kernel system's answer for each measurement j of
-    systems, {j: (sampled, b, target)}, and each gamma i into out[j, i];
-    return the (j, i) pairs whose answer misses the residual target."""
+def _bordered_solve(lap, r, gammas, systems, live, out) -> list:
+    """Write the bordered kernel system's answer for each draw j of live and
+    each gamma i into out[j, i], systems the (sampled, b, target) arrays by
+    draw; return the (j, i) pairs whose answer misses the residual target."""
     try:
         kernel = lap.cached(("kernel", r), lambda: _kernel_form(lap, r))
     except np.linalg.LinAlgError:
-        return [(j, i) for j in systems for i in range(len(gammas))]
-    stacks = {}
-    for j, (sampled, _, _) in systems.items():
-        stacks.setdefault(np.count_nonzero(sampled), []).append(j)
-    stacks, todo = list(stacks.values()), []
+        return [(j, i) for j in live for i in range(len(gammas))]
+    counts = np.count_nonzero(systems[0][live], axis=1)
+    stacks, todo = [live[counts == m].tolist() for m in np.unique(counts)], []
     while stacks:
         rows = stacks.pop()
         try:
@@ -251,15 +252,13 @@ def _bordered_solve(lap, r, gammas, systems, out) -> list:
 
 
 def _solve_stack(lap, r, gammas, systems, rows, kernel):
-    """The bordered kernel systems of the measurements rows, all of m
-    distinct sampled nodes, for every gamma: one (len(rows), len(gammas),
-    m + c0, m + c0) stack and one solve. Returns the (len(rows),
-    len(gammas), n) answers and where they miss the residual target;
-    raises LinAlgError when a system is singular."""
+    """The bordered kernel systems of the draws rows, all of m distinct
+    sampled nodes, for every gamma: one (len(rows), len(gammas), m + c0,
+    m + c0) stack and one solve. Returns the (len(rows), len(gammas), n)
+    answers and where they miss the residual target; raises LinAlgError
+    when a system is singular."""
     pinv, null, round_off, pinv_norm = kernel
-    sampled = np.array([systems[j][0] for j in rows])
-    b = np.array([systems[j][1] for j in rows])
-    target = np.array([systems[j][2] for j in rows])
+    sampled, b, target = (a[rows] for a in systems)
     t, k, c0 = len(rows), len(gammas), null.shape[1]
     m = np.count_nonzero(sampled[0])
     size = m + c0
@@ -320,6 +319,10 @@ def _conjugate_gradient(lap, r, gamma, sampled, b, target, max_iter) -> np.ndarr
     diag = gamma * lap.degree_vector**r + sampled
     inv_diag = 1.0 / np.where(diag > 0.0, diag, 1.0)
 
+    # CG is linear in b: run on b times a power of two, |b| then in [0.5, 1), it
+    # keeps its bits, but no dot product underflows (|b| = 5e-160 gave rz = 0)
+    shift = np.frexp(np.linalg.norm(b))[1]
+    b, target = np.ldexp(b, -shift), np.ldexp(target, -shift)
     x = np.zeros(len(b))
     res = b.copy()
     done = 0
@@ -342,10 +345,11 @@ def _conjugate_gradient(lap, r, gamma, sampled, b, target, max_iter) -> np.ndarr
             done += 1
         res = b - operator(x)
         if np.linalg.norm(res) <= target:
-            return x
+            return np.ldexp(x, shift)
         if done == max_iter:
             raise SolverDiverged(
-                f"residual {np.linalg.norm(res):.3e} above tolerance {target:.3e}"
+                f"residual {np.ldexp(np.linalg.norm(res), shift):.3e}"
+                f" above tolerance {np.ldexp(target, shift):.3e}"
                 f" after {max_iter} iterations"
             )
 

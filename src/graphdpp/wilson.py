@@ -192,16 +192,16 @@ def wilson_sample(g: Graph, q: float, rng=None) -> SamplingSet:
     return SamplingSet(nodes=np.flatnonzero(arrow == n), weights=None, method="wilson")
 
 
-def wilson_draws(g: Graph, q: float, draws: int, rng=None) -> list[np.ndarray]:
-    """The nodes of `draws` independent wilson_sample draws on g, from one
-    wilson_sample call on as many disjoint copies of g (Graph.disjoint_copies).
-    Components pop only their own cycles (Propp and Wilson 1998), so the
-    roots in copy c, node // n == c, are a draw of g's law, and each copy
-    keeps at least one root. The roots come in ascending order, so grouped
-    by copy in ascending copy order, and the split is by position."""
+def wilson_draws(g: Graph, q: float, draws: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
+    """`draws` independent wilson_sample draws on g as a ragged batch: their
+    nodes concatenated, and each draw's size. One wilson_sample call walks
+    as many disjoint copies of g (Graph.disjoint_copies); components pop
+    only their own cycles (Propp and Wilson 1998), so the roots in copy c,
+    node // n == c, are a draw of g's law. Every copy keeps a root, so each
+    size is at least 1, and roots come in ascending order, so by copy."""
     draws = count(draws, "draws")
     copy, nodes = np.divmod(wilson_sample(g.disjoint_copies(draws), q, rng).nodes, g.n)
-    return np.split(nodes, np.searchsorted(copy, np.arange(1, draws)))
+    return nodes, np.bincount(copy, minlength=draws)
 
 
 def expected_sample_size(basis: SpectralBasis, q: float) -> float:

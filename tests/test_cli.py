@@ -102,6 +102,22 @@ class TestUnknownBasisPipeline:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method,flags,named", [
+        ("maxvol", ["--k", "2", "--q", "0.5", "--target-k", "3"], "--q, --target-k"),
+        ("dpp-ideal", ["--k", "2", "--m", "3"], "--m"),
+        ("greedy-wce", ["--k", "2", "--target-k", "3"], "--target-k"),
+        ("iid", ["--k", "2", "--q", "0.5"], "--q"),
+        ("wilson", ["--q", "0.5", "--k", "7", "--m", "3"], "--k, --m"),
+    ])
+    def test_sample_unread_flags_rejected(self, tmp_path, capsys, method, flags, named):
+        g, s = tmp_path / "g.mtx", tmp_path / "s.csv"
+        run("generate-graph", "--n", 20, "--c", 4, "--eps-frac", 0.2, "--seed", 0, "--out", g)
+        code = main(["sample", "--graph", str(g), "--method", method, *flags, "--out", str(s)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"does not read {named}" in err
+        assert not s.exists()
+
 
 class TestMeasureCommand:
     def test_node_outside_signal_rejected(self, tmp_path, capsys):

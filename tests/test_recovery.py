@@ -646,8 +646,9 @@ def grid_params(gammas, **shared):
 
 
 def path_rows(lap, meas, params_seq):
-    """One measurement's solves over a penalty grid, a (len(params_seq), n) array."""
-    return recover_unknown_basis_batch(lap, [meas], params_seq)[0]
+    """One draw's solves over a penalty grid, a (len(params_seq), n) array:
+    the batch of that draw alone."""
+    return recover_unknown_basis_batch(lap, meas, [len(meas.y)], params_seq)[0]
 
 
 def one_gamma_rows(lap, meas, params_seq):
@@ -763,6 +764,21 @@ class TestUnknownBasisPath:
         assert all(row is not None for row in rows)
         assert_rows_match(lap, meas, params_seq, rows)
 
+    @pytest.mark.parametrize("shift", [-530, 500])
+    def test_power_of_two_scaled_readings_scale_the_cg_answer(self, shift):
+        # CG's dot products of readings near 1e-160 underflowed to zero and
+        # broke it down; scaling by a power of two is exact, so no bit moves
+        lap = laplacian(sbm_generate(SbmParams(n=600, k_comm=2, c=10.0, eps=0.15), 4))
+        x = np.random.default_rng(11).standard_normal(600)
+        nodes = np.array([9, 24, 44, 104, 160, 183, 303, 377, 487, 502])
+        s = SamplingSet(nodes=nodes, weights=np.linspace(0.1, 0.5, 10), method="t")
+        params = RecoveryParams(gamma=1e-3, r=4)
+        want = recover_unknown_basis(lap, Measurement(y=x[nodes], sampling=s), params)
+        scaled = Measurement(y=np.ldexp(x[nodes], shift), sampling=s)
+        np.testing.assert_array_equal(
+            recover_unknown_basis(lap, scaled, params), np.ldexp(want, shift)
+        )
+
     def test_zero_right_hand_side_gives_zero_rows(self, instance):
         _, lap, _, _, _ = instance
         s = SamplingSet(nodes=np.array([3, 40]), weights=np.array([0.5, 0.5]), method="t")
@@ -796,9 +812,10 @@ class TestUnknownBasisPath:
         calls = []
         real = experiments.recover_unknown_basis_batch
 
-        def spy(lap, meas_seq, params_seq):
-            calls.append((len(meas_seq), len(params_seq)))
-            return real(lap, meas_seq, params_seq)
+        def spy(lap, meas, sizes, params_seq):
+            assert sum(sizes) == len(meas.y)
+            calls.append((len(sizes), len(params_seq)))
+            return real(lap, meas, sizes, params_seq)
 
         monkeypatch.setattr(experiments, "recover_unknown_basis_batch", spy)
         cfg = experiments.ExperimentConfig(
@@ -806,7 +823,7 @@ class TestUnknownBasisPath:
             graphs_per_point=2, signals_per_graph=3, seed=2,
         )
         rows = experiments.run_experiment_unknown_basis(cfg)
-        # every signal's walk and i.i.d. measurement, the whole grid
+        # every signal's walk and i.i.d. draw, the whole grid
         assert calls == [(3 * 2, len(FIG1B_GAMMAS))] * 2
         assert all(row.trials == 2 * 3 for row in rows)
 
@@ -815,15 +832,29 @@ def measurement(nodes, weights, y):
     return Measurement(y=y, sampling=SamplingSet(nodes=np.asarray(nodes), weights=weights, method="t"))
 
 
+def ragged(draws):
+    """One Measurement over the (nodes, weights, y) draws concatenated, and
+    the draws' sizes."""
+    nodes, weights, y = (np.concatenate(parts) for parts in zip(*draws))
+    return measurement(nodes, weights, y), [len(d[0]) for d in draws]
+
+
+def split(meas, sizes):
+    """The one-draw Measurements of a ragged batch."""
+    cuts = np.cumsum(sizes)[:-1]
+    arrays = (meas.sampling.nodes, meas.sampling.weights, meas.y)
+    return [measurement(*parts) for parts in zip(*(np.split(a, cuts) for a in arrays))]
+
+
 @st.composite
 def sbm_batch_problems(draw):
-    """Measurements on one SBM of up to 120 nodes, optionally with edge
-    weights in [0.25, 4]: few nodes each, with repeats, so that several
-    measurements share a distinct-sample count; at times all in the first
+    """Ragged batches on one SBM of up to 120 nodes, optionally with edge
+    weights in [0.25, 4]: draws of few nodes each, with repeats, so that
+    several draws share a distinct-sample count; at times all in the first
     block of blocks without links between them (a component without
     samples), at times all zero (a zero right-hand side). The mean degree
     is 6 to 12, so that most graphs have no isolated node, which would be
-    a component without samples for almost every measurement."""
+    a component without samples for almost every draw."""
     k_comm = draw(st.integers(1, 3))
     # blocks of at least 13 nodes keep c < n and the in-block probability at most 1
     n = k_comm * draw(st.integers(13, 120 // k_comm))
@@ -834,43 +865,71 @@ def sbm_batch_problems(draw):
         i, j, w = graph.edges()
         w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.25, 4.0, len(w))
         graph = Graph.from_arrays(n, i, j, w)
-    meas_seq = []
+    draws = []
     for _ in range(draw(st.integers(1, 8))):
         m = draw(st.integers(1, 5))
         high = draw(st.sampled_from([n, n // k_comm]))
-        nodes = draw(st.lists(st.integers(0, high - 1), min_size=m, max_size=m))
+        nodes = np.array(draw(st.lists(st.integers(0, high - 1), min_size=m, max_size=m)))
         weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
         y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)))
-        meas_seq.append(measurement(nodes, weights, y * (draw(st.integers(0, 9)) > 0)))
-    return laplacian(graph), meas_seq, grid_params(FIG1B_GAMMAS, r=draw(st.sampled_from([1, 2, 4])))
+        draws.append((nodes, weights, y * (draw(st.integers(0, 9)) > 0)))
+    r = draw(st.sampled_from([1, 2, 4]))
+    return laplacian(graph), *ragged(draws), grid_params(FIG1B_GAMMAS, r=r)
 
 
 def above_direct_size_problem():
-    """Measurements of one to three nodes on a 600-node SBM: all go to CG."""
+    """Draws of one to three nodes on a 600-node SBM: all go to CG."""
     lap = laplacian(sbm_generate(SbmParams(n=600, k_comm=2, c=10.0, eps=0.15), 4))
     x = np.random.default_rng(11).standard_normal(600)
-    meas_seq = [
-        measurement(nodes, np.linspace(0.2, 0.6, len(nodes)), x[nodes])
+    draws = [
+        (np.array(nodes), np.linspace(0.2, 0.6, len(nodes)), x[nodes])
         for nodes in ([9, 503], [24, 24, 377], [160, 487], [44])
     ]
-    return lap, meas_seq, grid_params((1e-3, 1e-1), r=2, tolerance=1e-10)
+    return lap, *ragged(draws), grid_params((1e-3, 1e-1), r=2, tolerance=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
 @given(sbm_batch_problems())
 @example(above_direct_size_problem())
 def test_batch_rows_equal_path_rows(problem):
-    lap, meas_seq, params_seq = problem
+    lap, meas, sizes, params_seq = problem
     try:
-        paths = [path_rows(lap, meas, params_seq) for meas in meas_seq]
+        paths = [path_rows(lap, one, params_seq) for one in split(meas, sizes)]
     except SolverDiverged:
         with pytest.raises(SolverDiverged):
-            recover_unknown_basis_batch(lap, meas_seq, params_seq)
+            recover_unknown_basis_batch(lap, meas, sizes, params_seq)
         return
-    out = recover_unknown_basis_batch(lap, meas_seq, params_seq)
-    assert out.shape == (len(meas_seq), len(params_seq), lap.n)
+    out = recover_unknown_basis_batch(lap, meas, sizes, params_seq)
+    assert out.shape == (len(sizes), len(params_seq), lap.n)
     for got, want in zip(out, paths):
         np.testing.assert_array_equal(got, want)
+
+
+# (nodes, weights, y, sizes) of a batch on the 80-node instance, and the
+# typed error it raises: the sizes and the upper node bound are checked by
+# the batch, the rest by the Measurement and SamplingSet it is built from
+MALFORMED_BATCHES = {
+    "sizes-short": (([3, 40, 7], [0.5] * 3, [1.0] * 3, [1, 1]), InvalidParams),
+    "sizes-long": (([3, 40, 7], [0.5] * 3, [1.0] * 3, [2, 2]), InvalidParams),
+    "size-zero": (([3, 40, 7], [0.5] * 3, [1.0] * 3, [0, 3]), InvalidParams),
+    "size-negative": (([3, 40, 7], [0.5] * 3, [1.0] * 3, [-1, 4]), InvalidParams),
+    "size-fractional": (([3, 40, 7], [0.5] * 3, [1.0] * 3, [1.5, 1.5]), InvalidParams),
+    "sizes-not-flat": (([3, 40, 7], [0.5] * 3, [1.0] * 3, [[1, 2]]), InvalidParams),
+    "node-at-n": (([3, 80, 7], [0.5] * 3, [1.0] * 3, [1, 2]), OutOfRange),
+    "node-negative": (([3, -1, 7], [0.5] * 3, [1.0] * 3, [1, 2]), OutOfRange),
+    "weight-zero": (([3, 40, 7], [0.5, 0.0, 0.5], [1.0] * 3, [1, 2]), InvalidParams),
+    "weight-negative": (([3, 40, 7], [0.5, -0.5, 0.5], [1.0] * 3, [1, 2]), InvalidParams),
+    "y-nan": (([3, 40, 7], [0.5] * 3, [1.0, np.nan, 1.0], [1, 2]), InvalidParams),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_BATCHES.values(), ids=MALFORMED_BATCHES.keys())
+def test_malformed_batch_rejected(instance, case):
+    (nodes, weights, y, sizes), error = case
+    _, lap, _, _, _ = instance
+    with pytest.raises(error):
+        meas = measurement(nodes, np.array(weights), np.array(y))
+        recover_unknown_basis_batch(lap, meas, sizes, grid_params(FIG1B_GAMMAS))
 
 
 class TestRelativeError:

@@ -301,7 +301,8 @@ def _weighted_sbm():
 
 
 class TestWilsonDraws:
-    """wilson_draws splits one walk on disjoint copies into draws of g's law."""
+    """wilson_draws turns one walk on disjoint copies into a ragged batch of
+    draws of g's law: their nodes concatenated, and each draw's size."""
 
     @pytest.mark.parametrize("path", ["loop", "rounds"])
     @pytest.mark.parametrize("graph, q", [("weighted", 0.5), ("split", 0.3)])
@@ -313,9 +314,10 @@ class TestWilsonDraws:
         rng = np.random.default_rng(8)
         draws = []
         while len(draws) < 4000:
-            batch = wilson_module.wilson_draws(g, q, copies, rng)
-            assert len(batch) == copies
-            draws += batch
+            nodes, sizes = wilson_module.wilson_draws(g, q, copies, rng)
+            assert len(sizes) == copies
+            assert sizes.sum() == len(nodes) and np.all(sizes >= 1)
+            draws += np.split(nodes, np.cumsum(sizes)[:-1])
         runs = len(draws)
         labels = component_labels(g)
         for nodes in draws:
@@ -340,8 +342,10 @@ class TestWilsonDraws:
         calls = []
         walk = wilson_module.wilson_sample
         monkeypatch.setattr(wilson_module, "wilson_sample", lambda *a: calls.append(a) or walk(*a))
-        draws = wilson_module.wilson_draws(SPLIT_GRAPH, 0.3, 7, 0)
+        nodes, sizes = wilson_module.wilson_draws(SPLIT_GRAPH, 0.3, 7, 0)
         assert len(calls) == 1 and calls[0][0].n == 7 * SPLIT_GRAPH.n
+        assert sizes.sum() == len(nodes) and np.all(sizes >= 1)
+        draws = np.split(nodes, np.cumsum(sizes)[:-1])
         assert len(draws) == 7 and all(5 in d for d in draws)
 
 
