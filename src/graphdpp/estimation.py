@@ -1,9 +1,12 @@
 """Sketch-based estimation of inclusion probabilities and leverage scores.
 
-Everything here works through repeated sparse Laplacian applications to a
-Gaussian sketch. The inclusion probabilities never touch the spectral
-basis, which is what makes them usable where a dense eigendecomposition
-is not; the leverage scores read the dense eigenvalues for their cutoff.
+Both filter a Gaussian sketch by a Chebyshev polynomial of the Laplacian.
+Above DIRECT_MAX_N nodes that takes repeated sparse Laplacian applications
+only: the inclusion probabilities never touch the spectral basis there,
+which is what makes them usable where a dense eigendecomposition is not.
+Up to DIRECT_MAX_N the same polynomial is applied on the eigenpairs cached
+on the view. The leverage scores read the dense eigenvalues for their
+cutoff at any size.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import InvalidParams
 from .graphs import LaplacianView, bandlimit, count, index_array
-from .spectral import _vector_eval, eigendecompose, largest_eigenvalue_estimate
+from .spectral import DIRECT_MAX_N, _vector_eval, eigendecompose, largest_eigenvalue_estimate
 
 ZERO_PROBABILITY_FLOOR = 1e-12
 FILTER_DEGREE = 30  # default Chebyshev degree of the fitted filters
@@ -131,47 +135,66 @@ def _sketched_diagonal(lap, f, d, n, rng, lmax):
     sketch filtered by the degree-d fit of sqrt(f) on [0, lmax], where
     lmax is at least L's largest eigenvalue (largest_eigenvalue_estimate).
 
-    The filter runs in float32, whose round-off (about 1e-5 relative) is
-    far below the sketch's sampling error, about sqrt(2 / n), and the fit
-    error. Its operator is lap.scaled(1 / lmax), made for this call only
-    and not cached, with the same coefficients on lambda_max = 1: every
-    entry is at most 1 in magnitude, so no accepted edge weight overflows.
-    The coefficients are scaled by a power of two into [0.5, 1), which is
-    exact and undone on the output; tiny ones would make the iterates
-    subnormal, and subnormal arithmetic is several times slower.
+    Up to DIRECT_MAX_N nodes, where the package works from the dense
+    spectrum anyway, a panel X is filtered in float64 on the eigenpairs
+    (U, Lambda) that eigendecompose caches on the view, as
+    U p(Lambda) U' X: two GEMMs instead of d sparse products, and the same
+    polynomial p evaluated without the recurrence's round-off. A call on
+    a view without that spectrum pays for the eigh, which is cached for
+    the next caller.
 
-    The sketch is never held whole. It is cut into contiguous column
-    panels of about _PANEL_BYTES, which keeps the Clenshaw blocks
-    cache-sized. The calling thread draws the panels from rng in panel
-    order, rng.standard_normal((rows, columns)) in float64, divided by
-    sqrt(n) and kept in float32: in order they use up rng's normals as
-    one (rows, n) draw would, and a sketch that fits one panel has
-    gaussian_sketch's values. Each panel is filtered, and its squared
-    row norms taken in float64, on a pool of one thread per CPU the
-    process may run on, at most one per panel (the sparse products and
-    the in-place updates release the interpreter lock). At most
-    workers + 1 panels are in flight, so the caller draws the next panel
-    while the workers filter, and memory is a few panels per worker. The
-    norms are added to the output in panel order, so the result is the
-    same, bit for bit, whatever the number of workers. With one panel or
-    one CPU the panels run in a plain loop on the calling thread.
+    Above DIRECT_MAX_N the filter is the Clenshaw recurrence in float32,
+    whose round-off (about 1e-5 relative) is far below the sketch's
+    sampling error, about sqrt(2 / n), and the fit error. Its operator is
+    lap.scaled(1 / lmax), made for this call only and not cached, with
+    the same coefficients on lambda_max = 1: every entry is at most 1 in
+    magnitude, so no accepted edge weight overflows. The coefficients are
+    scaled by a power of two into [0.5, 1), which is exact and undone on
+    the output; tiny ones would make the iterates subnormal, and
+    subnormal arithmetic is several times slower.
+
+    On either route the sketch is never held whole. It is cut into
+    contiguous column panels of about _PANEL_BYTES of float32, which
+    keeps the Clenshaw blocks cache-sized. The calling thread draws the
+    panels from rng in panel order, rng.standard_normal((rows, columns))
+    in float64, divided by sqrt(n) and kept in the filter's precision: in
+    order they use up rng's normals as one (rows, n) draw would, and a
+    sketch that fits one panel has gaussian_sketch's values. Each panel
+    is filtered, and its squared row norms taken in float64, on a pool of
+    one thread per CPU the process may run on, at most one per panel
+    (the products and the in-place updates release the interpreter
+    lock). At most workers + 1 panels are in flight, so the caller draws
+    the next panel while the workers filter, and memory is a few panels
+    per worker. The norms are added to the output in panel order, so the
+    result is the same, bit for bit, whatever the number of workers. With
+    one panel or one CPU the panels run in a plain loop on the calling
+    thread.
     """
     filt = fit_sqrt_filter(f, d, lmax)
-    scale = np.ldexp(1.0, int(np.frexp(np.abs(filt.coefficients).max())[1]))
-    filt = replace(filt, coefficients=filt.coefficients / scale)
-    if lmax > 0.0:
-        lap, filt = lap.scaled(1.0 / lmax), replace(filt, lambda_max=1.0)
     step = max(8, _PANEL_BYTES // (4 * lap.n))
     starts = range(0, n, step)
     out = np.zeros(lap.n)
+    if lap.n <= DIRECT_MAX_N:
+        basis = eigendecompose(lap)
+        u, gain = basis.vectors, filt(basis.eigenvalues)[:, None]
+        scale, dtype = 1.0, np.float64
+
+        def apply(x):
+            return u @ (gain * (u.T @ x))
+    else:
+        scale = np.ldexp(1.0, int(np.frexp(np.abs(filt.coefficients).max())[1]))
+        filt = replace(filt, coefficients=filt.coefficients / scale)
+        if lmax > 0.0:
+            lap, filt = lap.scaled(1.0 / lmax), replace(filt, lambda_max=1.0)
+        dtype, apply = np.float32, partial(filt.apply, lap)
 
     def draw(j):
         x = rng.standard_normal((lap.n, min(step, n - j)))
         x /= np.sqrt(n)
-        return x.astype(np.float32)
+        return x.astype(dtype, copy=False)
 
     def norms(sketch):
-        panel = filt.apply(lap, sketch)
+        panel = apply(sketch)
         return np.einsum("ij,ij->i", panel, panel, dtype=np.float64)
 
     if hasattr(os, "sched_getaffinity"):
@@ -207,10 +230,13 @@ def estimate_pi(
     where b = max over edges (d_i + d_j) bounds the spectrum from above,
     pushes a width-n Gaussian sketch through it, and reads the squared
     row norms. Estimates are nonnegative by construction and concentrate
-    around the true values at sketch widths of order log n. The cost is
-    d sparse products per sketch column. The filter runs in single
-    precision on L / b, on column panels of the sketch that is never held
-    whole (_sketched_diagonal); rng is left as one
+    around the true values at sketch widths of order log n. Above
+    DIRECT_MAX_N nodes the cost is d sparse products per sketch column,
+    in single precision on L / b, and no spectral computation; up to it
+    the same polynomial is applied in double precision on the view's
+    cached eigenpairs, computed first if the view holds none. Either way
+    the sketch is drawn in column panels and never held whole
+    (_sketched_diagonal), and rng is left as one
     standard_normal((lap.n, n)) draw would leave it.
     """
     if not 0 < q < np.inf:
@@ -256,8 +282,9 @@ def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray
     between the k-th and (k+1)-th eigenvalue. Those come from the dense
     eigendecomposition, so above DENSE_EIGEN_GUARD nodes a graph with
     edges and k < n raises TooLarge, as eigendecompose does. The sketch is
-    drawn and filtered in panels, in single precision on L / b for the
-    edge-degree bound b, as in estimate_pi (_sketched_diagonal).
+    drawn and filtered in panels as in estimate_pi (_sketched_diagonal):
+    on those cached eigenpairs up to DIRECT_MAX_N nodes, in single
+    precision on L / b for the edge-degree bound b above.
     Returns a probability vector (nonnegative, summing to one).
     """
     k = bandlimit(k, lap.n)

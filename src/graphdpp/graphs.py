@@ -12,10 +12,11 @@ from .errors import InvalidParams, OutOfRange
 
 def index_array(values, what: str, n=None) -> np.ndarray:
     """values as int64 (integer input is not copied); floats must be finite whole
-    numbers, other dtypes fail. With n, the size of what they index, each must lie in [0, n)."""
+    numbers, other dtypes fail, booleans too: a mask is no list of indices. With n,
+    the size of what they index, each must lie in [0, n)."""
     v = np.asarray(values)
     kind = v.dtype.kind
-    if kind not in "biuf" or kind == "f" and not np.all(np.isfinite(v) & (v == np.floor(v))):
+    if kind not in "iuf" or kind == "f" and not np.all(np.isfinite(v) & (v == np.floor(v))):
         raise InvalidParams(f"{what} must be integers")
     v = v.astype(np.int64, copy=False)
     if n is not None and ((v < 0) | (v >= n)).any():

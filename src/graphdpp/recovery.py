@@ -20,17 +20,9 @@ from .errors import (
     SolverDiverged,
 )
 from .graphs import LaplacianView, component_labels, count, index_array
-from .spectral import eigendecompose
+from .spectral import DIRECT_MAX_N as _DIRECT_MAX_N, eigendecompose
 
 _SINGULAR_CUTOFF = 1e-12
-# Largest graph recovered through the bordered kernel system. SBMs with
-# c = 16, r = 4, 10 samples, one BLAS thread on a 2-core Xeon: per graph,
-# eigh + (L^r)^+ + L^r take 12-17 + 1.7 + 3 ms at n = 300 and 41-45 + 6 +
-# 13 ms at n = 500; per solve, 0.12-0.2 and 0.2-0.3 ms against 5-9 and 5-12
-# ms for preconditioned CG. The bound stays for accuracy, not speed: CG
-# stops on the residual and leaves ill-conditioned systems up to 6.4e-3 off
-# (n = 100, gamma = 1e-7), where this path is within 1e-8.
-_DIRECT_MAX_N = 500
 
 
 @dataclass

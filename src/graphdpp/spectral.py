@@ -10,6 +10,18 @@ from .errors import NoConvergence, OutOfRange, ShapeMismatch, TooLarge
 from .graphs import LaplacianView, bandlimit, count
 
 DENSE_EIGEN_GUARD = 5000
+# Largest graph the package works on from the cached dense spectrum:
+# recovery solves the bordered kernel system there, and the sketch
+# estimators filter on the eigenpairs. SBMs with c = 16, r = 4, 10
+# samples, one BLAS thread on a 2-core Xeon: per graph, eigh + (L^r)^+ +
+# L^r take 12-17 + 1.7 + 3 ms at n = 300 and 41-45 + 6 + 13 ms at n = 500;
+# per solve, 0.12-0.2 and 0.2-0.3 ms against 5-9 and 5-12 ms for
+# preconditioned CG. The bound stays for accuracy, not speed: CG stops on
+# the residual and leaves ill-conditioned systems up to 6.4e-3 off (n =
+# 100, gamma = 1e-7), where this path is within 1e-8. An estimate_pi call
+# at the default sketch width, spectrum cached, took 0.9 against 2.1 ms
+# for float32 Clenshaw at n = 100 and 4.4 against 9.0 ms at n = 500.
+DIRECT_MAX_N = 500
 
 
 @dataclass(frozen=True)

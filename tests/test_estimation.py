@@ -9,6 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import edge_lists
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdpp import (
     Graph,
@@ -333,10 +336,11 @@ class TestSketchPanels:
         pi = estimate_pi(lap, 0.1, rng=0)
         assert pi.shape == (100,) and started == []
 
-    @pytest.mark.parametrize("n", [100, 1096])
+    @pytest.mark.parametrize("n", [600, 1096])
     def test_single_panel_matches_whole_sketch(self, n):
         # up to n = 1096 the default width fits one panel, drawn as one
-        # whole gaussian_sketch: the estimate is the single pass, bit for bit
+        # whole gaussian_sketch: above DIRECT_MAX_N, where the filter runs
+        # in float32, the estimate is the single pass, bit for bit
         width = default_sketch_width(n)
         assert width <= max(8, estimation._PANEL_BYTES // (4 * n))
         lap = laplacian(self.graph(n, True))
@@ -383,6 +387,77 @@ def _double_precision_diagonal(lap, f, d, n, rng, lmax):
         panel = filt.apply(lap, sketch)
         out += np.einsum("ij,ij->i", panel, panel)
     return out
+
+
+class TestSpectralRoute:
+    """Up to DIRECT_MAX_N nodes the sketch is filtered on the cached
+    eigenpairs, U p(Lambda) U' in float64: the same polynomial on the same
+    panels as Clenshaw, so it equals the float64 recurrence to round-off."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=edge_lists(),
+        q=st.floats(1e-3, 1e3),
+        d=st.integers(1, 30),
+        width=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_double_precision_clenshaw(self, graph, q, d, width, seed):
+        # weighted, disconnected and edgeless graphs, with isolated nodes
+        lap = laplacian(Graph(*graph))
+        assert lap.n <= estimation.DIRECT_MAX_N
+        lmax = estimation.largest_eigenvalue_estimate(lap)
+        f = lambda lam: q / (q + lam)
+        rng = np.random.default_rng(seed)
+        out = estimation._sketched_diagonal(lap, f, d, width, rng, lmax)
+        double = _double_precision_diagonal(lap, f, d, width, seed, lmax)
+        np.testing.assert_allclose(out, double, rtol=1e-10, atol=0)
+        # the rng is left as one (n, width) draw leaves it
+        after = np.random.default_rng(seed)
+        after.standard_normal((lap.n, width))
+        np.testing.assert_array_equal(rng.standard_normal(8), after.standard_normal(8))
+
+    def test_paneled_at_the_bound(self, monkeypatch):
+        # three panels on two workers, on the spectrum
+        n = estimation.DIRECT_MAX_N
+        lap = laplacian(TestSketchPanels.graph(n, True))
+        lmax = estimation.largest_eigenvalue_estimate(lap)
+        assert max(8, estimation._PANEL_BYTES // (4 * n)) == 320
+        _force_cpus(monkeypatch, 2)
+        rng = np.random.default_rng(6)
+        out = estimation._sketched_diagonal(lap, TestSketchPanels.f, 30, 700, rng, lmax)
+        double = _double_precision_diagonal(lap, TestSketchPanels.f, 30, 700, 6, lmax)
+        np.testing.assert_allclose(out, double, rtol=1e-10, atol=0)
+        after = np.random.default_rng(6)
+        after.standard_normal((n, 700))
+        np.testing.assert_array_equal(rng.standard_normal(8), after.standard_normal(8))
+
+    @staticmethod
+    def counted_applies(monkeypatch, n, d, width):
+        """The shapes LaplacianView.apply sees while the estimate runs on a
+        path of n nodes."""
+        lap = laplacian(Graph.from_arrays(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1)))
+        calls, apply = [], LaplacianView.apply
+
+        def counting(self, y):
+            calls.append(y.shape)
+            return apply(self, y)
+
+        monkeypatch.setattr(LaplacianView, "apply", counting)
+        estimate_pi(lap, 0.1, d=d, n=width, rng=0)
+        return calls
+
+    def test_no_sparse_product_at_the_bound(self, monkeypatch):
+        assert self.counted_applies(monkeypatch, estimation.DIRECT_MAX_N, 5, 700) == []
+
+    def test_clenshaw_above_the_bound(self, monkeypatch):
+        n = estimation.DIRECT_MAX_N + 1
+        step = max(8, estimation._PANEL_BYTES // (4 * n))
+        panels = [min(step, 700 - j) for j in range(0, 700, step)]
+        assert len(panels) == 3
+        calls = self.counted_applies(monkeypatch, n, 5, 700)
+        # the panels run on a pool, so their applies interleave
+        assert sorted(calls) == sorted((n, cols) for cols in panels for _ in range(5))
 
 
 class TestSinglePrecision:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphdpp import estimation
 from graphdpp import experiments as experiments_module
 from graphdpp import wilson as wilson_module
 from graphdpp.errors import InvalidParams, ParseError
@@ -220,6 +221,21 @@ class TestUnknownBasisExperiment:
     def test_estimated_weights_path(self):
         table = run_experiment_unknown_basis(tiny_unknown_cfg(estimated_weights=True))
         assert len(table) == 2
+
+    def test_estimated_weights_agree_across_filter_routes(self, monkeypatch):
+        # below DIRECT_MAX_N the sketch is filtered on the cached spectrum;
+        # a bound of 0 sends it through float32 Clenshaw: the same
+        # estimator on the same draws, apart from round-off
+        cfg = tiny_unknown_cfg(sweep="gamma", grid=(1e-5, 1e-1, 1e1), estimated_weights=True)
+        spectral_rows = run_experiment_unknown_basis(cfg)
+        monkeypatch.setattr(estimation, "DIRECT_MAX_N", 0)
+        clenshaw_rows = run_experiment_unknown_basis(cfg)
+        assert len(spectral_rows) == len(clenshaw_rows) == 6
+        for a, b in zip(spectral_rows, clenshaw_rows):
+            assert (a.sweep_value, a.sampler, a.trials) == (b.sweep_value, b.sampler, b.trials)
+            assert a.mean_samples == b.mean_samples
+            for field in ("mean_error", "p10", "p90"):
+                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.4])
     def test_m_grid_must_round_to_a_count(self, bad):

@@ -26,22 +26,22 @@ FIG1C_CONFIG = (
 FIG1B_GRID_CONFIG = FIG1B_CONFIG.replace(
     "grid = 1e-5,1e-1", "grid = 1e-7,1e-6,1e-5,1e-3,1e-1,1e1,1e2"
 )
-FIG1B_GRID_SHA256 = "5959a4a98a90155a5fd8954f218fdd6e9bc3024a94bade8a411e01aa3aa4d178"
+FIG1B_GRID_SHA256 = "1ba60bb4af3a80caa7eb7f80eff2ebc35c70dbc61b4932f24f193481be99b5a0"
 
 GOLDEN = {
     "fig1a.csv": "93c1cdbafc491c82cb91044fdddc758efab0e9980fbb2943146fd99ff466f715",
-    "fig1b.csv": "998ac7984b8af660a075f0b2826461e65b4a3e9d075decf80134956f45972ca7",
+    "fig1b.csv": "4e3493dee23e887830faad4dd2c062aee7d7dcd5e4de2d060c78ed9bd460ad39",
     "fig1c.csv": "1c3edb6435389e08472447812b7b2a4bbfb69f12948f90821cffc9afeb681102",
     "g.mtx": "8e26abbcf3b55248581922948e2f6236325718b624a1a826153b53d4adacbb52",
     "labels.csv": "218ea8d6ba0c2d3ccd92c2d12afc7b287e4ba5e629f0e9e77d51072d36a1da4a",
-    "pi.csv": "ca8192db77a81c8dd75a4e2d115c28103e6b5eae9eb3f2eea22d5c91130f34d3",
+    "pi.csv": "041ede595c73c86785145f2c273e87efc5cc556715bc231cd4c6e2c87fbb734f",
     "rec_known.csv": "bfce7f187b2ba945350fa1952504ef7f42ae6355d951f87e86b9b639d2723f2f",
     "rec_wilson_exact.csv": "cbdc240d4e831739945a769eec8ee64c46c74e1b27a9d2fe3939dad446081e0b",
     "rec_wilson_none.csv": "bc780661dd12ba325cd704e9167488a2f4fb1c445ed1ac26726ef034a4d3a2c2",
     "s_dpp.csv": "558282ba6845b60d892a093e96d4eab33c408dda9bd65a6ecf2f01db118b38bd",
     "s_greedy.csv": "fe36e1fac372cf1ed3aa9820a7bf3633b9498fa49bfe79c5de0cd274613be3fa",
     "s_iid.csv": "e8833ab6bacd72c9bcaba505c1d7cc07ccaeae713fbcec14c39fa52377070c50",
-    "s_wilson_estimated.csv": "9748468f811ead2ea01b2c97114a17ee376d35c40d9b13425c4b14aa319c9833",
+    "s_wilson_estimated.csv": "942064b1161d411e2ca9ce5bfc6a19aed7ec74e80ea78e5faa9e8220f0a8ee74",
     "s_wilson_exact.csv": "3c7ef80172f89c1fdf7a882e6995ec4ca2f238968ef1bad1b5d98a100a05ef5c",
     "s_wilson_none.csv": "c10f8af5c513b0f3311707b4b88701ece91f8239119a949343590061d0e4e6b3",
     "x.csv": "f3fd32d1728a1490f910bf7092613424ce92a6085c102eeeb353c7d32484873f",

@@ -118,6 +118,27 @@ def test_checked_reads_equal_plain_fancy_indexing(nodes):
     np.testing.assert_array_equal(floor_zero_probabilities(pi, nodes), pi[idx])
 
 
+# 3 true entries of 40: read as indices, the mask was 40 "nodes" in {0, 1}
+MASK40 = np.isin(np.arange(40), [4, 17, 31])
+MASK3 = np.array([True, False, True])
+MASK_CONSUMERS = {
+    "SamplingSet": lambda: SamplingSet(nodes=MASK40),
+    "Graph.from_arrays": lambda: Graph.from_arrays(3, MASK3, [2, 2, 2], [1.0, 1.0, 1.0]),
+    "singular_values_restriction": lambda: singular_values_restriction(U3, MASK3),
+    "MarginalKernel.restriction": lambda: KERNEL3.restriction(MASK3),
+    "inclusion_probability": lambda: inclusion_probability(KERNEL3, MASK3),
+    "dpp_weight_matrix": lambda: dpp_weight_matrix(KERNEL3, MASK3),
+    "floor_zero_probabilities": lambda: floor_zero_probabilities(KERNEL3.diagonal(), MASK3),
+    "measure": lambda: measure(np.ones(3), SamplingSet(nodes=MASK3)),
+}
+
+
+@pytest.mark.parametrize("name", list(MASK_CONSUMERS))
+def test_boolean_mask_rejected_as_node_indices(name):
+    with pytest.raises(InvalidParams):
+        MASK_CONSUMERS[name]()
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: RecoveryParams(r="4"), lambda: Graph("3", []), lambda: SamplingSet(nodes=["a"])],
@@ -169,3 +190,11 @@ def test_non_integer_count_rejected(name, bad):
 @pytest.mark.parametrize("good", [2, 2.0, np.int32(2)], ids=["int", "whole-float", "numpy-int"])
 def test_whole_count_accepted(name, good):
     COUNT_CONSUMERS[name](good)
+
+
+@pytest.mark.parametrize("name", list(COUNT_CONSUMERS))
+@pytest.mark.parametrize("bad", [True, np.bool_(True), np.array(True)], ids=["bool", "numpy-bool", "0d"])
+def test_boolean_count_rejected(name, bad):
+    # True read as the count 1: estimate_pi(lap, q, d=True) ran a degree-1 filter
+    with pytest.raises(InvalidParams):
+        COUNT_CONSUMERS[name](bad)
