@@ -34,6 +34,7 @@ from .recovery import (
 from .selection import greedy_select, iid_leverage_sample, maxvol_select
 from .serialization import read_csv, write_csv
 from .spectral import (
+    component_null_basis,
     eigendecompose,
     fourier_basis_k,
     generate_bandlimited_signal,
@@ -202,9 +203,11 @@ def parse_result_csv(path) -> list[ResultRow]:
 
 
 def _check_bandlimit_gap(basis, k, lap):
-    """Warn when the bandlimit splits a repeated eigenvalue. The tie
-    tolerance scales with the edge bound on |L|, which a partial basis
-    (k + 1 pairs) does not reach."""
+    """Warn when the bandlimit splits a repeated eigenvalue, and log the
+    component count. The tie tolerance scales with the edge bound on |L|,
+    which a partial basis (k + 1 pairs) does not reach; for the same reason
+    the count comes from the component indicators, not from the zero
+    eigenvalues the basis holds."""
     lam = basis.eigenvalues
     scale = max(largest_eigenvalue_estimate(lap), 1.0)
     if k < lap.n and lam[k] - lam[k - 1] <= 1e-12 * scale:
@@ -214,8 +217,8 @@ def _check_bandlimit_gap(basis, k, lap):
             DegenerateCutoffWarning,
             stacklevel=3,
         )
-    components = int(np.sum(lam <= 1e-10 * scale))
-    log.debug("graph connectivity flag: %d zero eigenvalue(s)", components)
+    components = component_null_basis(lap).shape[1]
+    log.debug("graph connectivity flag: %d component(s)", components)
 
 
 def run_experiment_known_basis(cfg: ExperimentConfig) -> list[ResultRow]:

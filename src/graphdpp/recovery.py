@@ -19,8 +19,8 @@ from .errors import (
     ShapeMismatch,
     SolverDiverged,
 )
-from .graphs import LaplacianView, component_labels, count, index_array
-from .spectral import DIRECT_MAX_N as _DIRECT_MAX_N, eigendecompose
+from .graphs import LaplacianView, count, index_array
+from .spectral import DIRECT_MAX_N as _DIRECT_MAX_N, component_null_basis, eigendecompose
 
 _SINGULAR_CUTOFF = 1e-12
 
@@ -128,10 +128,9 @@ def _kernel_form(lap: LaplacianView, r: int):
     the first c0 eigenpairs, so the pseudo-inverse sums the rest and needs
     no eigenvalue threshold."""
     basis = eigendecompose(lap)
-    _, comp, sizes = np.unique(component_labels(lap.graph), return_inverse=True, return_counts=True)
-    null = np.eye(len(sizes))[comp] / np.sqrt(sizes[comp])[:, None]
-    tail = basis.vectors[:, len(sizes) :]
-    tail_r = basis.eigenvalues[len(sizes) :] ** r
+    null = component_null_basis(lap)
+    tail = basis.vectors[:, null.shape[1] :]
+    tail_r = basis.eigenvalues[null.shape[1] :] ** r
     pinv_norm = 1.0 / tail_r[0] if len(tail_r) else 0.0
     round_off = lap.n * np.finfo(float).eps * basis.eigenvalues[-1] ** r
     return (tail / tail_r) @ tail.T, null, round_off, pinv_norm

@@ -7,21 +7,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, OutOfRange, ShapeMismatch, TooLarge
-from .graphs import LaplacianView, bandlimit, count
+from .graphs import LaplacianView, bandlimit, component_labels, count
 
 DENSE_EIGEN_GUARD = 5000
-# Largest graph the package works on from the cached dense spectrum:
-# recovery solves the bordered kernel system there, and the sketch
-# estimators filter on the eigenpairs. SBMs with c = 16, r = 4, 10
-# samples, one BLAS thread on a 2-core Xeon: per graph, eigh + (L^r)^+ +
-# L^r take 12-17 + 1.7 + 3 ms at n = 300 and 41-45 + 6 + 13 ms at n = 500;
-# per solve, 0.12-0.2 and 0.2-0.3 ms against 5-9 and 5-12 ms for
-# preconditioned CG. The bound stays for accuracy, not speed: CG stops on
-# the residual and leaves ill-conditioned systems up to 6.4e-3 off (n =
-# 100, gamma = 1e-7), where this path is within 1e-8. An estimate_pi call
-# at the default sketch width, spectrum cached, took 0.9 against 2.1 ms
-# for float32 Clenshaw at n = 100 and 4.4 against 9.0 ms at n = 500.
+# Largest graph the package works on from dense spectra: recovery solves
+# the bordered kernel system there, the sketch estimators filter on the
+# cached eigenpairs, and eigendecompose's partial basis is the dense subset
+# solver's (above it, restarted Lanczos on the sparse matrix). SBMs with
+# c = 16, r = 4, 10 samples, one BLAS thread on a 2-core Xeon: per graph,
+# eigh + (L^r)^+ + L^r take 12-17 + 1.7 + 3 ms at n = 300 and 41-45 + 6 +
+# 13 ms at n = 500; per solve, 0.12-0.2 and 0.2-0.3 ms against 5-9 and
+# 5-12 ms for preconditioned CG. The bound stays for accuracy, not speed:
+# CG stops on the residual and leaves ill-conditioned systems up to 6.4e-3
+# off (n = 100, gamma = 1e-7), where this path is within 1e-8. An
+# estimate_pi call at the default sketch width, spectrum cached, took 0.9
+# against 2.1 ms for float32 Clenshaw at n = 100 and 4.4 against 9.0 ms at
+# n = 500. The 21 lowest pairs at n = 100 took 0.6 ms by the subset solver
+# against 3-5 ms by Lanczos.
 DIRECT_MAX_N = 500
+# Above DIRECT_MAX_N, a partial basis comes from Lanczos only while it
+# holds at most one pair per LANCZOS_NODES_PER_PAIR nodes: beyond that the
+# restarts cost more than the dense reduction. Subset solver against
+# Lanczos, ms, same host: n = 600, k = 50: 25 / 27, k = 100: 39 / 71;
+# n = 1000, k = 20: 84-107 / 10-29, k = 100: 110 / 117, k = 200: 152 / 656;
+# n = 2000, k = 100: 675 / 508, k = 200: 765 / 1716.
+LANCZOS_NODES_PER_PAIR = 10
 
 
 @dataclass(frozen=True)
@@ -49,23 +59,31 @@ class SpectralBasis:
 
 
 def eigendecompose(L: LaplacianView, k=None) -> SpectralBasis:
-    """Dense symmetric eigendecomposition of the Laplacian: every pair, or
-    with k < n only the k + 1 lowest, whose last eigenvalue bounds the
-    gap above the k-th.
+    """Symmetric eigendecomposition of the Laplacian: every pair, or with
+    k < n only the k + 1 lowest, whose last eigenvalue bounds the gap
+    above the k-th.
 
-    The partial basis comes from LAPACK's subset solver (MRRR, Dhillon,
-    Parlett and Voemel 2006), which computes only the wanted eigenvectors.
+    Up to DIRECT_MAX_N nodes, or when k + 1 exceeds n /
+    LANCZOS_NODES_PER_PAIR, the partial basis comes from LAPACK's dense
+    subset solver (MRRR, Dhillon, Parlett and Voemel 2006), which computes
+    only the wanted eigenvectors. Otherwise it is restarted Lanczos on the
+    sparse matrix (see _lanczos_lowest), which falls back to the subset
+    solver when its pairs fail their residual and orthonormality check.
     Guarded at DENSE_EIGEN_GUARD nodes: beyond desk scale the whole point
     of the random-walk sampler is to avoid this call. Each form is
     computed once per view and cached on it read-only, for every later
     caller.
     """
     if L.n > DENSE_EIGEN_GUARD:
-        raise TooLarge(f"dense eigendecomposition guarded at n <= {DENSE_EIGEN_GUARD}, got {L.n}")
+        raise TooLarge(f"eigendecomposition guarded at n <= {DENSE_EIGEN_GUARD}, got {L.n}")
     k = L.n if k is None else count(k, "k")
     if k < L.n:
 
         def compute():
+            if L.n > DIRECT_MAX_N and LANCZOS_NODES_PER_PAIR * (k + 1) <= L.n:
+                pairs = _lanczos_lowest(L, k + 1)
+                if pairs is not None:
+                    return pairs
             import scipy.linalg  # here, not at the top: `import graphdpp` stays light
 
             return tuple(scipy.linalg.eigh(L.dense(), subset_by_index=[0, k]))
@@ -78,6 +96,62 @@ def eigendecompose(L: LaplacianView, k=None) -> SpectralBasis:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
     return SpectralBasis(eigenvalues=np.clip(lam, 0.0, None), vectors=vecs)
+
+
+def component_null_basis(L: LaplacianView) -> np.ndarray:
+    """The normalized indicator vectors of the graph's c0 connected
+    components, as the columns of an (n, c0) array in order of each
+    component's smallest node: an orthonormal basis of L's kernel. Cached
+    on the view read-only."""
+
+    def compute():
+        labels = component_labels(L.graph)
+        _, comp, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        return np.eye(len(sizes))[comp] / np.sqrt(sizes[comp])[:, None]
+
+    return L.cached("components", compute)
+
+
+def _lanczos_lowest(L: LaplacianView, m: int):
+    """The m lowest eigenpairs of L by implicitly restarted Lanczos
+    (ARPACK; Lehoucq, Sorensen and Yang 1998), or None when ARPACK fails
+    or its pairs miss the check below.
+
+    The kernel is not left to Lanczos, which finds one zero eigenvalue
+    where there are several: its basis N (component_null_basis) is taken
+    exactly, and ARPACK runs on L + tau N N' with tau above the edge-degree
+    bound on lambda_max, which moves the kernel to the top of the spectrum,
+    for the m - c0 lowest pairs left. The start vector is fixed, so the
+    result does not depend on any generator's state. The pairs are kept
+    only if every residual |L v - lambda v| is within 1e-10 of the bound
+    and [N, V] is orthonormal within 1e-10.
+    """
+    null = component_null_basis(L)
+    c0 = null.shape[1]
+    if c0 >= m:
+        return np.zeros(m), null[:, :m].copy()
+    import scipy.sparse.linalg as sla  # here, not at the top: `import graphdpp` stays light
+
+    n, lap = L.n, L.matrix
+    bound = largest_eigenvalue_estimate(L)
+    tau = 2.0 * bound
+
+    def matvec(x):
+        return lap @ x + tau * (null @ (null.T @ x))
+
+    op = sla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    start = np.random.default_rng(0).standard_normal(n)
+    try:
+        lam, vecs = sla.eigsh(op, k=m - c0, which="SA", tol=0, v0=start)
+    except sla.ArpackError:
+        return None
+    order = np.argsort(lam)
+    lam, vecs = lam[order], vecs[:, order]
+    residual = np.linalg.norm(lap @ vecs - vecs * lam, axis=0)
+    basis = np.hstack([null, vecs])
+    if residual.max() > 1e-10 * bound or np.abs(basis.T @ basis - np.eye(m)).max() > 1e-10:
+        return None
+    return np.concatenate([np.zeros(c0), lam]), basis
 
 
 def fourier_basis_k(basis: SpectralBasis, k: int) -> np.ndarray:

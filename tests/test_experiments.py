@@ -306,6 +306,18 @@ class TestDegenerateCutoff:
         with pytest.warns(DegenerateCutoffWarning):
             run_experiment_known_basis(cfg)
 
+    def test_logged_component_count_is_not_capped_by_the_basis(self, caplog):
+        from graphdpp import Graph, SbmParams, eigendecompose, laplacian, sbm_generate
+        from graphdpp.errors import DegenerateCutoffWarning
+
+        # 1 + 50 components, and a basis of k + 1 = 21 pairs, all of them zero
+        sbm = sbm_generate(SbmParams(n=100, k_comm=2, c=8.0, eps=0.2), 4)
+        lap = laplacian(Graph.from_arrays(150, *sbm.edges()))
+        caplog.set_level("DEBUG", logger=experiments_module.log.name)
+        with pytest.warns(DegenerateCutoffWarning):
+            experiments_module._check_bandlimit_gap(eigendecompose(lap, 20), 20, lap)
+        assert "graph connectivity flag: 51 component(s)" in caplog.messages
+
 
 class TestEstimationFloor:
     def test_zero_probability_floored_with_warning(self):

@@ -1,5 +1,7 @@
 """Eigendecomposition, filters, bandlimited signals, spectral-radius bound."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,10 +85,28 @@ def _projector(u):
     return u @ u.T
 
 
+# the bounds that send every partial basis to one solver
+ROUTES = {
+    "subset": {"DIRECT_MAX_N": spectral.DENSE_EIGEN_GUARD},
+    "lanczos": {"DIRECT_MAX_N": 0, "LANCZOS_NODES_PER_PAIR": 1},
+}
+
+
+@contextmanager
+def partial_route(route):
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in ROUTES[route].items():
+            mp.setattr(spectral, name, value)
+        yield
+
+
 class TestPartialEigendecompose:
-    def test_matches_full_eigh_on_sbm20(self, sbm20):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_matches_full_eigh_on_sbm20(self, sbm20, route):
         k = 20
-        part, full = eigendecompose(sbm20, k), eigendecompose(sbm20)
+        with partial_route(route):
+            part = eigendecompose(laplacian(sbm20.graph), k)
+        full = eigendecompose(sbm20)
         bound = largest_eigenvalue_estimate(sbm20)
         assert part.vectors.shape == (1000, k + 1)
         np.testing.assert_allclose(
@@ -97,12 +117,15 @@ class TestPartialEigendecompose:
             _projector(fourier_basis_k(part, k)), _projector(fourier_basis_k(full, k)), atol=1e-10
         )
 
+    @pytest.mark.parametrize("route", ROUTES)
     @settings(max_examples=100, deadline=None)
     @given(edge_lists(), st.integers(1, 12))
-    def test_lowest_pairs_of_any_graph(self, graph, k):
+    def test_lowest_pairs_of_any_graph(self, route, graph, k):
         n, edges = graph
         lap = laplacian(Graph(n, edges))
-        part, full = eigendecompose(lap, k), eigendecompose(lap)
+        with partial_route(route):
+            part = eigendecompose(lap, k)
+        full = eigendecompose(lap)
         m = min(k + 1, n)
         assert part.n == m and part.vectors.shape == (n, m)
         scale = max(largest_eigenvalue_estimate(lap), 1.0)
@@ -145,6 +168,134 @@ class TestPartialEigendecompose:
         lap, _ = sbm_basis
         with pytest.raises(ShapeMismatch):
             apply_filter(eigendecompose(lap, 5), lambda lam: 1.0, np.ones(lap.n))
+
+
+def _sbm600(seed=2):
+    eps = 0.2 * critical_epsilon(16.0, 20)
+    return sbm_generate(SbmParams(n=600, k_comm=20, c=16.0, eps=eps), seed)
+
+
+def _with_isolated(g, extra):
+    return Graph.from_arrays(g.n + extra, *g.edges())
+
+
+def _cycle(n):
+    return Graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+
+
+def _weights_over_decades(g):
+    i, j, _ = g.edges()
+    w = 10.0 ** np.random.default_rng(7).uniform(-3, 3, len(i))
+    return Graph.from_arrays(g.n, i, j, w)
+
+
+_SBM300 = SbmParams(n=300, k_comm=3, c=10.0, eps=0.1)
+
+# (graph, k, whether the k lowest modes span a unique subspace)
+LANCZOS_CASES = {
+    "sbm+5 isolated": (lambda: _with_isolated(_sbm600(), 5), 20, True),
+    # 51 components: the basis is all kernel, the k lowest are not unique
+    "sbm+50 isolated": (lambda: _with_isolated(_sbm600(), 50), 20, False),
+    "2 sbm300 copies": (lambda: sbm_generate(_SBM300, 6).disjoint_copies(2), 20, True),
+    "3 sbm300 copies": (lambda: sbm_generate(_SBM300, 6).disjoint_copies(3), 21, True),
+    "weights over decades": (lambda: _weights_over_decades(_sbm600()), 20, True),
+    "cycle1000": (lambda: _cycle(1000), 20, False),
+    "star1000": (lambda: Graph(1000, [(0, i, 1.0) for i in range(1, 1000)]), 20, False),
+}
+
+
+def _no_dense(self):
+    raise AssertionError("the subset solver ran")
+
+
+class TestLanczosRoute:
+    """Partial bases above DIRECT_MAX_N nodes, at the package's own bounds,
+    against the full dense eigh: the kernel of any multiplicity, eigenvalues
+    repeated across copies, weights over six decades, a zero gap at k."""
+
+    @pytest.mark.parametrize("case", LANCZOS_CASES)
+    def test_lowest_pairs_match_dense_eigh(self, case, monkeypatch):
+        build, k, unique_span = LANCZOS_CASES[case]
+        lap = laplacian(build())
+        assert lap.n > spectral.DIRECT_MAX_N
+        lam, vecs = np.linalg.eigh(lap.dense())
+        bound = largest_eigenvalue_estimate(lap)
+        with monkeypatch.context() as mp:
+            mp.setattr(type(lap), "dense", _no_dense)
+            part = eigendecompose(lap, k)
+        u = part.vectors
+        assert u.shape == (lap.n, k + 1)
+        np.testing.assert_allclose(part.eigenvalues, lam[: k + 1], rtol=0, atol=1e-12 * bound)
+        assert np.all(np.diff(part.eigenvalues) >= 0)
+        np.testing.assert_allclose(u.T @ u, np.eye(k + 1), rtol=0, atol=1e-10)
+        residual = lap.apply(u) - u * part.eigenvalues
+        assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-10 * bound
+        if unique_span:
+            np.testing.assert_allclose(
+                _projector(u[:, :k]), _projector(vecs[:, :k]), rtol=0, atol=1e-10
+            )
+
+    def test_deterministic_and_leaves_global_state(self):
+        g = _with_isolated(_sbm600(), 5)
+        np.random.seed(12)
+        before = np.random.get_state()
+        first, second = eigendecompose(laplacian(g), 20), eigendecompose(laplacian(g), 20)
+        after = np.random.get_state()
+        np.testing.assert_array_equal(first.vectors, second.vectors)
+        np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+        np.testing.assert_array_equal(before[1], after[1])
+        assert before[0] == after[0] and before[2:] == after[2:]
+
+
+def _kernel_column(lam, vecs, lap):
+    # a kernel vector in the last column: every residual is zero, but the
+    # basis is no longer orthonormal once the component indicators join it
+    vecs = vecs.copy()
+    vecs[:, -1] = 1.0 / np.sqrt(lap.n)
+    return np.concatenate([lam[:-1], [0.0]]), vecs
+
+
+def _shifted_eigenvalue(lam, vecs, lap):
+    # every vector exact, one eigenvalue off by 1e-6 of the bound
+    return lam + np.eye(len(lam))[-1] * 1e-6 * largest_eigenvalue_estimate(lap), vecs
+
+
+class TestLanczosContract:
+    """A Lanczos result that fails or misses its check gives way to the
+    subset solver: the result is then the subset solver's, bit for bit."""
+
+    @pytest.fixture
+    def graph(self):
+        return sbm_generate(SbmParams(n=60, k_comm=2, c=8.0, eps=0.2), 5)
+
+    def _assert_is_subset(self, graph, k=5):
+        with partial_route("lanczos"):
+            got = eigendecompose(laplacian(graph), k)
+        with partial_route("subset"):
+            want = eigendecompose(laplacian(graph), k)
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+        np.testing.assert_array_equal(got.vectors, want.vectors)
+
+    def test_no_convergence_falls_back(self, graph, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        def fail(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((60, 0)))
+
+        monkeypatch.setattr(sla, "eigsh", fail)
+        self._assert_is_subset(graph)
+
+    @pytest.mark.parametrize("perturb", [_kernel_column, _shifted_eigenvalue])
+    def test_pairs_that_miss_the_check_fall_back(self, graph, perturb, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        eigsh, lap = sla.eigsh, laplacian(graph)
+
+        def perturbed(*args, **kwargs):
+            return perturb(*eigsh(*args, **kwargs), lap)
+
+        monkeypatch.setattr(sla, "eigsh", perturbed)
+        self._assert_is_subset(graph)
 
 
 class TestFourierBasis:
