@@ -84,11 +84,14 @@ def _reject_unread(command, flags):
 def _cmd_sample(args):
     method = args.method
     walk = method == "wilson"
+    tuned = walk and args.target_k is not None
     _reject_unread(f"sample --method {method}", {
         "--k": walk and args.k is not None,
         "--m": method != "iid" and args.m is not None,
         "--q": not walk and args.q is not None,
         "--target-k": not walk and args.target_k is not None,
+        "--runs": not tuned and args.runs is not None,
+        "--weights": not walk and args.weights is not None,
     })
     g = load_graph(args.graph)
     rng = np.random.default_rng(args.seed)
@@ -96,10 +99,10 @@ def _cmd_sample(args):
         if (args.q is None) == (args.target_k is None):
             raise InvalidParams("give exactly one of --q or --target-k")
         q = args.q if args.q is not None else tune_q(
-            g, args.target_k, rng, runs_per_probe=args.runs
+            g, args.target_k, rng, runs_per_probe=TUNE_RUNS if args.runs is None else args.runs
         )
         sample = wilson_sample(g, q, rng)
-        if args.weights == "exact":
+        if args.weights in (None, "exact"):
             kernel = wilson_kernel_explicit(eigendecompose(laplacian(g)), q)
             sample.weights = dpp_weight_matrix(kernel, sample.nodes)
         elif args.weights == "estimated":
@@ -133,6 +136,13 @@ def _cmd_measure(args):
 
 
 def _cmd_recover(args):
+    known = args.known_basis
+    _reject_unread("recover --known-basis" if known else "recover", {
+        "--k": not known and args.k is not None,
+        "--gamma": known and args.gamma is not None,
+        "--r": known and args.r is not None,
+        "--tol": known and args.tol is not None,
+    })
     g = load_graph(args.graph)
     sampling = load_sampling(args.sampling)
     y = load_signal(args.measurement)
@@ -141,13 +151,14 @@ def _cmd_recover(args):
     if sampling.weights is None:
         sampling.weights = np.ones(len(sampling))
     meas = Measurement(y=y, sampling=sampling)
-    if args.known_basis:
+    if known:
         if args.k is None:
             raise InvalidParams("--k is required with --known-basis")
         u_k = fourier_basis_k(eigendecompose(laplacian(g), args.k), args.k)
         x_rec = recover_known_basis_weighted(u_k, meas)
     else:
-        params = RecoveryParams(gamma=args.gamma, r=args.r, tolerance=args.tol)
+        given = {"gamma": args.gamma, "r": args.r, "tolerance": args.tol}
+        params = RecoveryParams(**{key: v for key, v in given.items() if v is not None})
         x_rec = recover_unknown_basis(laplacian(g), meas, params)
     save_signal(x_rec, args.out)
     print(f"wrote {args.out}: recovered {len(x_rec)} node values")
@@ -232,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=None, help="walk absorption rate")
     p.add_argument("--target-k", type=int, default=None,
                    help="tune the absorption rate to this mean sample size")
-    p.add_argument("--runs", type=int, default=TUNE_RUNS, help="walk runs per tuning probe")
-    p.add_argument("--weights", choices=["exact", "estimated", "none"], default="exact",
-                   help="how to fill recovery weights for walk samples")
+    p.add_argument("--runs", type=int, help=f"walk runs per tuning probe (default {TUNE_RUNS})")
+    p.add_argument("--weights", choices=["exact", "estimated", "none"],
+                   help="how to fill recovery weights for walk samples (default exact)")
     _common(p)
     p.set_defaults(func=_cmd_sample)
 
@@ -251,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurement", required=True)
     p.add_argument("--known-basis", action="store_true")
     p.add_argument("--k", type=int, default=None, help="bandlimit (known basis)")
-    p.add_argument("--gamma", type=float, default=RecoveryParams.gamma)
-    p.add_argument("--r", type=int, default=RecoveryParams.r)
-    p.add_argument("--tol", type=float, default=RecoveryParams.tolerance)
+    p.add_argument("--gamma", type=float, help=f"penalty (default {RecoveryParams.gamma:g})")
+    p.add_argument("--r", type=int, help=f"Laplacian power (default {RecoveryParams.r})")
+    p.add_argument("--tol", type=float, help=f"tolerance (default {RecoveryParams.tolerance:g})")
     _common(p)
     p.set_defaults(func=_cmd_recover)
 

@@ -18,18 +18,15 @@ from .dpp import (
     ideal_lowpass_kernel,
     wilson_kernel_explicit,
 )
-from .errors import DegenerateCutoffWarning, InvalidParams, ParseError
+from .errors import DegenerateCutoffWarning, InvalidParams, NumericalDegeneracy, ParseError
 from .estimation import estimate_leverage_scores, estimate_pi, floor_zero_probabilities
 from .graphs import SbmParams, count, critical_epsilon, laplacian, sbm_generate
 from .recovery import (
     Measurement,
     RecoveryParams,
+    _known_basis_factor,
     _relative_errors,
-    known_basis_solver,
-    measure,
-    recover_known_basis_weighted,
     recover_unknown_basis_batch,
-    relative_error,
 )
 from .selection import greedy_select, iid_leverage_sample, maxvol_select
 from .serialization import read_csv, write_csv
@@ -37,7 +34,6 @@ from .spectral import (
     component_null_basis,
     eigendecompose,
     fourier_basis_k,
-    generate_bandlimited_signal,
     generate_bandlimited_signals,
     largest_eigenvalue_estimate,
 )
@@ -64,11 +60,11 @@ RESULT_HEADER = ["sweep_value", "sampler", "mean_error", "p10", "p90", "mean_sam
 
 
 def stream(master: int, *path: int) -> np.random.Generator:
-    """Independent generator for one slot: (point, graph, signal, sampler,
-    use) in fig1a, (point, graph, sampler, use) or (point, graph, use) in
-    fig1b and fig1c. SeedSequence pads short entropy with zeros, so paths
-    that differ only by trailing zeros share a stream: (p, g, _TAG_GRAPH)
-    is (p, g)."""
+    """Independent generator for one slot: (point, graph, sampler, use) or
+    (point, graph, use) in every sweep, and (point, graph, signal, sampler,
+    use) for fig1a's DPP draws, one per signal. SeedSequence pads short
+    entropy with zeros, so paths that differ only by trailing zeros share
+    a stream: (p, g, _TAG_GRAPH) is (p, g)."""
     return np.random.default_rng(np.random.SeedSequence([int(master), *map(int, path)]))
 
 
@@ -227,13 +223,22 @@ def run_experiment_known_basis(cfg: ExperimentConfig) -> list[ResultRow]:
 
     Every sampler sees the same graphs and signals; grid values are
     fractions of the community-detectability threshold.
+
+    Every sampler takes exactly k nodes (the projector's eigenvalues are
+    0 and 1), so a graph's trials are one (samplers, signals, k) block:
+    its signals are one block of coefficients and each sampler's noise one
+    block, one stream per (point, graph, sampler, use); only the DPP draws
+    keep a stream per signal. Each fixed selection is factored once for
+    all the signals, and the DPP draws as one stack of systems.
     """
     if cfg.sweep != "epsilon":
         raise InvalidParams("known-basis experiment sweeps epsilon")
     eps_c = critical_epsilon(cfg.c, cfg.k_comm)
-    k = cfg.bandlimit
-    shape = (len(cfg.grid), len(KNOWN_BASIS_SAMPLERS), cfg.graphs_per_point * cfg.signals_per_graph)
+    k, signals = cfg.bandlimit, cfg.signals_per_graph
+    shape = (len(cfg.grid), len(KNOWN_BASIS_SAMPLERS), cfg.graphs_per_point * signals)
     errors, sizes = np.empty(shape), np.empty(shape, dtype=int)
+    # row s of a (signals, m) node block reads signal s
+    reader = np.arange(signals)[:, None]
     for point, frac in enumerate(cfg.grid):
         for g_idx in range(cfg.graphs_per_point):
             graph = sbm_generate(
@@ -244,39 +249,29 @@ def run_experiment_known_basis(cfg: ExperimentConfig) -> list[ResultRow]:
             _check_bandlimit_gap(basis, k, lap)
             u_k = fourier_basis_k(basis, k)
             kernel = ideal_lowpass_kernel(basis, k)
-            fixed = {
-                "greedy-wce": greedy_select(u_k, "wce"),
-                "greedy-mse": greedy_select(u_k, "mse"),
-                "greedy-mv": greedy_select(u_k, "mv"),
-                "maxvol": maxvol_select(u_k),
-            }
-            # one factorization per fixed selection serves all its signals
-            solvers = {name: known_basis_solver(u_k, s) for name, s in fixed.items()}
-            for s_idx in range(cfg.signals_per_graph):
-                x = generate_bandlimited_signal(
-                    u_k, stream(cfg.seed, point, g_idx, s_idx, _TAG_SIGNAL)
-                )
-                trial = g_idx * cfg.signals_per_graph + s_idx
-                for col, name in enumerate(KNOWN_BASIS_SAMPLERS):
-                    sid = _SAMPLER_ID[name]
-                    if name == "dpp-ideal":
-                        sample = dpp_sample(
-                            kernel, stream(cfg.seed, point, g_idx, s_idx, sid, _TAG_DRAW)
-                        )
-                    else:
-                        sample = fixed[name]
-                    meas = measure(
-                        x,
-                        sample,
-                        cfg.noise_sigma,
-                        stream(cfg.seed, point, g_idx, s_idx, sid, _TAG_NOISE),
-                    )
-                    if name in solvers:
-                        x_rec = solvers[name](meas.y)
-                    else:
-                        x_rec = recover_known_basis_weighted(u_k, meas)
-                    errors[point, col, trial] = relative_error(x, x_rec)
-                    sizes[point, col, trial] = len(sample)
+            xs = generate_bandlimited_signals(
+                u_k, signals, stream(cfg.seed, point, g_idx, _TAG_SIGNAL)
+            )
+            sid = _SAMPLER_ID["dpp-ideal"]
+            draws = [
+                dpp_sample(kernel, stream(cfg.seed, point, g_idx, s_idx, sid, _TAG_DRAW))
+                for s_idx in range(signals)
+            ]
+            if any(len(d) != k for d in draws):
+                raise NumericalDegeneracy(f"a rank-{k} projection DPP drew other than {k} nodes")
+            fixed = [greedy_select(u_k, rule) for rule in ("wce", "mse", "mv")]
+            fixed.append(maxvol_select(u_k))
+            # (nodes, weights) per sampler, the DPP draws as (signals, k) blocks
+            blocks = [(np.stack([d.nodes for d in draws]), np.stack([d.weights for d in draws]))]
+            blocks += [(s.nodes, s.weights) for s in fixed]
+            trials = slice(g_idx * signals, (g_idx + 1) * signals)
+            for col, (name, (nodes, weights)) in enumerate(zip(KNOWN_BASIS_SAMPLERS, blocks)):
+                y = xs[reader, nodes]
+                noise = stream(cfg.seed, point, g_idx, _SAMPLER_ID[name], _TAG_NOISE)
+                y += cfg.noise_sigma * noise.standard_normal(y.shape)
+                x_recs = _known_basis_factor(u_k, nodes, weights)(y)
+                errors[point, col, trials] = _relative_errors(xs, x_recs)
+                sizes[point, col, trials] = y.shape[1]
     rows = []
     _aggregate(rows, cfg.grid, KNOWN_BASIS_SAMPLERS, errors, sizes)
     return rows

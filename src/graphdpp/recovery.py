@@ -73,38 +73,31 @@ def measure(x: np.ndarray, sampling: SamplingSet, noise_sigma: float = 0.0, rng=
     return Measurement(y=y, sampling=sampling)
 
 
-def _known_basis_factor(u_k, nodes, scale: np.ndarray):
+def _known_basis_factor(u_k, nodes, weights):
     """Factor the least squares in the span of the basis columns read at
-    the nodes, measurement row i scaled by scale[i]: an SVD of the scaled
-    restriction with a relative singular cutoff, which warns when it drops
-    a singular value. Returns the solve y -> u_k z, two GEMVs through the
-    factors and one with u_k per measurement vector."""
+    the nodes, reading i divided by the square root of weights[i]: an SVD
+    of the scaled restriction with a relative singular cutoff, which warns
+    once when it drops a singular value. nodes and weights have shape (m,),
+    one system, or (t, m), a stack of t systems; the stack pays one batched
+    SVD. Returns the solve of readings y of shape (..., m), (t, m) for a
+    stack, to the recovered signals u_k z of shape (..., n): per reading
+    vector, two GEMVs through its factors and one with u_k."""
+    if weights is None:
+        raise MissingWeights("sampling set carries no weights")
     u_k = np.asarray(u_k, dtype=float)
     nodes = index_array(nodes, "sampled node indices", u_k.shape[0])
-    u, s, vt = np.linalg.svd(scale[:, None] * u_k[nodes, :], full_matrices=False)
-    keep = s > _SINGULAR_CUTOFF * (s[0] if len(s) else 1.0)
-    if len(s) == 0 or not keep.all():
+    scale = 1.0 / np.sqrt(weights)
+    u, s, vt = np.linalg.svd(scale[..., None] * u_k[nodes, :], full_matrices=False)
+    keep = s > _SINGULAR_CUTOFF * s[..., :1]
+    if s.shape[-1] == 0 or not keep.all():
         warnings.warn(
             "restricted basis is numerically singular; recovery is a least-norm guess",
             IllConditionedWarning,
             stacklevel=3,
         )
-    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return lambda y: u_k @ (vt.T @ (inv * (u.T @ (scale * y))))
-
-
-def _weight_scale(sampling: SamplingSet) -> np.ndarray:
-    if sampling.weights is None:
-        raise MissingWeights("sampling set carries no weights")
-    return 1.0 / np.sqrt(sampling.weights)
-
-
-def known_basis_solver(u_k: np.ndarray, sampling: SamplingSet):
-    """recover_known_basis_weighted factored once for a sampling set:
-    returns y -> x_rec for measurement vectors y read at sampling.nodes,
-    bit for bit what recover_known_basis_weighted returns for them, so a
-    selection measured many times pays for one SVD."""
-    return _known_basis_factor(u_k, sampling.nodes, _weight_scale(sampling))
+    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)[..., None, :]
+    # row vectors: each reading vector's products are GEMVs, as a lone solve's
+    return lambda y: (((scale * y)[..., None, :] @ u) * inv @ vt @ u_k.T)[..., 0, :]
 
 
 def recover_known_basis(u_k: np.ndarray, meas: Measurement) -> np.ndarray:
@@ -119,7 +112,7 @@ def recover_known_basis_weighted(u_k: np.ndarray, meas: Measurement) -> np.ndarr
     weight, which makes random sampling sets behave like unbiased designs.
     Equal weights reduce exactly to the unweighted recovery.
     """
-    return _known_basis_factor(u_k, meas.sampling.nodes, _weight_scale(meas.sampling))(meas.y)
+    return _known_basis_factor(u_k, meas.sampling.nodes, meas.sampling.weights)(meas.y)
 
 
 def _kernel_form(lap: LaplacianView, r: int):

@@ -108,6 +108,8 @@ class TestUnknownBasisPipeline:
         ("greedy-wce", ["--k", "2", "--target-k", "3"], "--target-k"),
         ("iid", ["--k", "2", "--q", "0.5"], "--q"),
         ("wilson", ["--q", "0.5", "--k", "7", "--m", "3"], "--k, --m"),
+        ("greedy-wce", ["--k", "3", "--weights", "estimated", "--runs", "5"], "--runs, --weights"),
+        ("wilson", ["--q", "0.5", "--runs", "7"], "--runs"),
     ])
     def test_sample_unread_flags_rejected(self, tmp_path, capsys, method, flags, named):
         g, s = tmp_path / "g.mtx", tmp_path / "s.csv"
@@ -143,6 +145,23 @@ class TestRecoverCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "sampling set is empty" in err
+        assert not rec.exists()
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--k", "2"], "recover does not read --k"),
+        (["--known-basis", "--k", "2", "--gamma", "1e-3", "--r", "2", "--tol", "1e-6"],
+         "recover --known-basis does not read --gamma, --r, --tol"),
+    ])
+    def test_unread_flags_rejected(self, tmp_path, capsys, flags, named):
+        g, s, y = tmp_path / "g.mtx", tmp_path / "s.csv", tmp_path / "y.csv"
+        run("generate-graph", "--n", 20, "--c", 4, "--eps-frac", 0.2, "--seed", 3, "--out", g)
+        save_sampling(SamplingSet(nodes=np.array([3, 7]), method="t"), s)
+        save_signal(np.array([0.5, -0.5]), y)
+        rec = tmp_path / "rec.csv"
+        code = main(["recover", "--graph", str(g), "--sampling", str(s), "--measurement", str(y),
+                     *flags, "--out", str(rec)])
+        assert code == 1
+        assert named in capsys.readouterr().err
         assert not rec.exists()
 
     def test_known_basis_without_weights_matches_plain_solve(self, tmp_path):

@@ -7,11 +7,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphdpp import (
+    Measurement,
+    SamplingSet,
+    critical_epsilon,
+    dpp_sample,
+    eigendecompose,
+    fourier_basis_k,
+    greedy_select,
+    ideal_lowpass_kernel,
+    laplacian,
+    maxvol_select,
+    recover_known_basis_weighted,
+    relative_error,
+    sbm_generate,
+)
 from graphdpp import estimation
 from graphdpp import experiments as experiments_module
 from graphdpp import wilson as wilson_module
-from graphdpp.errors import InvalidParams, ParseError
+from graphdpp.errors import InvalidParams, NumericalDegeneracy, ParseError
 from graphdpp.experiments import (
+    _TAG_DRAW,
+    _TAG_GRAPH,
+    _TAG_NOISE,
+    _TAG_SIGNAL,
     ExperimentConfig,
     ResultRow,
     _aggregate,
@@ -23,6 +42,8 @@ from graphdpp.experiments import (
     run_scalability_check,
     stream,
 )
+from graphdpp.spectral import generate_bandlimited_signals
+
 
 
 class TestConfig:
@@ -202,6 +223,84 @@ class TestKnownBasisExperiment:
     def test_rejects_wrong_sweep(self):
         with pytest.raises(InvalidParams):
             run_experiment_known_basis(tiny_unknown_cfg())
+
+
+class TestKnownBasisReference:
+    """The block sweep against a loop of public single-trial calls on the
+    same streams: one signal block per graph, one noise block per sampler
+    and one draw stream per DPP draw."""
+
+    CFG = dict(grid=(0.1, 0.5), bandlimit=3, graphs_per_point=2, signals_per_graph=4,
+               noise_sigma=1e-3)
+
+    @staticmethod
+    def reference(cfg):
+        """Per-trial errors, (points, samplers, trials), and the DPP node sequences."""
+        k, signals = cfg.bandlimit, cfg.signals_per_graph
+        samplers = experiments_module.KNOWN_BASIS_SAMPLERS
+        errors = np.empty((len(cfg.grid), len(samplers), cfg.graphs_per_point * signals))
+        draws = []
+        eps_c = critical_epsilon(cfg.c, cfg.k_comm)
+        for p, frac in enumerate(cfg.grid):
+            for g in range(cfg.graphs_per_point):
+                graph = sbm_generate(cfg.sbm_params(frac * eps_c), stream(cfg.seed, p, g, _TAG_GRAPH))
+                basis = eigendecompose(laplacian(graph), k)
+                u_k = fourier_basis_k(basis, k)
+                kernel = ideal_lowpass_kernel(basis, k)
+                xs = generate_bandlimited_signals(u_k, signals, stream(cfg.seed, p, g, _TAG_SIGNAL))
+                for col, name in enumerate(samplers):
+                    sid = experiments_module._SAMPLER_ID[name]
+                    noise = stream(cfg.seed, p, g, sid, _TAG_NOISE).standard_normal((signals, k))
+                    for s in range(signals):
+                        if name == "dpp-ideal":
+                            sample = dpp_sample(kernel, stream(cfg.seed, p, g, s, sid, _TAG_DRAW))
+                            draws.append(sample.nodes)
+                        elif name == "maxvol":
+                            sample = maxvol_select(u_k)
+                        else:
+                            sample = greedy_select(u_k, name.removeprefix("greedy-"))
+                        y = xs[s, sample.nodes] + cfg.noise_sigma * noise[s]
+                        x_rec = recover_known_basis_weighted(u_k, Measurement(y, sample))
+                        errors[p, col, g * signals + s] = relative_error(xs[s], x_rec)
+        return errors, draws
+
+    def test_matches_single_trial_loop(self, monkeypatch):
+        cfg = tiny_known_cfg(**self.CFG)
+        seen, drawn = {}, []
+        aggregate, sample = experiments_module._aggregate, experiments_module.dpp_sample
+
+        def spy_aggregate(rows, values, samplers, errors, sizes):
+            seen["errors"], seen["sizes"] = np.array(errors), np.array(sizes)
+            aggregate(rows, values, samplers, errors, sizes)
+
+        def spy_sample(kernel, rng):
+            out = sample(kernel, rng)
+            drawn.append(out.nodes)
+            return out
+
+        monkeypatch.setattr(experiments_module, "_aggregate", spy_aggregate)
+        monkeypatch.setattr(experiments_module, "dpp_sample", spy_sample)
+        run_experiment_known_basis(cfg)
+        errors, draws = self.reference(cfg)
+        assert seen["errors"].shape == errors.shape == (2, 5, 8)
+        np.testing.assert_allclose(seen["errors"], errors, rtol=1e-12, atol=0)
+        assert np.all(seen["sizes"] == cfg.bandlimit)
+        assert len(drawn) == len(draws) == 16
+        for got, want in zip(drawn, draws):
+            np.testing.assert_array_equal(got, want)
+
+    def test_short_dpp_draw_fails_fast(self, monkeypatch):
+        # a rank-k projection draws exactly k nodes; a draw that does not
+        # cannot join the (signals, k) block
+        sample = experiments_module.dpp_sample
+
+        def short(kernel, rng):
+            out = sample(kernel, rng)
+            return SamplingSet(out.nodes[:-1], out.weights[:-1], out.method)
+
+        monkeypatch.setattr(experiments_module, "dpp_sample", short)
+        with pytest.raises(NumericalDegeneracy):
+            run_experiment_known_basis(tiny_known_cfg(**self.CFG))
 
 
 class TestUnknownBasisExperiment:

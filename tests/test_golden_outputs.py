@@ -29,7 +29,7 @@ FIG1B_GRID_CONFIG = FIG1B_CONFIG.replace(
 FIG1B_GRID_SHA256 = "1ba60bb4af3a80caa7eb7f80eff2ebc35c70dbc61b4932f24f193481be99b5a0"
 
 GOLDEN = {
-    "fig1a.csv": "93c1cdbafc491c82cb91044fdddc758efab0e9980fbb2943146fd99ff466f715",
+    "fig1a.csv": "c46739e24ad1842649dba9d05ab992d9e7005f884c35ccff17ac82e5954d4395",
     "fig1b.csv": "4e3493dee23e887830faad4dd2c062aee7d7dcd5e4de2d060c78ed9bd460ad39",
     "fig1c.csv": "1c3edb6435389e08472447812b7b2a4bbfb69f12948f90821cffc9afeb681102",
     "g.mtx": "8e26abbcf3b55248581922948e2f6236325718b624a1a826153b53d4adacbb52",

@@ -32,7 +32,6 @@ from graphdpp import (
 )
 from graphdpp import experiments, recovery
 from graphdpp.graphs import component_labels
-from graphdpp.recovery import known_basis_solver
 from graphdpp.errors import (
     IllConditionedWarning,
     InvalidParams,
@@ -261,9 +260,10 @@ class TestKnownBasisWeighted:
         assert record[0].filename == __file__
 
 
-class TestKnownBasisSolver:
+class TestKnownBasisFactor:
     """A factored selection, applied to many measurement vectors, returns
-    bit for bit the per-measurement solve."""
+    bit for bit the per-measurement solve; a stack of selections, factored
+    at once, returns each one's solve."""
 
     @staticmethod
     def selections(u_k):
@@ -281,30 +281,90 @@ class TestKnownBasisSolver:
         _, _, _, u_k, x = instance
         rng = np.random.default_rng(13)
         for s in self.selections(u_k):
-            solve = known_basis_solver(u_k, s)
+            solve = recovery._known_basis_factor(u_k, s.nodes, s.weights)
+            ys = []
             for _ in range(5):
                 meas = measure(x, s, 1e-3, rng)
                 np.testing.assert_array_equal(
                     solve(meas.y), recover_known_basis_weighted(u_k, meas)
                 )
+                ys.append(meas.y)
+            # a block of reading vectors: each row is its lone solve
+            np.testing.assert_array_equal(solve(np.array(ys)), [solve(y) for y in ys])
 
     def test_missing_weights(self, instance):
         _, _, _, u_k, _ = instance
         with pytest.raises(MissingWeights):
-            known_basis_solver(u_k, SamplingSet(nodes=np.array([0, 1, 2]), method="t"))
+            recovery._known_basis_factor(u_k, np.array([0, 1, 2]), None)
 
     def test_singular_selection_warns_once_per_factor(self):
         u = np.zeros((4, 2))
         u[0, 0] = 1.0
         s = unit_weight_sampling([2, 3])
+
+        def factor():
+            # stands in for the package function that factors a selection
+            return recovery._known_basis_factor(u, s.nodes, s.weights)
+
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            solve = known_basis_solver(u, s)
+            solve = factor()
             outs = [solve(np.array([1.0, -1.0])) for _ in range(3)]
         assert [w.category for w in caught] == [IllConditionedWarning]
         assert caught[0].filename == __file__
         for out in outs:
             np.testing.assert_array_equal(out, np.zeros(4))
+
+    @staticmethod
+    @st.composite
+    def weighted_stacks(draw):
+        """An orthonormal (n, k) basis and t weighted sets of m nodes each,
+        repeats allowed, with a reading vector per set."""
+        n = draw(st.integers(2, 14))
+        k = draw(st.integers(1, n))
+        t = draw(st.integers(1, 4))
+        m = draw(st.integers(1, 2 * n))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        u_k = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        nodes = np.array(draw(st.lists(st.integers(0, n - 1), min_size=t * m, max_size=t * m)))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=t * m, max_size=t * m))
+        return u_k, nodes.reshape(t, m), np.reshape(weights, (t, m)), rng.standard_normal((t, m))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=weighted_stacks())
+    def test_stacked_factor_matches_lone_solves(self, case):
+        u_k, nodes, weights, y = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            lone = np.array([
+                recover_known_basis_weighted(u_k, Measurement(y=y_i, sampling=SamplingSet(n_i, w_i)))
+                for n_i, w_i, y_i in zip(nodes, weights, y)
+            ])
+            for i in range(len(nodes)):
+                solve = recovery._known_basis_factor(u_k, nodes[i], weights[i])
+                np.testing.assert_array_equal(solve(y[i]), lone[i])
+            stacked = recovery._known_basis_factor(u_k, nodes, weights)(y)
+        assert stacked.shape == lone.shape
+        scale = np.maximum(np.abs(lone).max(axis=1, keepdims=True), 1.0)
+        assert np.all(np.abs(stacked - lone) <= 1e-12 * scale)
+
+    def test_stack_with_one_singular_system_warns_once(self):
+        u = np.zeros((4, 2))
+        u[0, 0] = u[1, 1] = 1.0
+        # the second system reads two zero rows, the others the identity
+        nodes = np.array([[0, 1], [2, 3], [1, 0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve = recovery._known_basis_factor(u, nodes, np.ones(nodes.shape))
+            out = solve(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        assert [w.category for w in caught] == [IllConditionedWarning]
+        np.testing.assert_array_equal(out, [[1.0, 2.0, 0, 0], [0, 0, 0, 0], [6.0, 5.0, 0, 0]])
+
+    @pytest.mark.parametrize("nodes", [[0, 4], [-1, 2], [[0, 1], [2, 4]]])
+    def test_out_of_range_nodes(self, nodes):
+        nodes = np.array(nodes)
+        with pytest.raises(OutOfRange):
+            recovery._known_basis_factor(np.eye(4)[:, :2], nodes, np.ones(nodes.shape))
 
 
 class TestUnknownBasis:
