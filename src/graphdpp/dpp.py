@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, NumericalDegeneracy, OutOfRange, ZeroMarginal
-from .graphs import bandlimit, index_array
+from .graphs import bandlimit, index_array, real
 from .spectral import SpectralBasis
 
 _EIGENVALUE_SLACK = 1e-10
@@ -109,8 +109,7 @@ def ideal_lowpass_kernel(basis: SpectralBasis, k: int) -> MarginalKernel:
 def wilson_kernel_explicit(basis: SpectralBasis, q: float) -> MarginalKernel:
     """Kernel of the absorbing-walk process: eigenvalues q / (q + lambda),
     over a complete basis."""
-    if not 0 < q < np.inf:
-        raise InvalidParams("q must be positive and finite")
+    q = real(q, "q")
     basis.require_complete("wilson_kernel_explicit")
     mu = q / (q + basis.eigenvalues)
     return MarginalKernel(eigenvalues=mu, vectors=basis.vectors)

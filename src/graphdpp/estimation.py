@@ -22,8 +22,10 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import InvalidParams
-from .graphs import LaplacianView, bandlimit, count, index_array
-from .spectral import DIRECT_MAX_N, _vector_eval, eigendecompose, largest_eigenvalue_estimate
+from .graphs import LaplacianView, bandlimit, count, index_array, real
+from .spectral import (
+    DIRECT_MAX_N, _vector_eval, apply_filter, eigendecompose, largest_eigenvalue_estimate
+)
 
 ZERO_PROBABILITY_FLOOR = 1e-12
 FILTER_DEGREE = 30  # default Chebyshev degree of the fitted filters
@@ -91,8 +93,7 @@ def fit_sqrt_filter(f, d: int, lambda_max: float) -> PolynomialFilter:
     The recorded sup-norm fit error is measured on a 1001-point grid.
     """
     d = count(d, "polynomial degree")
-    if not 0 <= lambda_max < np.inf:
-        raise InvalidParams("lambda_max must be nonnegative and finite")
+    lambda_max = real(lambda_max, "lambda_max", positive=False)
     if lambda_max == 0.0:
         v = float(f(0.0))
         if v < 0:
@@ -137,9 +138,9 @@ def _sketched_diagonal(lap, f, d, n, rng, lmax):
 
     Up to DIRECT_MAX_N nodes, where the package works from the dense
     spectrum anyway, a panel X is filtered in float64 on the eigenpairs
-    (U, Lambda) that eigendecompose caches on the view, as
-    U p(Lambda) U' X: two GEMMs instead of d sparse products, and the same
-    polynomial p evaluated without the recurrence's round-off. A call on
+    (U, Lambda) that eigendecompose caches on the view, by apply_filter
+    as U p(Lambda) U' X: two GEMMs instead of d sparse products, and the
+    same polynomial p evaluated without the recurrence's round-off. A call on
     a view without that spectrum pays for the eigh, which is cached for
     the next caller.
 
@@ -175,12 +176,7 @@ def _sketched_diagonal(lap, f, d, n, rng, lmax):
     starts = range(0, n, step)
     out = np.zeros(lap.n)
     if lap.n <= DIRECT_MAX_N:
-        basis = eigendecompose(lap)
-        u, gain = basis.vectors, filt(basis.eigenvalues)[:, None]
-        scale, dtype = 1.0, np.float64
-
-        def apply(x):
-            return u @ (gain * (u.T @ x))
+        scale, dtype, apply = 1.0, np.float64, partial(apply_filter, eigendecompose(lap), filt)
     else:
         scale = np.ldexp(1.0, int(np.frexp(np.abs(filt.coefficients).max())[1]))
         filt = replace(filt, coefficients=filt.coefficients / scale)
@@ -239,8 +235,7 @@ def estimate_pi(
     (_sketched_diagonal), and rng is left as one
     standard_normal((lap.n, n)) draw would leave it.
     """
-    if not 0 < q < np.inf:
-        raise InvalidParams("q must be positive and finite")
+    q = real(q, "q")
     d = count(d, "polynomial degree")
     n = default_sketch_width(lap.n) if n is None else count(n, "sketch width")
     rng = np.random.default_rng(rng)

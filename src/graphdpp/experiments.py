@@ -20,7 +20,7 @@ from .dpp import (
 )
 from .errors import DegenerateCutoffWarning, InvalidParams, NumericalDegeneracy, ParseError
 from .estimation import estimate_leverage_scores, estimate_pi, floor_zero_probabilities
-from .graphs import SbmParams, count, critical_epsilon, laplacian, sbm_generate
+from .graphs import SbmParams, count, critical_epsilon, laplacian, real, sbm_generate
 from .recovery import (
     Measurement,
     RecoveryParams,
@@ -98,8 +98,7 @@ class ExperimentConfig:
             raise InvalidParams("sweep grid must be non-empty")
         if len(set(self.grid)) != len(self.grid):
             raise InvalidParams(f"sweep grid repeats a value: {tuple(self.grid)}")
-        if not 0 <= self.noise_sigma < np.inf:
-            raise InvalidParams("noise_sigma must be finite and nonnegative")
+        self.noise_sigma = real(self.noise_sigma, "noise_sigma", positive=False)
         for name in ("n", "k_comm", "bandlimit", "graphs_per_point", "signals_per_graph"):
             setattr(self, name, count(getattr(self, name), name))
         for name in ("target_m", "seed"):

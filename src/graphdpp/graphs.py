@@ -36,6 +36,19 @@ def count(value, what: str, minimum: int = 1) -> int:
     return int(v)
 
 
+def real(value, what: str, positive: bool = True) -> float:
+    """value as a float, positive or, with positive=False, nonnegative: a
+    non-numeric, boolean (as in index_array), non-scalar (a 0-d array is a
+    scalar), NaN or infinite value, or one below the floor, raises
+    InvalidParams."""
+    v = np.asarray(value)
+    # compared as a Python float, several times cheaper than numpy scalar tests
+    x = float(v) if v.dtype.kind in "iuf" and not v.ndim else np.nan
+    if not 0.0 <= x < np.inf or positive and x == 0.0:
+        raise InvalidParams(f"{what} must be {'positive' if positive else 'nonnegative'} and finite")
+    return x
+
+
 def bandlimit(k, n: int) -> int:
     """k, a number of lowest graph frequencies, as an int: a fractional,
     non-numeric or non-scalar k raises InvalidParams, as a count does, and

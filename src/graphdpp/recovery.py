@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatch,
     SolverDiverged,
 )
-from .graphs import LaplacianView, count, index_array
+from .graphs import LaplacianView, count, index_array, real
 from .spectral import DIRECT_MAX_N as _DIRECT_MAX_N, component_null_basis, eigendecompose
 
 _SINGULAR_CUTOFF = 1e-12
@@ -53,19 +53,16 @@ class RecoveryParams:
     max_iter: int | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma <= 0:
-            raise InvalidParams("gamma must be positive and finite")
+        self.gamma = real(self.gamma, "gamma")
         self.r = count(self.r, "Laplacian power r")
         if self.max_iter is not None:
             self.max_iter = count(self.max_iter, "max_iter")
-        if not np.isfinite(self.tolerance) or self.tolerance <= 0:
-            raise InvalidParams("tolerance must be positive and finite")
+        self.tolerance = real(self.tolerance, "tolerance")
 
 
 def measure(x: np.ndarray, sampling: SamplingSet, noise_sigma: float = 0.0, rng=None) -> Measurement:
     """Read the signal at the sampled nodes, plus i.i.d. Gaussian noise."""
-    if not np.isfinite(noise_sigma) or noise_sigma < 0:
-        raise InvalidParams("noise_sigma must be finite and nonnegative")
+    noise_sigma = real(noise_sigma, "noise_sigma", positive=False)
     x = np.asarray(x, dtype=float)
     nodes = index_array(sampling.nodes, "sampled node indices", len(x))
     rng = np.random.default_rng(rng)
@@ -211,11 +208,9 @@ def recover_unknown_basis_batch(
 def _bordered_solve(lap, r, gammas, systems, live, out) -> list:
     """Write the bordered kernel system's answer for each draw j of live and
     each gamma i into out[j, i], systems the (sampled, b, target) arrays by
-    draw; return the (j, i) pairs whose answer misses the residual target."""
-    try:
-        kernel = lap.cached(("kernel", r), lambda: _kernel_form(lap, r))
-    except np.linalg.LinAlgError:
-        return [(j, i) for j in live for i in range(len(gammas))]
+    draw; return the (j, i) pairs whose answer misses the residual target.
+    A failed eigendecomposition raises NoConvergence (eigendecompose)."""
+    kernel = lap.cached(("kernel", r), lambda: _kernel_form(lap, r))
     counts = np.count_nonzero(systems[0][live], axis=1)
     stacks, todo = [live[counts == m].tolist() for m in np.unique(counts)], []
     while stacks:
@@ -268,16 +263,11 @@ def _solve_stack(lap, r, gammas, systems, rows, kernel):
     # round-off an accurate x still shows in its residual: evaluating
     # gamma L^r x, and forming x through G = (L^r)^+, whose error of
     # about eps |G| |a| lies in every direction, gamma L^r included
-    slack = gammas * round_off * (_row_norms(x) + pinv_norm * _row_norms(sol[..., :m, 0]))
+    a = sol[..., :m, 0]
+    slack = gammas * round_off * (np.sqrt(np.vecdot(x, x)) + pinv_norm * np.sqrt(np.vecdot(a, a)))
     residual = gammas[:, None] * np.matmul(x, power.T) + sampled[:, None] * x - b[:, None]
     # not "above": a NaN row fails the check too
-    return x, ~(_row_norms(residual) <= target[:, None] + slack)
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis."""
-    rows = a.reshape(-1, a.shape[-1])
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows)).reshape(a.shape[:-1])
+    return x, ~(np.sqrt(np.vecdot(residual, residual)) <= target[:, None] + slack)
 
 
 def _conjugate_gradient(lap, r, gamma, sampled, b, target, max_iter) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .dpp import SamplingSet
 from .errors import DegenerateBasis, InvalidDistribution, InvalidParams, NoConvergence
-from .graphs import count, index_array
+from .graphs import count, index_array, real
 
 _RANK_TOL = 1e-12
 _PRUNE_SLACK = 1e-9
@@ -126,8 +126,7 @@ def maxvol_select(u_k: np.ndarray, delta: float = 1e-2, max_swaps: int = 1000) -
     the absolute determinant grows by that factor. Stops when no swap
     improves it by more than 1 + delta.
     """
-    if not 0.0 <= delta < np.inf:
-        raise InvalidParams("delta must be nonnegative and finite")
+    delta = real(delta, "delta", positive=False)
     max_swaps = count(max_swaps, "max_swaps")
     u_k = np.asarray(u_k, dtype=float)
     n, k = u_k.shape

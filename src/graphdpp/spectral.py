@@ -165,15 +165,9 @@ def generate_bandlimited_signal(u_k: np.ndarray, seed=None) -> np.ndarray:
     Coefficients are standard normal, renormalized to unit length, so the
     signal itself has unit norm whenever the columns are orthonormal.
     A basis without columns spans no unit signal and raises OutOfRange.
+    It is the one row of generate_bandlimited_signals(u_k, 1, seed).
     """
-    k = u_k.shape[1]
-    if k == 0:
-        raise OutOfRange("the basis must have at least one column")
-    rng = np.random.default_rng(seed)
-    alpha = rng.standard_normal(k)
-    while not alpha.any():
-        alpha = rng.standard_normal(k)
-    return u_k @ (alpha / np.linalg.norm(alpha))
+    return generate_bandlimited_signals(u_k, 1, seed)[0]
 
 
 def generate_bandlimited_signals(u_k: np.ndarray, signals: int, seed=None) -> np.ndarray:
@@ -208,11 +202,14 @@ def _vector_eval(f, lam):
 
 
 def apply_filter(basis: SpectralBasis, h, x: np.ndarray) -> np.ndarray:
-    """Apply the spectral filter with frequency response h to a signal
-    (a complete basis only)."""
+    """U h(Lambda) U' x, the spectral filter with frequency response h
+    applied to a signal x of shape (n,) or to each column of a block of
+    shape (n, c), on a complete basis only."""
     basis.require_complete("apply_filter")
     u = basis.vectors
-    return u @ (_vector_eval(h, basis.eigenvalues) * (u.T @ x))
+    coef = u.T @ x
+    gain = _vector_eval(h, basis.eigenvalues)
+    return u @ (gain.reshape(gain.shape + (1,) * (coef.ndim - 1)) * coef)
 
 
 def largest_eigenvalue_estimate(L: LaplacianView) -> float:

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import partial
 
 import numpy as np
 
-from .dpp import SamplingSet, wilson_kernel_explicit
+from .dpp import SamplingSet
 from .errors import InvalidParams, NoConvergence, ShapeMismatch, WatchdogExceeded
-from .graphs import Graph, component_labels, count
+from .graphs import Graph, component_labels, count, real
 from .spectral import SpectralBasis
 
 # Caps the walk steps of one wilson_sample call, not its running time: the expected
@@ -138,8 +139,7 @@ def wilson_sample(g: Graph, q: float, rng=None) -> SamplingSet:
     Weights are left unfilled; recovery callers attach inclusion
     probabilities from an explicit kernel or from the sketch estimator.
     """
-    if not 0 < q < np.inf:
-        raise InvalidParams("q must be positive and finite")
+    q = real(q, "q")
     rng = np.random.default_rng(rng)
     n = g.n
     adj = g.adjacency()
@@ -205,8 +205,12 @@ def wilson_draws(g: Graph, q: float, draws: int, rng=None) -> tuple[np.ndarray, 
 
 
 def expected_sample_size(basis: SpectralBasis, q: float) -> float:
-    """Exact expected output size, the trace of the rate-q walk kernel (desk-scale oracle)."""
-    return float(np.sum(wilson_kernel_explicit(basis, q).eigenvalues))
+    """Exact expected output size s(q) = sum q / (q + lambda_i) over a
+    complete basis, the trace of the rate-q walk kernel
+    (wilson_kernel_explicit) in O(n), without forming the kernel."""
+    q = real(q, "q")
+    basis.require_complete("expected_sample_size")
+    return float(np.sum(q / (q + basis.eigenvalues)))
 
 
 def _search_q(
@@ -254,20 +258,16 @@ def _search_q(
 
 def exact_q(g: Graph, basis: SpectralBasis, target_k: float) -> float:
     """Absorption rate whose expected sample size s(q) = sum q / (q + lambda_i)
-    over the basis eigenvalues (expected_sample_size) is target_k within
-    1e-9 target_k: tune_q's search (_search_q) on exact sizes. s rises
+    over the basis eigenvalues is target_k within 1e-9 target_k: tune_q's
+    search (_search_q), each probe an expected_sample_size call. s rises
     from the count of zero eigenvalues (the component count, up to
     round-off) to n, both met in the limit (an edgeless graph has s = n at
     every q). Its probe cap lets q cross the floats.
     """
     if basis.n != g.n:
         raise ShapeMismatch(f"basis has {basis.n} eigenvalues for a graph of {g.n} nodes")
-    lam = basis.eigenvalues
-    zero_modes = int(np.count_nonzero(lam == 0.0))
-
-    def mean_size(q):
-        return float(np.sum(q / (q + lam)))
-
+    zero_modes = int(np.count_nonzero(basis.eigenvalues == 0.0))
+    mean_size = partial(expected_sample_size, basis)
     return _search_q(g, target_k, 1e-9 * target_k, mean_size, _EXACT_PROBES, zero_modes)
 
 
@@ -285,8 +285,7 @@ def tune_q(
     """
     runs_per_probe = count(runs_per_probe, "runs_per_probe")
     max_probes = count(max_probes, "max_probes")
-    if not 0 < tol < np.inf:
-        raise InvalidParams("tol must be positive and finite")
+    tol = real(tol, "tol")
     rng = np.random.default_rng(rng)
 
     def mean_size(q):

@@ -36,6 +36,7 @@ from graphdpp.errors import (
     IllConditionedWarning,
     InvalidParams,
     MissingWeights,
+    NoConvergence,
     OutOfRange,
     ShapeMismatch,
     SolverDiverged,
@@ -394,6 +395,21 @@ class TestUnknownBasis:
                 b[node] += yv / w
             x_direct = np.linalg.solve(mtm + params.gamma * lr, b)
             assert np.linalg.norm(x_rec - x_direct) <= 1e-6 * np.linalg.norm(x_direct)
+
+    def test_failed_eigensolver_raises_no_convergence(self, instance, monkeypatch):
+        # the kernel form reads the dense spectrum, and eigendecompose turns
+        # LAPACK's failure into NoConvergence before recovery sees it
+        g, _, _, _, x = instance
+        lap = laplacian(g)  # a fresh view: no spectrum cached
+        assert lap.n <= recovery._DIRECT_MAX_N
+
+        def failing(a):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        meas = measure(x, unit_weight_sampling([2, 30, 66]))
+        with pytest.raises(NoConvergence):
+            recover_unknown_basis(lap, meas)
 
     def test_small_graph_needs_no_operator_applies(self, instance, monkeypatch):
         _, lap, _, _, x = instance

@@ -439,6 +439,17 @@ class TestApplyFilter:
         u1 = fourier_basis_k(basis, 1)
         np.testing.assert_allclose(out, u1 @ (u1.T @ x), atol=1e-10)
 
+    @pytest.mark.parametrize("columns", [20, 3], ids=["square", "narrow"])
+    def test_column_block_equals_column_by_column(self, columns):
+        # the response multiplied along the block's columns: square blocks
+        # came out silently wrong, narrow ones raised a raw ValueError
+        g = sbm_generate(SbmParams(n=20, k_comm=2, c=5.0, eps=0.2), 1)
+        basis = eigendecompose(laplacian(g))
+        h = lambda lam: 1.0 / (1.0 + lam)
+        x = np.random.default_rng(7).standard_normal((basis.n, columns))
+        one_by_one = np.column_stack([apply_filter(basis, h, x[:, j]) for j in range(columns)])
+        np.testing.assert_allclose(apply_filter(basis, h, x), one_by_one, rtol=0, atol=1e-12)
+
 
 @pytest.fixture(scope="module")
 def weighted_sbm():
