@@ -5,8 +5,8 @@ Above DIRECT_MAX_N nodes that takes repeated sparse Laplacian applications
 only: the inclusion probabilities never touch the spectral basis there,
 which is what makes them usable where a dense eigendecomposition is not.
 Up to DIRECT_MAX_N the same polynomial is applied on the eigenpairs cached
-on the view. The leverage scores read the dense eigenvalues for their
-cutoff at any size.
+on the view. The leverage scores take their cutoff from that spectrum up
+to DIRECT_MAX_N and from the k + 1 lowest eigenvalues above it.
 """
 
 from __future__ import annotations
@@ -274,8 +274,11 @@ def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray
     basis columns, normalized by k. Here the rank-k projector is
     approximated by a smoothed low-pass polynomial of degree FILTER_DEGREE,
     applied to a sketch of the default width, with the cutoff midway
-    between the k-th and (k+1)-th eigenvalue. Those come from the dense
-    eigendecomposition, so above DENSE_EIGEN_GUARD nodes a graph with
+    between the k-th and (k+1)-th eigenvalue. Those come from the view's
+    full eigendecomposition up to DIRECT_MAX_N nodes, which the sketch is
+    filtered on there, and above it from the k + 1 lowest pairs only
+    (eigendecompose(lap, k): Lanczos while k is small, else the dense
+    subset solver). Either way, above DENSE_EIGEN_GUARD nodes a graph with
     edges and k < n raises TooLarge, as eigendecompose does. The sketch is
     drawn and filtered in panels as in estimate_pi (_sketched_diagonal):
     on those cached eigenpairs up to DIRECT_MAX_N nodes, in single
@@ -292,7 +295,7 @@ def estimate_leverage_scores(lap: LaplacianView, k: int, rng=None) -> np.ndarray
         # no edges: every frequency is zero, any k rows carry equal mass
         return np.full(lap.n, 1.0 / lap.n)
 
-    lam = eigendecompose(lap).eigenvalues
+    lam = eigendecompose(lap, None if lap.n <= DIRECT_MAX_N else k).eigenvalues
     gap = lam[k] - lam[k - 1]
     cutoff = (lam[k] + lam[k - 1]) / 2.0
     width = gap / 9.2 if gap > 1e-12 * lmax else lmax * 1e-4

@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise InvalidParams("sweep grid must be non-empty")
         if len(set(self.grid)) != len(self.grid):
             raise InvalidParams(f"sweep grid repeats a value: {tuple(self.grid)}")
+        self.c = real(self.c, "c")
+        self.eps_frac = real(self.eps_frac, "eps_frac", positive=False)
         self.noise_sigma = real(self.noise_sigma, "noise_sigma", positive=False)
         for name in ("n", "k_comm", "bandlimit", "graphs_per_point", "signals_per_graph"):
             setattr(self, name, count(getattr(self, name), name))

@@ -289,14 +289,16 @@ class SbmParams:
     eps: float
 
     def __post_init__(self):
-        # frozen: the whole-number counts are stored as ints through object.__setattr__
+        # frozen: the counts are stored as ints, c and eps as floats, through object.__setattr__
         object.__setattr__(self, "n", count(self.n, "n"))
         object.__setattr__(self, "k_comm", count(self.k_comm, "k_comm"))
+        object.__setattr__(self, "c", real(self.c, "c"))
+        object.__setattr__(self, "eps", real(self.eps, "eps", positive=False))
         if self.n % self.k_comm != 0:
             raise InvalidParams("n must be divisible by k_comm")
-        if not 0.0 <= self.eps <= 1.0:
+        if self.eps > 1.0:
             raise InvalidParams("eps must lie in [0, 1]")
-        if not 0.0 < self.c < self.n:
+        if self.c >= self.n:
             raise InvalidParams("average degree c must lie in (0, n)")
         q1, q2 = self.probabilities()
         if q1 > 1.0 or q2 > 1.0:
@@ -318,6 +320,7 @@ class SbmParams:
 
 def critical_epsilon(c: float, k_comm: int) -> float:
     """Probability ratio above which planted communities become undetectable."""
+    c = real(c, "c")
     if c <= 1:
         raise InvalidParams("average degree must exceed 1")
     if k_comm < 1:

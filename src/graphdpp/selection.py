@@ -31,43 +31,42 @@ def singular_values_restriction(u_k: np.ndarray, nodes) -> np.ndarray:
     return np.linalg.svd(sub, compute_uv=False)[::-1]
 
 
-def _step_scores(kind: ObjectiveKind, u_k: np.ndarray, nodes, cand, r2) -> np.ndarray:
+def _step_scores(kind: ObjectiveKind, u_k: np.ndarray, nodes, cand, r2, coef) -> np.ndarray:
     """Objective of each candidate row appended to the chosen rows; larger is better.
 
     `r2` holds the candidates' squared residuals against the span of the
-    chosen rows. With C the chosen-row Gram matrix and b = U_S u, maximum
-    volume grows by the factor r2 and mean square error by
-    (1 + |C^-1 b|^2) / r2 (a Schur complement); worst-case error takes the
-    smallest eigenvalue of the bordered Gram C' = [[C, b], [b', |u|^2]],
-    one batched eigvalsh. That eigenvalue is at most min(lambda_min(C), r2),
-    as C' interlaces C and the corner of C'^-1 is 1/r2. So only candidates
+    chosen rows and the rows of `coef` their C^-1 b, with C the chosen-row
+    Gram matrix and b = U_S u. Maximum volume grows by the factor r2 and
+    mean square error by (1 + |C^-1 b|^2) / r2 (a Schur complement);
+    worst-case error takes the smallest eigenvalue of the bordered Gram
+    C' = [[C, b], [b', |u|^2]]. That eigenvalue is at most lambda_min(C),
+    as C' interlaces C, and at most r2 / (1 + |C^-1 b|^2), the Rayleigh
+    quotient of x = [-C^-1 b; 1], as C' x = [0; r2]. So only candidates
     whose bound reaches the exact value of the best mean-square-error
-    candidate are scored, and only theirs and that candidate's bordered
-    matrices are built; the others cannot win and score -inf.
+    candidate are scored, by one batched eigvalsh on their bordered
+    matrices; the others cannot win and score -inf.
     """
     if kind is ObjectiveKind.MV:
         return r2
-    sub = u_k[nodes, :]
-    gram = sub @ sub.T
-    cross = sub @ u_k[cand, :].T
-    coef = np.linalg.solve(gram, cross)
-    mse = -(1.0 + np.einsum("ij,ij->j", coef, coef)) / r2
+    mse = -(1.0 + np.einsum("ij,ij->i", coef, coef)) / r2
     if kind is ObjectiveKind.MSE:
         return mse
     s = len(nodes)
-    sq_norms = np.einsum("ij,ij->i", u_k[cand, :], u_k[cand, :])
+    sub = u_k[nodes, :]
+    gram = sub @ sub.T
 
     def smallest_bordered(rows):
         # smallest eigenvalue of C' for each of the candidates at `rows`
+        picked = u_k[cand[rows], :]
         stack = np.empty((len(rows), s + 1, s + 1))
         stack[:, :s, :s] = gram
-        stack[:, :s, s] = stack[:, s, :s] = cross.T[rows]
-        stack[:, s, s] = sq_norms[rows]
+        stack[:, :s, s] = stack[:, s, :s] = picked @ sub.T
+        stack[:, s, s] = np.einsum("ij,ij->i", picked, picked)
         return np.linalg.eigvalsh(stack)[:, 0]
 
-    bound = np.minimum(np.linalg.eigvalsh(gram).min(initial=np.inf), r2)
+    bound = np.minimum(np.linalg.eigvalsh(gram).min(initial=np.inf), -1.0 / mse)
     # slack far above eigvalsh round-off, which scales with |C'| <= trace C'
-    slack = _PRUNE_SLACK * (np.trace(gram) + sq_norms.max())
+    slack = _PRUNE_SLACK * (np.trace(gram) + np.einsum("ij,ij->i", u_k, u_k).max())
     live = np.flatnonzero(bound >= smallest_bordered([np.argmax(mse)])[0] - slack)
     scores = np.full(len(cand), -np.inf)
     scores[live] = smallest_bordered(live)
@@ -77,15 +76,18 @@ def _step_scores(kind: ObjectiveKind, u_k: np.ndarray, nodes, cand, r2) -> np.nd
 def greedy_select(u_k: np.ndarray, objective) -> SamplingSet:
     """Grow a size-k node set one node at a time, maximizing the objective.
 
-    Every row's squared residual against the span of the chosen rows is
-    kept, so every step scores all candidates at once. As in dpp_sample,
-    only those squared residuals and the orthonormal directions Q of the
-    chosen rows are stored: a pick's direction q is its row minus the
-    row's projection on Q, normalized, and the residuals drop by the
-    squares of u_k q, one product with u_k per pick. A row whose squared
-    residual is at most the rank tolerance adds no rank and is never
-    picked; when no unused row adds rank, DegenerateBasis is raised. Ties
-    break to the lowest node index, so the output is deterministic.
+    Every row's squared residual against the span of the chosen rows and
+    its coefficients C^-1 b (_step_scores) are kept, so every step scores
+    all candidates at once. As in dpp_sample, the chosen rows are held as
+    their orthonormal directions Q: a pick's direction q is its row minus
+    the row's projection on Q, normalized, and with p = u_k q, one product
+    with u_k per pick, the residuals drop by p^2. The chosen rows are R Q
+    with R lower triangular, so C^-1 b = R^-T Q u, and with delta the
+    pick's residual norm the coefficients drop by p / delta times the
+    pick's own and gain the column p / delta. A row whose squared residual
+    is at most the rank tolerance adds no rank and is never picked; when
+    no unused row adds rank, DegenerateBasis is raised. Ties break to the
+    lowest node index, so the output is deterministic.
     """
     try:
         kind = ObjectiveKind(objective)
@@ -97,18 +99,26 @@ def greedy_select(u_k: np.ndarray, objective) -> SamplingSet:
         raise InvalidParams("cannot select more nodes than the graph has")
     r2 = np.einsum("ij,ij->i", u_k, u_k)
     q = np.zeros((k, k))
+    track = kind is not ObjectiveKind.MV  # maximum volume scores by r2 alone
+    coef = np.zeros((n, k if track else 0))
     chosen = np.zeros(n, dtype=bool)
     nodes = []
     for t in range(k):
         cand = np.flatnonzero(~chosen & (r2 > _RANK_TOL))
         if len(cand) == 0:
             raise DegenerateBasis("no unused node adds rank to the greedy selection")
-        best = int(cand[np.argmax(_step_scores(kind, u_k, nodes, cand, r2[cand]))])
+        scores = _step_scores(kind, u_k, nodes, cand, r2[cand], coef[cand, :t])
+        best = int(cand[np.argmax(scores)])
         chosen[best] = True
         nodes.append(best)
         row = u_k[best] - (q @ u_k[best]) @ q
         q[t] = row / np.sqrt(row @ row)
-        r2 -= (u_k @ q[t]) ** 2
+        p = u_k @ q[t]
+        if track:
+            step = p / np.sqrt(r2[best])
+            coef[:, :t] -= np.outer(step, coef[best, :t])
+            coef[:, t] = step
+        r2 -= p**2
     if singular_values_restriction(u_k, nodes)[0] <= _RANK_TOL:
         raise DegenerateBasis("greedy selection ended with a singular restriction")
     return SamplingSet(

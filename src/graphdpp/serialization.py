@@ -88,9 +88,11 @@ def _read_by_node(path, column, kind, n=None) -> np.ndarray:
 
 
 def save_graph(g: Graph, path, labels_path=None) -> None:
-    """Write the adjacency in symmetric coordinate Matrix Market format,
-    with community labels in an optional sidecar CSV."""
-    scipy.io.mmwrite(str(path), g.adjacency(), symmetry="symmetric", precision=17)
+    """Write the adjacency in symmetric coordinate Matrix Market format to
+    exactly `path` (mmwrite given a name would append .mtx to it), with
+    community labels in an optional sidecar CSV."""
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, g.adjacency(), symmetry="symmetric", precision=17)
     if labels_path is not None:
         if g.communities is None:
             raise ParseError("graph carries no community labels to write")

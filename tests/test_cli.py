@@ -39,6 +39,16 @@ class TestGenerateGraph:
         assert g.n == 40
         assert set(g.communities.tolist()) == {0, 1}
 
+    def test_out_path_is_written_as_named(self, tmp_path):
+        # the Matrix Market writer appended .mtx, so estimate-pi on the
+        # printed path found no file
+        g, pi = tmp_path / "g.graph", tmp_path / "pi.csv"
+        run("generate-graph", "--n", 40, "--c", 6, "--eps-frac", 0.2, "--seed", 1, "--out", g)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.graph"]
+        run("estimate-pi", "--graph", g, "--q", 0.3, "--seed", 4, "--out", pi)
+        assert load_probabilities(pi).shape == (40,)
+        assert load_graph(g).n == 40
+
     def test_requires_some_eps(self, tmp_path, capsys):
         code = main(["generate-graph", "--n", "10", "--c", "3",
                      "--out", str(tmp_path / "g.mtx")])

@@ -623,6 +623,19 @@ class TestLeverageScores:
         with pytest.raises(TooLarge):
             estimate_leverage_scores(laplacian(g), 2, rng=10)
 
+    def test_cutoff_above_direct_route_skips_the_dense_eigh(self, monkeypatch):
+        # above DIRECT_MAX_N the cutoff comes from the k + 1 lowest pairs
+        # (Lanczos); a full eigh at n = 4000 took 12 s
+        g = sbm_generate(SbmParams(n=4000, k_comm=2, c=16.0, eps=0.1), 8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full dense eigh computed")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        p = estimate_leverage_scores(laplacian(g), 2, rng=10)
+        assert np.all(p >= 0.0)
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_out_of_range(self, k2):
         with pytest.raises(OutOfRange):
             estimate_leverage_scores(laplacian(k2), 3)

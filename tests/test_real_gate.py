@@ -1,5 +1,5 @@
 """Every public real parameter (absorption rates, penalties, tolerances,
-noise levels, spectral bounds) passes one gate, graphs.real: a finite real
+noise levels, spectral bounds, the SBM's degree and ratio) passes one gate, graphs.real: a finite real
 scalar, positive or nonnegative, returned as a float. Anything else raises
 InvalidParams, as a bad count does (tests/test_index_gate.py)."""
 
@@ -10,6 +10,7 @@ from graphdpp import (
     RecoveryParams,
     SamplingSet,
     SbmParams,
+    critical_epsilon,
     eigendecompose,
     estimate_pi,
     expected_sample_size,
@@ -41,12 +42,16 @@ POSITIVE = {
     "RecoveryParams[gamma]": lambda v: RecoveryParams(gamma=v),
     "RecoveryParams[tolerance]": lambda v: RecoveryParams(tolerance=v),
     "expected_sample_size[q]": lambda v: expected_sample_size(BASIS, v),
+    "SbmParams[c]": lambda v: SbmParams(n=30, k_comm=2, c=v, eps=0.2),
+    "ExperimentConfig[c]": lambda v: ExperimentConfig(c=v),
 }
 NONNEGATIVE = {
     "fit_sqrt_filter[lambda_max]": lambda v: fit_sqrt_filter(lambda lam: 1.0 / (1.0 + lam), 4, v),
     "measure[noise_sigma]": lambda v: measure(np.ones(SBM.n), SAMPLING, v, 0),
     "ExperimentConfig[noise_sigma]": lambda v: ExperimentConfig(noise_sigma=v),
     "maxvol_select[delta]": lambda v: maxvol_select(U_K, delta=v),
+    "SbmParams[eps]": lambda v: SbmParams(n=30, k_comm=2, c=6.0, eps=v),
+    "ExperimentConfig[eps_frac]": lambda v: ExperimentConfig(eps_frac=v),
 }
 EVERY = {**POSITIVE, **NONNEGATIVE}
 
@@ -110,3 +115,21 @@ def test_params_store_the_float():
     params = RecoveryParams(gamma=np.array(1e-3), tolerance=np.float32(0.5))
     assert type(params.gamma) is float and type(params.tolerance) is float
     assert type(ExperimentConfig(noise_sigma=0).noise_sigma) is float
+    config = ExperimentConfig(c=np.int64(8), eps_frac=np.array(0.5))
+    assert type(config.c) is float and type(config.eps_frac) is float
+    sbm = SbmParams(n=30, k_comm=2, c=np.float32(6.0), eps=0)
+    assert type(sbm.c) is float and type(sbm.eps) is float
+
+
+# the average degree must also exceed 1, so it stays out of EVERY's
+# accepted values, which go down to 0.5
+@pytest.mark.parametrize("bad", list(BAD))
+def test_bad_critical_epsilon_degree_rejected(bad):
+    # a string or None raised a raw TypeError, an array a raw ValueError
+    with pytest.raises(InvalidParams, match="finite"):
+        critical_epsilon(BAD[bad], 2)
+
+
+@pytest.mark.parametrize("good", [16, 16.0, np.float32(16.0), np.int64(16), np.array(16.0)])
+def test_critical_epsilon_takes_any_real_scalar(good):
+    assert critical_epsilon(good, 2) == critical_epsilon(16.0, 2)

@@ -19,7 +19,7 @@ from graphdpp import (
     singular_values_restriction,
 )
 from graphdpp.errors import DegenerateBasis, InvalidDistribution, InvalidParams, OutOfRange
-from graphdpp.selection import _step_scores
+from graphdpp.selection import _PRUNE_SLACK
 
 from conftest import exhaustive_best_volume
 
@@ -76,6 +76,51 @@ def reference_greedy(u_k, kind):
         nodes.append(best_node)
         gram += np.outer(u_k[best_node, :], u_k[best_node, :])
     return nodes
+
+
+# greedy_select's scorer before it carried C^-1 b by rank-one updates,
+# solving for it from scratch at every step
+def _step_scores(kind: ObjectiveKind, u_k: np.ndarray, nodes, cand, r2) -> np.ndarray:
+    """Objective of each candidate row appended to the chosen rows; larger is better.
+
+    `r2` holds the candidates' squared residuals against the span of the
+    chosen rows. With C the chosen-row Gram matrix and b = U_S u, maximum
+    volume grows by the factor r2 and mean square error by
+    (1 + |C^-1 b|^2) / r2 (a Schur complement); worst-case error takes the
+    smallest eigenvalue of the bordered Gram C' = [[C, b], [b', |u|^2]],
+    one batched eigvalsh. That eigenvalue is at most min(lambda_min(C), r2),
+    as C' interlaces C and the corner of C'^-1 is 1/r2. So only candidates
+    whose bound reaches the exact value of the best mean-square-error
+    candidate are scored, and only theirs and that candidate's bordered
+    matrices are built; the others cannot win and score -inf.
+    """
+    if kind is ObjectiveKind.MV:
+        return r2
+    sub = u_k[nodes, :]
+    gram = sub @ sub.T
+    cross = sub @ u_k[cand, :].T
+    coef = np.linalg.solve(gram, cross)
+    mse = -(1.0 + np.einsum("ij,ij->j", coef, coef)) / r2
+    if kind is ObjectiveKind.MSE:
+        return mse
+    s = len(nodes)
+    sq_norms = np.einsum("ij,ij->i", u_k[cand, :], u_k[cand, :])
+
+    def smallest_bordered(rows):
+        # smallest eigenvalue of C' for each of the candidates at `rows`
+        stack = np.empty((len(rows), s + 1, s + 1))
+        stack[:, :s, :s] = gram
+        stack[:, :s, s] = stack[:, s, :s] = cross.T[rows]
+        stack[:, s, s] = sq_norms[rows]
+        return np.linalg.eigvalsh(stack)[:, 0]
+
+    bound = np.minimum(np.linalg.eigvalsh(gram).min(initial=np.inf), r2)
+    # slack far above eigvalsh round-off, which scales with |C'| <= trace C'
+    slack = _PRUNE_SLACK * (np.trace(gram) + sq_norms.max())
+    live = np.flatnonzero(bound >= smallest_bordered([np.argmax(mse)])[0] - slack)
+    scores = np.full(len(cand), -np.inf)
+    scores[live] = smallest_bordered(live)
+    return scores
 
 
 def rank_one_greedy(u_k, kind):
@@ -242,6 +287,44 @@ class TestGreedySelect:
         u = fourier_basis_k(eigendecompose(laplacian(g), 20), 20)
         for kind in ObjectiveKind:
             assert greedy_select(u, kind).nodes.tolist() == rank_one_greedy(u, kind)
+
+    # every regime of fig1a's sweep, on graphs the test above does not draw
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("frac", [0.05, 0.1, 0.2, 0.5, 1.0])
+    def test_matches_rank_one_update_in_every_fig1a_regime(self, frac, seed):
+        eps = frac * critical_epsilon(16.0, 20)
+        g = sbm_generate(SbmParams(n=1000, k_comm=20, c=16.0, eps=eps), seed)
+        u = fourier_basis_k(eigendecompose(laplacian(g), 20), 20)
+        for kind in ObjectiveKind:
+            assert greedy_select(u, kind).nodes.tolist() == rank_one_greedy(u, kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        extra=st.integers(1, 30),
+        chosen=st.integers(0, 11),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bordered_minimum_within_rayleigh_bound(self, k, extra, chosen, seed):
+        # the WCE pruning bound: x = [-C^-1 b; 1] has C' x = [0; r2], so
+        # lambda_min(C') <= r2 / (1 + |C^-1 b|^2) for every candidate row
+        n = k + extra
+        u = random_orthonormal(n, k, seed)
+        order = np.random.default_rng(seed).permutation(n)
+        s = min(chosen, k - 1)
+        sub, rows = u[order[:s]], u[order[s:]]
+        gram = sub @ sub.T
+        cross = sub @ rows.T
+        coef = np.linalg.solve(gram, cross) if s else np.zeros((0, len(rows)))
+        sq_norms = np.einsum("ij,ij->i", rows, rows)
+        r2 = sq_norms - np.einsum("ij,ij->j", cross, coef)
+        stack = np.empty((len(rows), s + 1, s + 1))
+        stack[:, :s, :s] = gram
+        stack[:, :s, s] = stack[:, s, :s] = cross.T
+        stack[:, s, s] = sq_norms
+        smallest = np.linalg.eigvalsh(stack)[:, 0]
+        slack = _PRUNE_SLACK * (np.trace(gram) + sq_norms.max())
+        assert np.all(smallest <= r2 / (1.0 + np.einsum("ij,ij->j", coef, coef)) + slack)
 
     def test_duplicate_row_matches_rank_one_update(self):
         u = duplicated_row_basis()
